@@ -89,17 +89,17 @@ def unit_key(unit: WorkUnit, fast: bool,
              fingerprint: Optional[str] = None) -> str:
     """Content address of one work unit's result.
 
-    A unit with a snapshot prefix folds the whole prefix chain (key,
-    config, seed per link) into its address: the prefix's parameters are
-    real inputs of the result that no longer appear in ``unit.config``.
-    Units without a prefix hash exactly as before.
+    A unit with a snapshot prefix folds the prefix's key, config and seed
+    into its address: the prefix's parameters are real inputs of the
+    result that no longer appear in ``unit.config``.  Units without a
+    prefix hash exactly as before.
     """
     parts = [fingerprint if fingerprint is not None else code_fingerprint(),
              unit.exp_id, unit.label, repr(unit.config), unit.seed,
              "fast" if fast else "full"]
     if unit.prefix is not None:
-        from repro.experiments.snapstore import prefix_chain_parts
-        parts.extend(prefix_chain_parts(unit.prefix))
+        from repro.experiments.snapstore import prefix_parts
+        parts.extend(prefix_parts(unit.prefix))
     h = hashlib.sha256()
     for part in parts:
         h.update(part.encode())

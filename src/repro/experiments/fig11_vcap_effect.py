@@ -18,7 +18,6 @@ from typing import List, Tuple
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments.common import Table
-from repro.experiments.snapstore import PrefixSpec
 from repro.experiments.units import WorkUnit, execute_serial
 from repro.guest.task import TaskState
 from repro.sim.engine import MSEC, SEC
@@ -51,15 +50,8 @@ def _build(asymmetric: bool):
     return env
 
 
-def _prefix(scenario: str, config: str):
-    """Prefix builder: the world at the end of the 8 s warm-up.
-
-    Each (scenario, config) pair has its own prefix — the scheduler mode
-    shapes the world from t=0, so nothing is shared across configs.  The
-    measurement phase still diverges from the frozen warm world, which is
-    what keeps a re-run of the measurement (longer duration, extra
-    samplers) from paying the warm-up again.
-    """
+def _warm_up(scenario: str, config: str):
+    """Build one (scenario, config) world and run its 8 s warm-up."""
     asym = dict(SCENARIOS)[scenario]
     vcap = dict(CONFIGS)[config]
     env = _build(asym)
@@ -68,17 +60,17 @@ def _prefix(scenario: str, config: str):
     ctx = make_context(env, vs, seed=f"fig11-{scenario}-{config}")
     wl = SysbenchCpu(threads=4)
     wl.start(ctx)
-    # Warm up PELT/probers; measurement diverges from this instant.
+    # Warm up PELT/probers; measurement starts at this instant.
     env.engine.run_until(env.engine.now + 8 * SEC)
-    return {"engine": env.engine, "env": env, "wl": wl}
+    return env, wl
 
 
 class _ResidencySampler:
     """Counts fast-core (index >= 12) residency of running tasks.
 
     A bound method rather than a closure so the pending callback stays
-    deep-copyable (guard_world) if this scenario's prefix chain is ever
-    extended past the measurement start.
+    deep-copyable (guard_world) should this scenario ever be frozen and
+    forked past the measurement start.
     """
 
     def __init__(self, env, wl, stop: int, step: int):
@@ -99,9 +91,9 @@ class _ResidencySampler:
             self.env.engine.call_in(self.step, self.tick)
 
 
-def _scenario(roots: dict, fast: bool) -> Tuple:
-    """Work-unit body: measure placement/throughput from the warm world."""
-    env, wl = roots["env"], roots["wl"]
+def _scenario(scenario: str, config: str, fast: bool) -> Tuple:
+    """Work-unit body: warm up, then measure placement/throughput."""
+    env, wl = _warm_up(scenario, config)
     duration_ns = (10 if fast else 40) * SEC
     events0 = wl.events
     migr0 = env.kernel.stats.migrations
@@ -120,12 +112,8 @@ def _scenario(roots: dict, fast: bool) -> Tuple:
 def scenarios(fast: bool) -> List[WorkUnit]:
     cost = 2.3 if fast else 9.0
     return [WorkUnit(exp_id="fig11", label=f"{scenario}-{config}",
-                     func=_scenario, config=(fast,),
-                     cost_hint=cost, seed=f"fig11-{scenario}-{config}",
-                     prefix=PrefixSpec(key=f"fig11-{scenario}-{config}",
-                                       func=_prefix,
-                                       config=(scenario, config),
-                                       seed=f"fig11-{scenario}-{config}"))
+                     func=_scenario, config=(scenario, config, fast),
+                     cost_hint=cost, seed=f"fig11-{scenario}-{config}")
             for scenario, _asym in SCENARIOS
             for config, _vcap in CONFIGS]
 

@@ -18,11 +18,10 @@ The table reports mean requests/second per phase for CFS and vSched.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Tuple
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments.common import Table
-from repro.experiments.snapstore import PrefixSpec
 from repro.experiments.units import WorkUnit, execute_serial
 from repro.core.weights import weight_for_nice
 from repro.sim.engine import MSEC, SEC
@@ -34,21 +33,17 @@ MODES = ("cfs", "vsched")
 
 # ---------------------------------------------------------------------------
 # Host-condition transitions, applied synchronously at phase boundaries.
-# Module-level functions over the roots dict (not closures): the roots are
-# deep-copied together with the engine, so the stress handles they stash
-# always name tasks of *this* fork's machine.
+# ``stress`` carries the competing host tasks from one phase to the next.
 # ---------------------------------------------------------------------------
-def _to_overcommitted(roots: Dict) -> None:
-    env = roots["env"]
-    roots["stress"] = [env.machine.add_host_task(f"s{i}", pinned=(i,))
-                       for i in range(16)]
+def _to_overcommitted(env, stress: List) -> None:
+    stress.extend(env.machine.add_host_task(f"s{i}", pinned=(i,))
+                  for i in range(16))
 
 
-def _to_asymmetric(roots: Dict) -> None:
+def _to_asymmetric(env, stress: List) -> None:
     # Half the vCPUs 2x the capacity of the rest, same total: fast
     # vCPUs' competitors are demoted to one third of the weight.
-    env = roots["env"]
-    for task in roots["stress"]:
+    for task in stress:
         env.machine.remove_host_task(task)
     for i in range(16):
         if i < 8:
@@ -59,10 +54,9 @@ def _to_asymmetric(roots: Dict) -> None:
                                       weight=2048)  # vCPU gets ~1/3
 
 
-def _to_constrained(roots: Dict) -> None:
+def _to_constrained(env, stress: List) -> None:
     # Stack vCPU1 onto vCPU0's thread; throttle vCPUs 2-3 to straggler
     # capacity.
-    env = roots["env"]
     env.machine.repin(env.vm.vcpu(1), (0,))
     for i in (2, 3):
         env.machine.add_host_task(f"hog{i}", pinned=(i,),
@@ -74,66 +68,44 @@ _TRANSITIONS = {"overcommitted": _to_overcommitted,
                 "constrained": _to_constrained}
 
 
-def _phase_dedicated(mode: str, phase_ns: int) -> Dict:
-    """Root prefix: build, start Nginx, run the dedicated phase."""
+def _timeline(mode: str, phase_ns: int) -> Tuple[float, ...]:
+    """Work-unit body: run the four phases, return each one's mean rps.
+
+    Skips the first 30% of each phase as transition/adaptation time.
+    Completions are logged at completion time, so counting every phase's
+    window after the last phase gives the same numbers as counting each
+    one at its own boundary.
+    """
     env = build_plain_vm(16, host_slice_ns=5 * MSEC)
     vs = attach_scheduler(env, mode)
     ctx = make_context(env, vs, f"fig16-{mode}")
     nginx = NginxServer(workers=8, service_ns=2 * MSEC, rate_per_sec=2600.0)
     nginx.start(ctx)
-    env.engine.run_until(1 * phase_ns)
-    return {"engine": env.engine, "env": env, "nginx": nginx}
-
-
-def _enter_phase(roots: Dict, phase: str, end_multiple: int,
-                 phase_ns: int) -> Dict:
-    """Chained prefix: apply one transition, run to the phase's end."""
-    _TRANSITIONS[phase](roots)
-    roots["engine"].run_until(end_multiple * phase_ns)
-    return roots
-
-
-def _phase_rps(roots: Dict, phase_index: int, phase_ns: int) -> float:
-    """Work-unit body: mean requests/second of the phase just simulated.
-
-    Pure arithmetic over the server's completion log — the phase itself
-    was simulated by the prefix chain, so each deeper phase forks the
-    previous boundary instead of replaying the whole timeline (the cold
-    ``--no-snapshot`` path replays it, which is the A/B baseline).
-    Skips the first 30% of the phase as transition/adaptation time.
-    """
-    t0 = phase_index * phase_ns + (3 * phase_ns) // 10
-    t1 = (phase_index + 1) * phase_ns
-    return roots["nginx"].served_between(t0, t1) / ((t1 - t0) / SEC)
+    stress: List = []
+    for k, phase in enumerate(PHASES):
+        if k > 0:
+            _TRANSITIONS[phase](env, stress)
+        env.engine.run_until((k + 1) * phase_ns)
+    rps = []
+    for k in range(len(PHASES)):
+        t0 = k * phase_ns + (3 * phase_ns) // 10
+        t1 = (k + 1) * phase_ns
+        rps.append(nginx.served_between(t0, t1) / ((t1 - t0) / SEC))
+    return tuple(rps)
 
 
 def scenarios(fast: bool) -> List[WorkUnit]:
     phase_ns = (15 if fast else 30) * SEC
-    unit_cost = 3.5 if fast else 7.0
-    units = []
-    for mode in MODES:
-        chain = PrefixSpec(key=f"fig16-{mode}-dedicated",
-                           func=_phase_dedicated, config=(mode, phase_ns),
-                           seed=f"fig16-{mode}")
-        for k, phase in enumerate(PHASES):
-            if k > 0:
-                chain = PrefixSpec(key=f"fig16-{mode}-{phase}",
-                                   func=_enter_phase,
-                                   config=(phase, k + 1, phase_ns),
-                                   seed=f"fig16-{mode}", parent=chain)
-            # Cold cost grows with chain depth (a cold unit replays every
-            # phase up to its own), which also keeps timeouts honest.
-            units.append(WorkUnit(exp_id="fig16", label=f"{mode}-{phase}",
-                                  func=_phase_rps, config=(k, phase_ns),
-                                  cost_hint=unit_cost * (k + 1),
-                                  seed=f"fig16-{mode}", prefix=chain))
-    return units
+    cost = (3.5 if fast else 7.0) * len(PHASES)
+    return [WorkUnit(exp_id="fig16", label=mode, func=_timeline,
+                     config=(mode, phase_ns), cost_hint=cost,
+                     seed=f"fig16-{mode}")
+            for mode in MODES]
 
 
-def assemble(fast: bool, results: List[float]) -> Table:
-    it = iter(results)
-    per_mode = {mode: {phase: next(it) for phase in PHASES}
-                for mode in MODES}
+def assemble(fast: bool, results: List[Tuple[float, ...]]) -> Table:
+    per_mode = {mode: dict(zip(PHASES, rps))
+                for mode, rps in zip(MODES, results)}
     cfs, vsched = per_mode["cfs"], per_mode["vsched"]
     table = Table(
         exp_id="fig16",

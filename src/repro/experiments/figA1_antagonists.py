@@ -21,7 +21,6 @@ from typing import List
 from repro.cluster import build_plain_vm, install_antagonist
 from repro.core.vsched import VSched, VSchedConfig
 from repro.experiments.common import Table
-from repro.experiments.snapstore import PrefixSpec
 from repro.experiments.units import WorkUnit, execute_serial
 from repro.guest.task import restartable_body
 from repro.metrics.degradation import DegradationReport, GroundTruthTracker
@@ -47,18 +46,15 @@ def _spin(api):
         yield api.run(1 * MSEC)
 
 
-def _prefix(config: str):
-    """Prefix builder: a saturated VM per prober config, frozen at t=0.
+def _build(config: str):
+    """A saturated 4-vCPU VM under one prober config, not yet run.
 
-    The divergence point is deliberately *before* the engine runs: the
-    antagonist must contend with the probers from the very first window
-    (the figure's claim is about estimation under attack, and the
-    hardened path's robust statistics behave differently when an attack
-    arrives against already-converged clean estimates).  The fork
-    therefore saves the world construction, not simulated time, and every
-    (kind, intensity) scenario on one side of the naive/hardened switch
-    shares one frozen build.  The scheduler seed names only the config;
-    the antagonist's own seed still carries (kind, intensity).
+    The antagonist installs before the engine runs, so it contends with
+    the probers from the very first window: the figure's claim is about
+    estimation under attack, and the hardened path's robust statistics
+    behave differently when an attack arrives against already-converged
+    clean estimates.  The scheduler seed names only the config; the
+    antagonist's own seed carries (kind, intensity).
     """
     env = build_plain_vm(4)
     cfg = VSchedConfig.enhanced().with_(
@@ -70,15 +66,15 @@ def _prefix(config: str):
     for c in range(env.n_vcpus):
         env.kernel.spawn(_spin, name=f"sat{c}", group=vs.workload_group,
                          cpu=c, allowed=(c,))
-    return {"engine": env.engine, "env": env, "vs": vs}
+    return env, vs
 
 
-def _scenario(roots: dict, kind: str, intensity: float, config: str,
+def _scenario(kind: str, intensity: float, config: str,
               fast: bool) -> dict:
     """One (antagonist, prober-config) run; returns the report as a dict."""
     warmup = (4 if fast else 8) * SEC
     measure = (16 if fast else 40) * SEC
-    env, vs = roots["env"], roots["vs"]
+    env, vs = _build(config)
     if kind != "none":
         install_antagonist(
             env, AntagonistSpec(kind=kind, intensity=intensity,
@@ -94,15 +90,10 @@ def _scenario(roots: dict, kind: str, intensity: float, config: str,
 
 def scenarios(fast: bool) -> List[WorkUnit]:
     cost = 2.0 if fast else 12.0
-    prefixes = {config: PrefixSpec(key=f"figA1-{config}", func=_prefix,
-                                   config=(config,),
-                                   seed=f"figA1-{config}")
-                for config in CONFIGS}
     return [WorkUnit(exp_id="figA1", label=f"{kind}-{inten}-{config}",
                      func=_scenario, config=(kind, inten, config, fast),
                      cost_hint=cost,
-                     seed=f"figA1-{kind}-{inten}-{config}",
-                     prefix=prefixes[config])
+                     seed=f"figA1-{kind}-{inten}-{config}")
             for kind in KINDS
             for inten in _intensities(fast)
             for config in CONFIGS]

@@ -224,8 +224,8 @@ class _UnitState:
     wall_s: float = 0.0
     events: int = 0
     elided: int = 0
-    #: Engine counter deltas (pushes/cancels/dead_drops/cascades) over the
-    #: unit's successful attempt; empty for cached units.
+    #: Engine counter deltas (pushes/cancels/dead_drops) over the unit's
+    #: successful attempt; empty for cached units.
     counters: Dict[str, int] = field(default_factory=dict)
     done: bool = False
     cached: bool = False

@@ -12,22 +12,17 @@ results (``tools/abdiff.py`` proves it) at a fraction of the wall time.
 
 Keying follows the unit result cache
 (:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
-``SHA-256(code fingerprint | prefix chain (key, config, seed) | fast)``,
-so any source change invalidates every stored prefix, exactly like unit
-results.  The store itself is **in-process** (snapshots hold live object
-graphs; they are never pickled to disk) — each campaign worker process
-grows its own store, which is why sharing a prefix across many units of
-the same experiment pays off even under the pooled scheduler.
-
-Prefixes chain: a spec with a ``parent`` extends the parent's world
-(fork parent → run the extension) instead of building from scratch, so a
-phase-structured experiment (fig16's host-condition timeline) snapshots
-each phase boundary once and forks per-phase measurement variants from
-it.
+``SHA-256(code fingerprint | prefix (key, config, seed) | fast |
+tickless)``, so any source change invalidates every stored prefix,
+exactly like unit results.  The store itself is **in-process**
+(snapshots hold live object graphs; they are never pickled to disk) —
+each campaign worker process grows its own store, which is why sharing
+a prefix across many units of the same experiment pays off even under
+the pooled scheduler.
 
 ``$VSCHED_REPRO_SNAPSHOT=0`` (or ``--no-snapshot``) disables forking:
-every unit then rebuilds its full prefix chain cold through the *same*
-builder functions, which is the A/B baseline for the identity contract.
+every unit then rebuilds its prefix cold through the *same* builder
+function, which is the A/B baseline for the identity contract.
 """
 
 from __future__ import annotations
@@ -37,12 +32,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import (elision_default, engine_backend_default,
-                              snapshot_default)
+from repro.sim.engine import elision_default, snapshot_default
 from repro.sim.snapshot import WorldSnapshot
 
 __all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
-           "reset_process_store", "prefix_chain_parts", "prefix_store_key",
+           "reset_process_store", "prefix_parts", "prefix_store_key",
            "snapshot_counters", "build_cold"]
 
 
@@ -50,13 +44,11 @@ __all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
 class PrefixSpec:
     """Declarative description of a shared scenario prefix.
 
-    ``func`` must be module-level (picklable by reference).  For a root
-    prefix (``parent is None``) it is called as ``func(*config)`` and must
-    return the world's *roots*: a dict of top-level handles containing at
-    least ``"engine"`` (everything a diverging unit needs to keep driving
-    the world — env, scheduler, workload context...).  For a chained
-    prefix it is called as ``func(roots, *config)`` on a fork of the
-    parent's world and returns the (possibly same) roots dict.
+    ``func`` must be module-level (picklable by reference).  It is called
+    as ``func(*config)`` and must return the world's *roots*: a dict of
+    top-level handles containing at least ``"engine"`` (everything a
+    diverging unit needs to keep driving the world — env, scheduler,
+    workload context...).
 
     ``config`` must be plain data — it feeds the store key via ``repr``,
     exactly like a work unit's config feeds the result-cache key.
@@ -67,35 +59,27 @@ class PrefixSpec:
     func: Callable
     config: Tuple = ()
     seed: str = ""
-    parent: Optional["PrefixSpec"] = None
 
 
-def prefix_chain_parts(prefix: Optional[PrefixSpec]) -> List[str]:
-    """Key material naming a prefix chain (innermost first)."""
-    parts: List[str] = []
-    p = prefix
-    while p is not None:
-        parts.extend((p.key, repr(p.config), p.seed))
-        p = p.parent
-    return parts
+def prefix_parts(prefix: PrefixSpec) -> List[str]:
+    """Key material naming a prefix."""
+    return [prefix.key, repr(prefix.config), prefix.seed]
 
 
 def prefix_store_key(prefix: PrefixSpec, fast: bool,
                      fingerprint: Optional[str] = None) -> str:
     """Content address of one prefix's frozen world.
 
-    Besides the chain and the fast/full mode, the key names the engine's
-    process-wide mode knobs (event backend, tickless elision): a frozen
-    world bakes both in at construction, so an in-process toggle — the
-    A/B tests flip these env vars mid-run — must miss rather than fork a
-    world built under the other mode.
+    Besides the prefix and the fast/full mode, the key names the tickless
+    elision mode: a frozen world bakes it in at construction, so an
+    in-process toggle — the A/B tests flip the env var mid-run — must
+    miss rather than fork a world built under the other mode.
     """
     from repro.experiments.cache import code_fingerprint
     h = hashlib.sha256()
     parts = [fingerprint if fingerprint is not None else code_fingerprint()]
-    parts += prefix_chain_parts(prefix)
+    parts += prefix_parts(prefix)
     parts.append("fast" if fast else "full")
-    parts.append(f"backend={engine_backend_default()}")
     parts.append(f"tickless={int(elision_default())}")
     for part in parts:
         h.update(part.encode())
@@ -107,13 +91,10 @@ def build_cold(prefix: PrefixSpec) -> Dict[str, Any]:
     """Build a prefix world with no snapshotting at all.
 
     The disabled-mode path and the miss path run the same builder
-    functions in the same order; the only difference is whether the
-    result is frozen afterwards.
+    function; the only difference is whether the result is frozen
+    afterwards.
     """
-    if prefix.parent is None:
-        roots = prefix.func(*prefix.config)
-    else:
-        roots = prefix.func(build_cold(prefix.parent), *prefix.config)
+    roots = prefix.func(*prefix.config)
     if "engine" not in roots:
         raise KeyError(
             f"prefix {prefix.key!r}: builder returned roots without an "
@@ -152,17 +133,7 @@ class SnapshotStore:
             return snap
         self.misses += 1
         started = time.perf_counter()
-        if prefix.parent is None:
-            roots = prefix.func(*prefix.config)
-            if "engine" not in roots:
-                raise KeyError(
-                    f"prefix {prefix.key!r}: builder returned roots "
-                    f"without an 'engine' entry")
-        else:
-            _engine, roots = self.acquire(prefix.parent, fast,
-                                          fingerprint).fork()
-            self.forks += 1
-            roots = prefix.func(roots, *prefix.config)
+        roots = build_cold(prefix)
         snap = WorldSnapshot(roots["engine"], roots)
         cost = time.perf_counter() - started
         self._snaps[key] = snap
@@ -218,8 +189,8 @@ def execute_unit(func: Callable, config: Tuple,
 
     With a prefix and snapshots enabled, the unit function is called as
     ``func(roots, *config)`` on a private fork of the frozen prefix
-    world.  With snapshots disabled the prefix chain is rebuilt cold —
-    through the identical builder code — before the same call.  Without a
+    world.  With snapshots disabled the prefix is rebuilt cold — through
+    the identical builder code — before the same call.  Without a
     prefix this is exactly ``func(*config)``.
     """
     if prefix is None:

@@ -44,7 +44,7 @@ sleeps); results remain pure functions of ``(code, config, seed)``.
 
 from __future__ import annotations
 
-import heapq  # vschedlint: disable=heap-encapsulation -- host-time retry backoff queue, not the engine event store
+import heapq
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
 import os
@@ -172,8 +172,8 @@ class UnitOutcome:
     wall_s: float = 0.0
     events: int = 0
     elided: int = 0
-    #: Engine counter deltas over the unit (pushes/cancels/dead_drops/
-    #: cascades — see Engine.counters); None for units that never ran.
+    #: Engine counter deltas over the unit (pushes/cancels/dead_drops —
+    #: see Engine.counters); None for units that never ran.
     counters: Optional[Dict[str, int]] = None
     attempts: int = 1
     fate: str = "ok"

@@ -80,8 +80,8 @@ class WorkUnit:
     #: Shared scenario prefix (:class:`repro.experiments.snapstore.
     #: PrefixSpec`).  When set, ``func`` is called as ``func(roots,
     #: *config)`` on a fork of the prefix's frozen world (or on a cold
-    #: rebuild when snapshots are disabled), and the prefix chain joins
-    #: the cache key — the unit result depends on the prefix's identity.
+    #: rebuild when snapshots are disabled), and the prefix joins the
+    #: cache key — the unit result depends on the prefix's identity.
     prefix: Optional[object] = None
 
 
@@ -104,10 +104,8 @@ def check_config_is_data(unit: WorkUnit) -> None:
             f"of type {type(v).__name__} is not plain data; its repr would "
             f"poison the cache key")
     walk(unit.config)
-    prefix = unit.prefix
-    while prefix is not None:
-        walk(prefix.config)
-        prefix = prefix.parent
+    if unit.prefix is not None:
+        walk(unit.prefix.config)
 
 
 def supports_units(mod, exp_id: str) -> bool:

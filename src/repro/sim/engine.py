@@ -10,24 +10,12 @@ The engine is deliberately minimal: entities schedule callbacks, callbacks
 may schedule more callbacks.  Higher layers (hypervisor, guest kernel) build
 their state machines on top of this primitive.
 
-Event storage is a pluggable *backend* behind a three-method protocol
-(``push`` / ``pop_due`` / ``note_cancelled``); the dispatch loop, the
-instant/epoch bookkeeping, and every counter live in the engine and are
-backend-independent.  Two backends exist:
-
-* ``heap`` (this module, the reference): a binary heap of
-  ``(time, prio, seq, event)`` tuples so ordering is decided by C-level
-  integer comparisons instead of Python ``__lt__`` calls.  Cancellation is
-  lazy, but the backend counts cancelled-in-heap events and compacts when
-  they dominate, so ``run_until`` does not churn through millions of dead
-  entries.
-* ``wheel`` (:mod:`repro.sim.wheel`): a Linux-style hierarchical timer
-  wheel with O(1) arm and effectively-free cancel, byte-identical in pop
-  order to the heap (INTERNALS §13 has the equivalence argument).
-
-Select with ``Engine(backend="heap"|"wheel")`` or the
-``$VSCHED_REPRO_ENGINE`` environment variable (default ``heap``).
-``pending()`` is O(1) either way, maintained on push/pop/cancel.
+Events live in a binary heap of ``(time, prio, seq, event)`` tuples, so
+ordering is decided by C-level integer comparisons instead of Python
+``__lt__`` calls.  Cancellation is lazy, but the engine counts
+cancelled-in-heap events and compacts when they dominate, so ``run_until``
+does not churn through millions of dead entries.  ``pending()`` is O(1),
+maintained on push/pop/cancel.
 
 Priority bands (``prio``) exist for timer elision: a periodic timer whose
 firing is elided and later re-armed would otherwise land at its original
@@ -55,10 +43,10 @@ per event when off.
 from __future__ import annotations
 
 import copy
-import heapq
 import os
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: One microsecond / millisecond / second expressed in engine time units.
 USEC = 1_000
@@ -104,18 +92,6 @@ def snapshot_default() -> bool:
     each decision site so tests can toggle it in-process.
     """
     return os.environ.get("VSCHED_REPRO_SNAPSHOT", "1") != "0"
-
-
-def engine_backend_default() -> str:
-    """Process-wide default event-storage backend (``heap`` unless set).
-
-    ``VSCHED_REPRO_ENGINE=wheel`` switches every ``Engine()`` constructed
-    without an explicit ``backend=`` to the hierarchical timer wheel; the
-    A/B harness (``tools/abdiff.py``) uses this to assert both backends
-    produce byte-identical tables.  Read lazily at each construction site
-    so tests can toggle it in-process.
-    """
-    return os.environ.get("VSCHED_REPRO_ENGINE", "heap")
 
 
 class Event:
@@ -167,106 +143,6 @@ class Event:
         return f"<Event t={self.time} {name} {state}>"
 
 
-class _HeapBackend:
-    """Reference event store: a binary heap with lazy cancellation.
-
-    The backend protocol (shared with :class:`repro.sim.wheel.WheelBackend`):
-
-    ``push(entry)``
-        Accept a ``(time, prio, seq, Event)`` tuple.  Bound to a C-level
-        callable where possible — the engine calls it once per ``call_at``.
-    ``pop_due(deadline)``
-        Remove and return the globally least live entry by
-        ``(time, prio, seq)``, or ``None`` when the store is empty or the
-        least live entry is after ``deadline`` (``deadline=None`` means no
-        bound).  Cancelled entries are discarded en route and counted in
-        ``Engine.total_dead_drops``.
-    ``note_cancelled()``
-        An in-store event was cancelled (the :class:`Event` flag is already
-        set); purely advisory — the heap uses it to trigger compaction, the
-        wheel ignores it.
-    """
-
-    name = "heap"
-
-    __slots__ = ("_heap", "_ncancelled", "push")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, int, Event]] = []
-        self._ncancelled = 0
-        self.push = partial(heapq.heappush, self._heap)
-
-    def __deepcopy__(self, memo) -> "_HeapBackend":  # vschedlint: disable=identity-key -- deepcopy memo is keyed by id() per the copy protocol, never simulation state
-        # ``push`` is a partial closed over the heap list; copied naively it
-        # would keep pushing into the *original* heap.  Rebuild it against
-        # the copied list (registered in the memo first so entry tuples and
-        # engine back-refs resolve to the copy).
-        new = object.__new__(_HeapBackend)
-        memo[id(self)] = new
-        new._heap = copy.deepcopy(self._heap, memo)
-        new._ncancelled = self._ncancelled
-        new.push = partial(heapq.heappush, new._heap)
-        return new
-
-    def iter_entries(self) -> Iterator[Tuple[int, int, int, Event]]:
-        """Iterate all in-store entries (including cancelled), any order.
-
-        Inspection-only — used by the snapshot guard to vet pending
-        callbacks before a deep copy.  Never mutates the store.
-        """
-        return iter(self._heap)
-
-    def pop_due(self, deadline: Optional[int]
-                ) -> Optional[Tuple[int, int, int, Event]]:
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            if deadline is not None and entry[0] > deadline:
-                return None
-            pop(heap)
-            if entry[3].cancelled:
-                self._ncancelled -= 1
-                Engine.total_dead_drops += 1
-                continue
-            return entry
-        return None
-
-    def note_cancelled(self) -> None:
-        """An in-heap event was cancelled; compact when dead entries win."""
-        self._ncancelled = n = self._ncancelled + 1
-        if (n >= _COMPACT_MIN_CANCELLED
-                and n * _COMPACT_FRACTION >= len(self._heap)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, preserving pop order.
-
-        Mutates the heap list in place so the ``partial``-bound ``push``
-        keeps targeting the live list.  Since the ``(time, prio, seq)`` key
-        is unique per event, pop order after compaction is identical to the
-        order before it.
-        """
-        heap = self._heap
-        before = len(heap)
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
-        heapq.heapify(heap)
-        Engine.total_dead_drops += before - len(heap)
-        self._ncancelled = 0
-
-
-def _make_backend(name: str):
-    if name == "heap":
-        return _HeapBackend()
-    if name == "wheel":
-        # Imported lazily: repro.sim.wheel imports this module for the
-        # shared counters, so a top-level import here would be circular.
-        from repro.sim.wheel import WheelBackend
-        return WheelBackend()
-    raise ValueError(
-        f"unknown engine backend {name!r} (expected 'heap' or 'wheel')")
-
-
 class Engine:
     """The simulation clock and event queue.
 
@@ -279,49 +155,39 @@ class Engine:
 
     #: Process-wide count of events fired across all engines (perf metric;
     #: read by tools/bench.py to report events/sec).  A "fire" is a live
-    #: dispatch — cancelled entries never count, under either backend.
+    #: dispatch — cancelled entries never count.
     total_events_fired: int = 0
     #: Process-wide count of timer firings elided (materialized
     #: arithmetically instead of dispatched through the heap).
     total_events_elided: int = 0
-    #: Process-wide count of ``call_at``/``call_in`` arms.  Counted at the
-    #: API boundary so the number is backend-invariant.
+    #: Process-wide count of ``call_at``/``call_in`` arms.
     total_pushes: int = 0
     #: Process-wide count of ``Event.cancel`` calls on still-pending events.
-    #: Also counted at the API boundary: backend-invariant.
     total_cancels: int = 0
-    #: Process-wide count of cancelled entries physically discarded by a
-    #: backend (heap: dead pops + compaction sweeps; wheel: drops at stage
-    #: drain / cascade / collect).  Backend-*internal* telemetry: over a
-    #: fully drained run it converges to ``total_cancels``, but the timing
-    #: (and any still-buried residue) legitimately differs per backend.
-    #: Compare backends on pushes/cancels/fired, never on this.
+    #: Process-wide count of cancelled entries physically discarded from
+    #: the heap (dead pops + compaction sweeps).  Over a fully drained run
+    #: it converges to ``total_cancels``.
     total_dead_drops: int = 0
-    #: Process-wide count of timer-wheel slot cascades (re-filing one
-    #: occupied upper-level slot).  Always 0 under the heap backend.
-    total_cascades: int = 0
     #: Callback-attribution profiler switch.  When True, per-callsite
     #: fired/cancelled/elided counters accumulate in :attr:`profile_data`.
     profiling: bool = False
     #: qualname -> [fired, cancelled, elided]
     profile_data: Dict[str, List[int]] = {}
 
-    def __init__(self, backend: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
-        #: Event-store backend name ("heap" or "wheel"); resolved from
-        #: ``$VSCHED_REPRO_ENGINE`` when not passed explicitly.
-        self.backend: str = backend if backend is not None \
-            else engine_backend_default()
-        self._backend = _make_backend(self.backend)
-        #: Bound push fast path (C-level for the heap, ``list.append`` for
-        #: the wheel's staging area).
-        self._push = self._backend.push
+        #: The event heap of ``(time, prio, seq, Event)`` entries.  Only
+        #: ever mutated in place, so ``_push`` and the dispatch loop's
+        #: local reference always see the live list.
+        self._heap: List[Tuple[int, int, int, Event]] = []
+        #: C-level push fast path over ``_heap``.
+        self._push = partial(heappush, self._heap)
+        #: Cancelled entries still in the heap: drives compaction and
+        #: O(1) ``pending()``.
+        self._ncancelled = 0
         self._seq: int = 0
         self._running = False
         self._stopped = False
-        #: Live (not-yet-fired, not-cancelled) events in the store: O(1)
-        #: ``pending()``, maintained here so backends never track it.
-        self._npending = 0
         #: Events fired by this engine instance.
         self.events_fired = 0
         #: Timer firings elided by this engine instance.
@@ -377,7 +243,6 @@ class Engine:
         self._seq = seq = self._seq + 1
         ev = Event(time, prio, seq, callback, args, self)
         self._push((time, prio, seq, ev))
-        self._npending += 1
         Engine.total_pushes += 1
         return ev
 
@@ -448,11 +313,8 @@ class Engine:
     def counters(cls) -> Dict[str, int]:
         """Snapshot of the process-wide engine counters.
 
-        ``pushes``/``cancels``/``fired``/``elided`` are API-level and
-        backend-invariant; ``dead_drops``/``cascades`` are backend-internal
-        telemetry (see the class attributes).  Callers measure a scenario
-        by differencing two snapshots (``tools/bench.py``, the campaign
-        supervisor's per-unit stats).
+        Callers measure a scenario by differencing two snapshots
+        (``tools/bench.py``, the campaign supervisor's per-unit stats).
         """
         return {
             "pushes": cls.total_pushes,
@@ -460,7 +322,6 @@ class Engine:
             "fired": cls.total_events_fired,
             "elided": cls.total_events_elided,
             "dead_drops": cls.total_dead_drops,
-            "cascades": cls.total_cascades,
         }
 
     # ------------------------------------------------------------------
@@ -511,29 +372,34 @@ class Engine:
 
     def _dispatch(self, deadline: Optional[int],
                   max_events: Optional[int]) -> int:
-        """Shared dispatch loop: pop due entries from the backend and fire.
+        """Shared dispatch loop: pop due heap entries and fire them.
 
-        All instant/epoch bookkeeping (``_instant_hi``, ``_instant_marks``,
-        ``_pop_epoch``) lives here, keyed purely on the popped
-        ``(time, prio, seq)`` — so a backend is conformant iff its pop
-        *order* matches the heap's, which is what the wheel guarantees.
+        Cancelled entries are dropped as they surface.  The instant/epoch
+        bookkeeping (``_instant_hi``, ``_instant_marks``, ``_pop_epoch``)
+        is keyed purely on the popped ``(time, prio, seq)``.
         """
         if self._running:
             raise RuntimeError("engine is not reentrant")
         self._running = True
         self._stopped = False
-        pop_due = self._backend.pop_due
+        heap = self._heap
+        pop = heappop
         fired = 0
         profiling = Engine.profiling
         bump = Engine._profile_bump
         try:
-            while not self._stopped:
+            while heap and not self._stopped:
                 if max_events is not None and fired >= max_events:
                     break
-                entry = pop_due(deadline)
-                if entry is None:
+                entry = heap[0]
+                if deadline is not None and entry[0] > deadline:
                     break
+                pop(heap)
                 ev = entry[3]
+                if ev.cancelled:
+                    self._ncancelled -= 1
+                    Engine.total_dead_drops += 1
+                    continue
                 ev._engine = None
                 self._pop_epoch += 1
                 marks = self._instant_marks
@@ -556,7 +422,6 @@ class Engine:
             self._current = None
             self._running = False
             self.events_fired += fired
-            self._npending -= fired
             Engine.total_events_fired += fired
         return fired
 
@@ -588,7 +453,7 @@ class Engine:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._npending
+        return len(self._heap) - self._ncancelled
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -605,23 +470,20 @@ class Engine:
             hook()
 
     def __deepcopy__(self, memo) -> "Engine":  # vschedlint: disable=identity-key -- deepcopy memo is keyed by id() per the copy protocol, never simulation state
-        """Deep-copy the engine, rewiring the backend push fast path.
+        """Deep-copy the engine; refused while it is dispatching.
 
-        ``_push`` aliases ``_backend.push`` (a partial/bound append over
-        the backend's internal list); a naive deep copy would leave the
-        copy pushing into the original's store.  Everything else — queue
-        contents, lanes, ``now``, pop-epoch/instant marks, per-instance
-        counters, sync hooks — copies structurally through the memo, so
-        event back-refs and callback bindings land on the copied world.
+        Everything — heap contents, lanes, ``now``, pop-epoch/instant
+        marks, per-instance counters, sync hooks — copies structurally
+        through the memo, so event back-refs and callback bindings land on
+        the copied world.  The ``_push`` partial copies its heap argument
+        through the same memo, so it targets the copied heap.
         """
         if self._running:
             raise RuntimeError("cannot snapshot a running engine "
                                "(snapshot between run()/run_until() calls)")
         new = object.__new__(type(self))
         memo[id(self)] = new
-        state = {k: v for k, v in self.__dict__.items() if k != "_push"}
-        new.__dict__.update(copy.deepcopy(state, memo))
-        new._push = new._backend.push
+        new.__dict__.update(copy.deepcopy(self.__dict__, memo))
         return new
 
     def snapshot(self) -> "Engine":
@@ -649,16 +511,35 @@ class Engine:
         if self._running or frozen._running:
             raise RuntimeError("cannot restore a running engine")
         memo: Dict[int, Any] = {id(frozen): self}
-        state = {k: v for k, v in frozen.__dict__.items() if k != "_push"}
+        state = copy.deepcopy(frozen.__dict__, memo)
         self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(state, memo))
-        self._push = self._backend.push
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Lazy-cancellation bookkeeping
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
-        """An in-store event was cancelled (called from Event.cancel)."""
-        self._npending -= 1
+        """An in-heap event was cancelled (called from Event.cancel).
+
+        Compacts the heap once dead entries dominate it.
+        """
         Engine.total_cancels += 1
-        self._backend.note_cancelled()
+        self._ncancelled = n = self._ncancelled + 1
+        if (n >= _COMPACT_MIN_CANCELLED
+                and n * _COMPACT_FRACTION >= len(self._heap)):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries and re-heapify, preserving pop order.
+
+        Mutates the heap list in place so ``_push`` and a running dispatch
+        loop keep targeting the live list.  Since the ``(time, prio, seq)``
+        key is unique per event, pop order after compaction is identical
+        to the order before it.
+        """
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapify(heap)
+        Engine.total_dead_drops += before - len(heap)
+        self._ncancelled = 0

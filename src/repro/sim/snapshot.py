@@ -105,7 +105,7 @@ def guard_world(engine: Engine) -> None:
     the first).
     """
     problems: List[str] = []
-    for entry in engine._backend.iter_entries():
+    for entry in engine._heap:
         ev = entry[3]
         if ev.cancelled:
             continue

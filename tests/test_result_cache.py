@@ -232,7 +232,7 @@ class TestDecompose:
     def test_migrated_experiments_decompose(self):
         for exp_id, n_min in (("fig2", 24), ("fig4", 18), ("fig11", 4),
                               ("fig13", 6), ("fig14", 20), ("fig15", 24),
-                              ("fig16", 8), ("fig17", 2), ("fig18", 30),
+                              ("fig16", 2), ("fig17", 2), ("fig18", 30),
                               ("fig19", 30), ("fig20", 12)):
             units, _assemble = parallel.decompose(exp_id, True)
             assert len(units) == n_min, exp_id

@@ -1,9 +1,8 @@
 """Unit tests for the event engine.
 
-Engine-behaviour tests run against both event-store backends (binary heap
-and hierarchical timer wheel): the backend protocol promises identical
-observable semantics, so every test here is a conformance check.
-Backend-specific internals (heap compaction) are pinned separately below.
+The engine keeps its events in one binary heap.  Behaviour tests build
+their engines through the ``make_engine`` fixture, whose ``heap`` id
+names that store.
 """
 
 import pytest
@@ -11,12 +10,10 @@ import pytest
 from repro.sim import Engine, MSEC, SEC, USEC
 
 
-@pytest.fixture(params=["heap", "wheel"])
+@pytest.fixture(params=["heap"])
 def make_engine(request):
-    """Engine factory parametrized over event-store backends."""
-    def make():
-        return Engine(backend=request.param)
-    return make
+    """Engine factory for the behaviour tests."""
+    return Engine
 
 
 def test_time_constants():
@@ -25,18 +22,13 @@ def test_time_constants():
     assert SEC == 1_000_000_000
 
 
-def test_backend_selection(monkeypatch):
-    assert Engine(backend="heap").backend == "heap"
-    assert Engine(backend="wheel").backend == "wheel"
-    monkeypatch.delenv("VSCHED_REPRO_ENGINE", raising=False)
-    assert Engine().backend == "heap"  # the reference backend is default
-    monkeypatch.setenv("VSCHED_REPRO_ENGINE", "wheel")
-    assert Engine().backend == "wheel"
-    monkeypatch.setenv("VSCHED_REPRO_ENGINE", "splay")
-    with pytest.raises(ValueError):
-        Engine()
-    with pytest.raises(ValueError):
-        Engine(backend="btree")
+def test_backend_selection():
+    """The heap is the only event store: nothing selects another."""
+    eng = Engine()
+    assert type(eng._heap) is list
+    assert not hasattr(eng, "backend")
+    with pytest.raises(TypeError):
+        Engine(backend="heap")
 
 
 def test_events_fire_in_time_order(make_engine):
@@ -209,8 +201,8 @@ def test_scheduling_at_now_is_allowed(make_engine):
 
 
 def test_mass_cancellation_preserves_order_and_pending(make_engine):
-    """Mass cancellation (heap: compaction territory) leaves survivors
-    firing in (time, seq) order and pending() exact throughout."""
+    """Mass cancellation (compaction territory) leaves survivors firing
+    in (time, seq) order and pending() exact throughout."""
     eng = make_engine()
     fired = []
     keep, drop = [], []
@@ -227,9 +219,9 @@ def test_mass_cancellation_preserves_order_and_pending(make_engine):
 
 
 def test_heap_compaction_bounds_dead_entries():
-    """Heap-specific: crossing the compaction threshold actually sweeps
-    the dead entries out of the underlying heap list."""
-    eng = Engine(backend="heap")
+    """Crossing the compaction threshold actually sweeps the dead entries
+    out of the underlying heap list."""
+    eng = Engine()
     fired = []
     keep, drop = [], []
     for i in range(300):
@@ -239,7 +231,7 @@ def test_heap_compaction_bounds_dead_entries():
         ev.cancel()  # 240 cancels: crosses the compaction threshold
     # Compaction ran (possibly more than once); at most a sub-threshold
     # residue of dead entries may remain in the heap.
-    heap = eng._backend._heap
+    heap = eng._heap
     assert len(heap) < 300
     assert len(heap) - len(keep) < 64
     eng.run_until(SEC)
@@ -285,21 +277,161 @@ def test_events_fired_counters(make_engine):
 
 
 def test_push_cancel_counters_backend_invariant():
-    """pushes/cancels/fired are API-level counts: identical per backend."""
-    deltas = {}
-    for backend in ("heap", "wheel"):
-        before = Engine.counters()
-        eng = Engine(backend=backend)
-        evs = [eng.call_in(10 * (i + 1), lambda: None) for i in range(20)]
-        for ev in evs[::2]:
-            ev.cancel()
-        eng.run_until(SEC)
-        after = Engine.counters()
-        deltas[backend] = {k: after[k] - before[k] for k in after}
-    for backend, d in deltas.items():
-        assert d["pushes"] == 20, backend
-        assert d["cancels"] == 10, backend
-        assert d["fired"] == 10, backend
-        # Fully drained: every cancelled entry was physically discarded.
-        assert d["dead_drops"] == 10, backend
-    assert deltas["heap"]["cascades"] == 0
+    """pushes/cancels/fired count API calls, whatever the store does
+    with its entries; dead_drops counts the lazily cancelled entries it
+    discards.  Checked over one fully drained run."""
+    before = Engine.counters()
+    eng = Engine()
+    evs = [eng.call_in(10 * (i + 1), lambda: None) for i in range(20)]
+    for ev in evs[::2]:
+        ev.cancel()
+    eng.run_until(SEC)
+    after = Engine.counters()
+    d = {k: after[k] - before[k] for k in after}
+    assert d["pushes"] == 20
+    assert d["cancels"] == 10
+    assert d["fired"] == 10
+    # Fully drained: every cancelled entry was physically discarded.
+    assert d["dead_drops"] == 10
+
+
+# ----------------------------------------------------------------------
+# Same-instant ordering edges: absolute expected dispatch logs
+# ----------------------------------------------------------------------
+def test_cancel_then_rearm_same_instant():
+    """A callback cancels a later same-instant event and re-arms a
+    replacement at the same instant: the replacement's fresh seq orders
+    it after every older same-instant arm."""
+    eng = Engine()
+    log = []
+    state = {}
+
+    def killer():
+        log.append(("killer", eng.now))
+        state["victim"].cancel()
+        # Re-arm at the very same instant, default lane: runs last.
+        eng.call_at(eng.now, lambda: log.append(("rearmed", eng.now)))
+
+    eng.call_at(5 * USEC, killer)
+    state["victim"] = eng.call_at(
+        5 * USEC, lambda: log.append(("victim", eng.now)))
+    eng.call_at(5 * USEC, lambda: log.append(("bystander", eng.now)))
+    eng.run_until(MSEC)
+    log.append(("pending", eng.pending()))
+    assert log == [("killer", 5 * USEC), ("bystander", 5 * USEC),
+                   ("rearmed", 5 * USEC), ("pending", 0)]
+
+
+def test_lane_rearm_same_instant_orders_by_lane():
+    """With a lane priority, a mid-instant re-arm lands at its lane
+    position among the *not yet popped* same-instant events."""
+    eng = Engine()
+    log = []
+    lane = eng.alloc_lane()  # negative: fires before prio-0 events
+
+    def opener():
+        log.append("opener")
+        # Lane entry armed mid-instant: every prio-0 event still pending
+        # at this instant must yield to it.
+        eng.call_at(eng.now, lambda: log.append("lane"), prio=lane)
+
+    eng.call_at(7 * USEC, opener)
+    eng.call_at(7 * USEC, lambda: log.append("plain-1"))
+    eng.call_at(7 * USEC, lambda: log.append("plain-2"))
+    eng.run_until(MSEC)
+    assert log == ["opener", "lane", "plain-1", "plain-2"]
+
+
+def test_cancel_far_timer_then_rearm():
+    """Cancelling a far-future timer and re-arming a replacement leaves
+    no ghost behind."""
+    eng = Engine()
+    log = []
+    far = eng.call_in(300 * MSEC, lambda: log.append("far"))
+    eng.call_in(USEC, lambda: log.append("near"))
+    eng.run_until(2 * USEC)
+    far.cancel()
+    eng.call_in(299 * MSEC, lambda: log.append("replacement"))
+    eng.run_until(SEC)
+    log.append(("pending", eng.pending()))
+    assert log == ["near", "replacement", ("pending", 0)]
+
+
+def test_lane_priority_ordering_under_pop_epoch_replay():
+    """The replay-limit queries (current_key, pop_epoch,
+    max_prio_popped_since) as lanes and plain events pop at one
+    instant."""
+    eng = Engine()
+    log = []
+    lane_a = eng.alloc_lane()
+    lane_b = eng.alloc_lane()
+    epochs = {}
+
+    def observe(tag):
+        log.append((tag, eng.now, eng.current_key(), eng.pop_epoch))
+
+    def arm_and_record(tag):
+        observe(tag)
+        epochs[tag] = eng.pop_epoch
+
+    def probe(tag):
+        observe(tag)
+        for k, e in sorted(epochs.items()):
+            log.append((tag, k, eng.max_prio_popped_since(e)))
+
+    t = 9 * USEC
+    eng.call_at(t, arm_and_record, "first", prio=lane_b)
+    eng.call_at(t, arm_and_record, "second", prio=lane_a)
+    eng.call_at(t, probe, "plain")
+    eng.call_at(t, probe, "late")
+    eng.run_until(MSEC)
+    log.append(("outside", eng.current_key()))
+    assert (lane_a, lane_b) == (-1, -2)
+    assert log == [
+        ("first", t, (t, -2), 1),
+        ("second", t, (t, -1), 2),
+        ("plain", t, (t, 0), 3),
+        ("plain", "first", 0),
+        ("plain", "second", 0),
+        ("late", t, (t, 0), 4),
+        ("late", "first", 0),
+        ("late", "second", 0),
+        ("outside", None),
+    ]
+
+
+def test_zero_delay_call_in_during_dispatch():
+    """call_in(0, ...) from inside a callback fires later in the same
+    run at the same instant, after already-armed same-instant events."""
+    eng = Engine()
+    log = []
+
+    def opener():
+        log.append("opener")
+        eng.call_in(0, lambda: log.append("zero-1"))
+        eng.call_in(0, lambda: (log.append("zero-2"),
+                                eng.call_in(0, lambda:
+                                            log.append("nested"))))
+
+    eng.call_at(3 * USEC, opener)
+    eng.call_at(3 * USEC, lambda: log.append("sibling"))
+    eng.call_at(3 * USEC + 1, lambda: log.append("next-ns"))
+    eng.run_until(MSEC)
+    assert log == ["opener", "sibling", "zero-1", "zero-2", "nested",
+                   "next-ns"]
+
+
+def test_run_until_deadline_splits_close_events():
+    """Events a few ns apart straddling the deadline: only the due part
+    fires now, the rest exactly on the next run."""
+    eng = Engine()
+    log = []
+    base = MSEC
+    for off in (0, 3, 7, 999):
+        eng.call_at(base + off, lambda off=off: log.append(("fire", off)))
+    eng.run_until(base + 3)
+    log.append(("mid", eng.now, eng.pending()))
+    eng.run_until(base + 1000)
+    log.append(("end", eng.pending()))
+    assert log == [("fire", 0), ("fire", 3), ("mid", base + 3, 2),
+                   ("fire", 7), ("fire", 999), ("end", 0)]

@@ -4,16 +4,16 @@ The warm-start contract (docs/INTERNALS.md §15) has three layers, each
 tested here against its cold-path twin:
 
 * engine layer — ``Engine.snapshot()/restore()`` replay the identical
-  event sequence, across both backends and with tickless elision on or
-  off (including the restore-then-``_catch_up`` case: elided guest ticks
-  materialize before the freeze, and elision resumes after the fork);
+  event sequence, with tickless elision on or off (including the
+  restore-then-``_catch_up`` case: elided guest ticks materialize before
+  the freeze, and elision resumes after the fork);
 * world layer — :class:`WorldSnapshot` freezes engine + roots in one
   deep copy, the guard rejects copy-unsafe callbacks loudly, and every
   fork is independent of its siblings and of the frozen image;
 * store layer — :class:`SnapshotStore` keys on
-  (code fingerprint, prefix chain, fast, backend, tickless), hits after
-  one miss, and ``execute_unit`` produces identical results with
-  snapshotting on and off.
+  (code fingerprint, prefix, fast, tickless), hits after one miss, and
+  ``execute_unit`` produces identical results with snapshotting on and
+  off.
 """
 
 from __future__ import annotations
@@ -63,12 +63,15 @@ def _sig(roots):
             env.kernel.stats.migrations, rng_signature(ctx.rng))
 
 
-@pytest.mark.parametrize("backend", ["heap", "wheel"])
+# The engine's event store, by name: every fork must own a separate copy.
+_STORE = [pytest.param(lambda eng: eng._heap, id="heap")]
+
+
+@pytest.mark.parametrize("store", _STORE)
 @pytest.mark.parametrize("tickless", ["1", "0"])
 class TestForkMatchesColdRun:
-    def test_fork_resumes_byte_identically(self, backend, tickless,
+    def test_fork_resumes_byte_identically(self, store, tickless,
                                            monkeypatch):
-        monkeypatch.setenv("VSCHED_REPRO_ENGINE", backend)
         monkeypatch.setenv("VSCHED_REPRO_TICKLESS", tickless)
 
         cold = _world()
@@ -83,6 +86,7 @@ class TestForkMatchesColdRun:
         # Two sibling forks, both run to the cold horizon.
         for _ in range(2):
             _eng, fork = snap.fork()
+            assert store(fork["engine"]) is not store(warm["engine"])
             fork["engine"].run_until(2 * SEC)
             assert _sig(fork) == want
         # The original world and the frozen image are untouched by the
@@ -90,17 +94,15 @@ class TestForkMatchesColdRun:
         assert _sig(warm) == at_freeze
 
 
-@pytest.mark.parametrize("backend", ["heap", "wheel"])
+@pytest.mark.parametrize("store", _STORE)
 class TestForkResumesElision:
-    def test_elided_ticks_survive_freeze_and_fork(self, backend,
-                                                  monkeypatch):
+    def test_elided_ticks_survive_freeze_and_fork(self, store, monkeypatch):
         # The restore-then-_catch_up case: freezing materializes every
         # elided tick (WorldSnapshot calls engine.materialize()), and the
         # fork keeps eliding from that baseline.  A long-chunk CFS world
         # elides nearly every tick (vsched's 1 ms prober cadence would
         # keep the tick horizon short), so the counters prove the span
         # machinery really ran on both sides of the freeze.
-        monkeypatch.setenv("VSCHED_REPRO_ENGINE", backend)
         monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1")
 
         cold = _world(mode="cfs", event_work_ns=20 * MSEC)
@@ -114,6 +116,7 @@ class TestForkResumesElision:
         assert want[2] > at_freeze[2] > 0  # elision on both sides
 
         _eng, fork = snap.fork()
+        assert store(fork["engine"]) is not store(warm["engine"])
         fork["engine"].run_until(2 * SEC)
         assert _sig(fork) == want
 
@@ -215,11 +218,6 @@ def _ticker_prefix(period: int):
     return {"engine": eng, "ticker": ticker}
 
 
-def _ticker_extend(roots, extra_periods: int):
-    eng = roots["engine"]
-    eng.run_until(eng.now + extra_periods * roots["ticker"].period)
-    return roots
-
 def _ticker_unit(roots, horizon: int):
     roots["engine"].run_until(horizon)
     return (roots["engine"].now, roots["ticker"].count)
@@ -238,20 +236,13 @@ class TestStoreKey:
         other = PrefixSpec(key="ticker", func=_ticker_prefix, config=(200,),
                            seed="t-100")
         assert prefix_store_key(other, True, FP) != base
-        chained = PrefixSpec(key="ext", func=_ticker_extend, config=(5,),
-                             parent=_SPEC)
-        assert prefix_store_key(chained, True, FP) != base
 
     def test_engine_mode_knobs_isolate(self, monkeypatch):
-        # A frozen world bakes the backend and elision mode in at
-        # construction; an in-process env toggle must miss, not fork a
-        # world built under the other mode.
-        monkeypatch.delenv("VSCHED_REPRO_ENGINE", raising=False)
+        # A frozen world bakes the elision mode in at construction; an
+        # in-process env toggle must miss, not fork a world built under
+        # the other mode.
         monkeypatch.delenv("VSCHED_REPRO_TICKLESS", raising=False)
         base = prefix_store_key(_SPEC, True, FP)
-        monkeypatch.setenv("VSCHED_REPRO_ENGINE", "wheel")
-        assert prefix_store_key(_SPEC, True, FP) != base
-        monkeypatch.delenv("VSCHED_REPRO_ENGINE")
         monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "0")
         assert prefix_store_key(_SPEC, True, FP) != base
 
@@ -273,18 +264,6 @@ class TestSnapshotStore:
         assert b["ticker"].count == 10  # sibling unmoved by a's divergence
         b["engine"].run_until(20_000)
         assert a["ticker"].count == b["ticker"].count == 200
-
-    def test_chained_prefix_forks_parent_once(self):
-        store = SnapshotStore()
-        chained = PrefixSpec(key="ext", func=_ticker_extend, config=(5,),
-                             parent=_SPEC)
-        roots = store.fork(chained, True, FP)
-        assert roots["engine"].now == 1500
-        assert roots["ticker"].count == 15
-        # parent miss + chained miss; one fork to extend, one to hand out.
-        assert (store.misses, store.forks) == (2, 2)
-        store.fork(chained, True, FP)
-        assert (store.misses, store.hits, store.forks) == (2, 1, 3)
 
 
 class TestExecuteUnit:

@@ -58,14 +58,6 @@ class TestLayeringRules:
         got = rules_of(lint_fixture("mystery/widget.py"))
         assert got == {"layer-unknown": 1}
 
-    def test_heap_encapsulation_flagged_outside_sim(self):
-        # import heapq + two `._heap` attribute touches = 3 findings
-        got = rules_of(lint_fixture("experiments/bad_heapq.py"))
-        assert got == {"heap-encapsulation": 3}
-
-    def test_heap_use_sanctioned_inside_sim(self):
-        assert lint_fixture("sim/clean_heapq.py") == []
-
 
 class TestDeterminismRules:
     def test_bad_determinism_fixture(self):

@@ -1,24 +1,18 @@
 #!/usr/bin/env python3
-"""A/B determinism harness: tickless elision × engine backend.
+"""A/B determinism harness: tickless elision × snapshot forking.
 
 Runs each experiment once per combination of two axes in one process and
 asserts every result table is **byte-identical** to the reference
-combination (first backend, elision on):
+combination (elision on, forking on):
 
 * ``VSCHED_REPRO_TICKLESS`` on/off — elision is a pure event-count
   optimisation: skipped guest ticks are replayed arithmetically and
   suppressed host timers fire logically at the same instants.
-* ``VSCHED_REPRO_ENGINE`` heap/wheel (``--backends``) — event storage is
-  a pluggable backend behind the engine's dispatch loop; the timer wheel
-  must reproduce the heap's pop order bit-for-bit, elided or not.
 * ``VSCHED_REPRO_SNAPSHOT`` on/off (``--snapshot-modes``) — warm-start
   prefix forking (INTERNALS §15) must render the same bytes as cold
-  rebuilds of every prefix chain through the same builder code.
+  rebuilds of every prefix through the same builder code.
 
 Any table divergence on any axis is a correctness bug, not noise.
-Fired-event counts must also agree *across backends* for the same
-tickless setting (the backends store the same events; only the data
-structure differs), and that is checked here too.
 
 Also reports the event-reduction ratio per experiment (off/on fired
 events) and the elided count, which is where the speedup claim in
@@ -28,7 +22,6 @@ Usage::
 
     PYTHONPATH=src python tools/abdiff.py --fast
     PYTHONPATH=src python tools/abdiff.py --fast --experiments fig2,fig4
-    PYTHONPATH=src python tools/abdiff.py --fast --backends heap,wheel
     PYTHONPATH=src python tools/abdiff.py --fast --snapshot-modes
 """
 
@@ -61,10 +54,9 @@ def table_bytes(table) -> str:
         repr(row) for row in table.rows)
 
 
-def run_once(exp_id: str, fast: bool, tickless: bool, backend: str,
+def run_once(exp_id: str, fast: bool, tickless: bool,
              snapshot: bool = True):
     os.environ["VSCHED_REPRO_TICKLESS"] = "1" if tickless else "0"
-    os.environ["VSCHED_REPRO_ENGINE"] = backend
     os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
     fired0 = Engine.total_events_fired
     elided0 = Engine.total_events_elided
@@ -81,34 +73,36 @@ def _diff_blobs(label: str, ref: str, got: str) -> None:
             print(f"  {label:13s}: {b}")
 
 
+def _label(combo, snapshot_modes: bool) -> str:
+    tickless, snap = combo
+    label = "on" if tickless else "off"
+    if snapshot_modes:
+        label += f"/{'fork' if snap else 'cold'}"
+    return label
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Assert experiments are byte-identical across timer "
-                    "elision on/off and engine backends, and report the "
-                    "event savings.")
+                    "elision on/off (and snapshot forking on/off), and "
+                    "report the event savings.")
     parser.add_argument("--fast", action="store_true",
                         help="shrunken workloads (recommended)")
     parser.add_argument("--experiments", default=None, metavar="IDS",
                         help="comma-separated experiment ids "
                              "(default: the full catalogue)")
-    parser.add_argument("--backends", default="heap", metavar="NAMES",
-                        help="comma-separated engine backends; the first "
-                             "is the reference (default: heap)")
     parser.add_argument("--snapshot-modes", action="store_true",
                         help="add the warm-start axis: run every combo "
                              "with prefix forking on AND off (off rebuilds "
-                             "every prefix chain cold)")
+                             "every prefix cold)")
     args = parser.parse_args(argv)
 
     ids = (args.experiments.split(",") if args.experiments else ALL_ORDER)
     ids = [i.strip() for i in ids if i.strip()]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     snap_modes = (True, False) if args.snapshot_modes else (True,)
-    combos = [(b, t, s) for b in backends for t in (True, False)
-              for s in snap_modes]
+    combos = [(t, s) for t in (True, False) for s in snap_modes]
 
     saved_tickless = os.environ.get("VSCHED_REPRO_TICKLESS")
-    saved_backend = os.environ.get("VSCHED_REPRO_ENGINE")
     saved_snapshot = os.environ.get("VSCHED_REPRO_SNAPSHOT")
     diverged = []
     totals = {c: 0 for c in combos}
@@ -116,46 +110,32 @@ def main(argv=None) -> int:
         for exp_id in ids:
             results = {}
             for combo in combos:
-                backend, tickless, snap = combo
-                results[combo] = run_once(exp_id, args.fast, tickless,
-                                          backend, snap)
+                tickless, snap = combo
+                results[combo] = run_once(exp_id, args.fast, tickless, snap)
                 totals[combo] += results[combo][1]
             ref_combo = combos[0]
             ref_blob, ref_on_fired, _ = results[ref_combo]
-            off_fired = results[(backends[0], False, snap_modes[0])][1]
+            off_fired = results[(False, snap_modes[0])][1]
             ratio = (off_fired / ref_on_fired if ref_on_fired
                      else float("inf"))
             for combo in combos:
-                backend, tickless, snap = combo
-                label = f"{backend}/{'on' if tickless else 'off'}"
-                if args.snapshot_modes:
-                    label += f"/{'fork' if snap else 'cold'}"
+                label = _label(combo, args.snapshot_modes)
                 blob, fired, elided = results[combo]
-                bad = []
-                if blob != ref_blob:
-                    bad.append("table")
-                # Same tickless and snapshot settings => the same events
-                # fire; only the storage structure differs between
-                # backends.  (Across snapshot modes the *tables* must
-                # match but the fired counts must not: forking simulates
-                # each shared prefix once instead of per unit.)
-                if fired != results[(backends[0], tickless, snap)][1]:
-                    bad.append("fired-count")
-                status = "identical" if not bad else \
-                    "DIVERGED(" + ",".join(bad) + ")"
                 if combo == ref_combo:
                     status = "reference"
+                elif blob == ref_blob:
+                    status = "identical"
+                else:
+                    status = "DIVERGED(table)"
                 print(f"{exp_id:8s} {label:14s} fired={fired:>12,d} "
                       f"elided={elided:>11,d}  [{status}]", flush=True)
-                if bad:
+                if blob != ref_blob:
                     diverged.append(f"{exp_id}:{label}")
-                    if "table" in bad:
-                        _diff_blobs(label, ref_blob, blob)
+                    _diff_blobs(label, ref_blob, blob)
             print(f"{exp_id:8s} elision savings x{ratio:5.2f} "
-                  f"(off/on fired, {backends[0]})", flush=True)
+                  f"(off/on fired)", flush=True)
     finally:
         for var, saved in (("VSCHED_REPRO_TICKLESS", saved_tickless),
-                           ("VSCHED_REPRO_ENGINE", saved_backend),
                            ("VSCHED_REPRO_SNAPSHOT", saved_snapshot)):
             if saved is None:
                 os.environ.pop(var, None)
@@ -163,10 +143,7 @@ def main(argv=None) -> int:
                 os.environ[var] = saved
 
     for combo in combos:
-        backend, tickless, snap = combo
-        label = f"{backend}/{'on' if tickless else 'off'}"
-        if args.snapshot_modes:
-            label += f"/{'fork' if snap else 'cold'}"
+        label = _label(combo, args.snapshot_modes)
         print(f"total    {label:14s} fired={totals[combo]:>12,d}")
     if diverged:
         print(f"DIVERGED: {diverged}")

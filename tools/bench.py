@@ -21,17 +21,8 @@ measurements, scenario rows carry their retry ``attempts``, and the
 report's ``supervisor`` block records retry/requeue/timeout/kill/respawn
 counts — under ``$VSCHED_REPRO_CHAOS`` that is the fault-recovery bill.
 
-Engine-backend axis: ``--backend heap,wheel`` runs the catalogue once per
-event-store backend (via ``$VSCHED_REPRO_ENGINE``).  Every experiment row
-records its ``engine_backend`` plus the engine counter deltas
-(pushes/cancels/dead_drops/cascades); the report's top-level totals stay
-the first backend's (trajectory-comparable with older snapshots) and the
-other backends land under ``backend_runs``.
-
-``--engine-micro`` benchmarks the storage backends themselves —
-push / push+cancel / pop throughput at 1k/10k/100k pending timers —
-either standalone (no catalogue flags) or alongside a catalogue run, in
-which case the numbers are embedded in the report as ``engine_micro``.
+Every experiment row records the engine counter deltas
+(pushes/cancels/dead_drops).
 
 Usage::
 
@@ -40,9 +31,6 @@ Usage::
     PYTHONPATH=src python tools/bench.py --fast --jobs 4
     PYTHONPATH=src python tools/bench.py --fast --cache --cache-dir .c
     PYTHONPATH=src python tools/bench.py --fast --profile fig14
-    PYTHONPATH=src python tools/bench.py --engine-micro
-    PYTHONPATH=src python tools/bench.py --fast --jobs 4 \
-        --backend heap,wheel --engine-micro
 """
 
 from __future__ import annotations
@@ -68,11 +56,11 @@ from repro.experiments.cli import ALL_ORDER
 from repro.experiments.common import check_experiment, run_experiment
 from repro.experiments.snapstore import execute_unit, snapshot_counters
 from repro.experiments.supervisor import SupervisorStats
-from repro.sim.engine import Engine, engine_backend_default, snapshot_default
+from repro.sim.engine import Engine, snapshot_default
 
 #: Counter keys copied into per-scenario/per-experiment "engine" dicts
 #: (fired/elided are already first-class report fields).
-_COUNTER_KEYS = ("pushes", "cancels", "dead_drops", "cascades")
+_COUNTER_KEYS = ("pushes", "cancels", "dead_drops")
 
 #: Snapshot-store keys (deltas ride the same counters channel as the
 #: engine's; see repro.experiments.snapstore.snapshot_counters).
@@ -154,7 +142,6 @@ def bench_one(exp_id: str, fast: bool, check: bool, cache=None,
     elided = Engine.total_events_elided - elided0
     row = {
         "exp_id": exp_id,
-        "engine_backend": engine_backend_default(),
         "wall_s": round(wall, 3),
         "events_fired": events,
         "events_elided": elided,
@@ -187,7 +174,6 @@ def bench_campaign(ids, fast: bool, check: bool, jobs: int,
             error = res.check_error
         row = {
             "exp_id": res.exp_id,
-            "engine_backend": engine_backend_default(),
             "wall_s": round(res.wall_s, 3),
             "events_fired": res.events_fired,
             "events_elided": res.events_elided,
@@ -228,104 +214,6 @@ def profile_experiment(exp_id: str, fast: bool) -> int:
     return 0
 
 
-def engine_micro(backends=("heap", "wheel"),
-                 sizes=(1_000, 10_000, 100_000),
-                 churn=150_000) -> list:
-    """Benchmark the event-store backends at the storage protocol level.
-
-    Measures, per backend and pending-set size, the throughput of the
-    three operations the catalogue hammers: ``push`` (arm), ``push`` then
-    immediate cancel (the ~50% churn case profiling shows), and
-    ``pop_due`` (fire).  The churn loop calls ``pop_due`` every 64 pairs
-    so each backend does its dispatch-time housekeeping (staging drain /
-    heap compaction) at a realistic cadence instead of deferring it out
-    of the timed region.  Timing the backend protocol directly keeps the
-    shared engine-API overhead (Event bookkeeping, counters) out of the
-    comparison.
-    """
-    import random
-
-    from repro.sim.engine import Event, _make_backend
-
-    def noop():
-        pass
-
-    rows = []
-    for backend in backends:
-        for pending in sizes:
-            rnd = random.Random(12345)
-            lo, hi = 1_000_000, 4_000_000_000  # 1ms..4s horizons
-            seed_delays = [rnd.randint(lo, hi) for _ in range(pending)]
-            churn_delays = [rnd.randint(lo, hi) for _ in range(churn)]
-
-            def seeded():
-                b = _make_backend(backend)
-                seq = 0
-                for d in seed_delays:
-                    seq += 1
-                    b.push((d, 0, seq, Event(d, 0, seq, noop, ())))
-                return b, seq
-
-            b, seq = seeded()
-            push = b.push
-            t0 = time.perf_counter()
-            for d in churn_delays:
-                seq += 1
-                push((d, 0, seq, Event(d, 0, seq, noop, ())))
-            push_per_s = churn / (time.perf_counter() - t0)
-
-            b, seq = seeded()
-            push, note, pop = b.push, b.note_cancelled, b.pop_due
-            i = 0
-            t0 = time.perf_counter()
-            for d in churn_delays:
-                seq += 1
-                ev = Event(d, 0, seq, noop, ())
-                push((d, 0, seq, ev))
-                ev.cancel()
-                note()
-                i += 1
-                if not i & 63:
-                    pop(0)  # dispatch-time housekeeping, nothing due
-            pc_per_s = churn / (time.perf_counter() - t0)
-
-            b, _ = seeded()
-            pop = b.pop_due
-            t0 = time.perf_counter()
-            fired = 0
-            while pop(None) is not None:
-                fired += 1
-            pop_per_s = fired / (time.perf_counter() - t0)
-            assert fired == pending
-
-            rows.append({
-                "backend": backend,
-                "pending": pending,
-                "push_per_s": round(push_per_s),
-                "push_cancel_pairs_per_s": round(pc_per_s),
-                "pop_per_s": round(pop_per_s),
-            })
-    return rows
-
-
-def print_engine_micro(rows) -> None:
-    print(f"{'backend':8s} {'pending':>8s} {'push/s':>12s} "
-          f"{'push+cancel/s':>14s} {'pop/s':>12s}")
-    for r in rows:
-        print(f"{r['backend']:8s} {r['pending']:>8,d} "
-              f"{r['push_per_s']:>12,d} "
-              f"{r['push_cancel_pairs_per_s']:>14,d} "
-              f"{r['pop_per_s']:>12,d}")
-    by_key = {(r["backend"], r["pending"]): r for r in rows}
-    for (backend, pending), r in sorted(by_key.items()):
-        ref = by_key.get(("heap", pending))
-        if backend != "heap" and ref is not None:
-            ratio = (r["push_cancel_pairs_per_s"]
-                     / ref["push_cancel_pairs_per_s"])
-            print(f"{backend} vs heap @ {pending:,d} pending: "
-                  f"x{ratio:.2f} push+cancel")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Time the experiment catalogue and emit a JSON report.")
@@ -349,95 +237,47 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", default=None, metavar="EXP_ID",
                         help="cProfile this experiment, print the top 20 "
                              "cumulative entries, and exit")
-    parser.add_argument("--backend", default=None, metavar="NAMES",
-                        help="comma-separated engine backends; more than "
-                             "one runs the catalogue once per backend "
-                             "(default: $VSCHED_REPRO_ENGINE or heap)")
     parser.add_argument("--snapshot-ab", action="store_true",
                         help="after the primary run, rerun the ids with "
                              "$VSCHED_REPRO_SNAPSHOT=0 and embed the "
                              "per-experiment cold-vs-forked wall-time "
                              "comparison in the report")
-    parser.add_argument("--engine-micro", action="store_true",
-                        help="benchmark the event-store backends (push / "
-                             "push+cancel / pop at 1k/10k/100k pending); "
-                             "standalone unless combined with a catalogue "
-                             "run, then embedded in the report")
     args = parser.parse_args(argv)
 
     if args.profile:
         return profile_experiment(args.profile, fast=args.fast)
 
-    micro_rows = None
-    if args.engine_micro:
-        micro_backends = ([b.strip() for b in args.backend.split(",")
-                           if b.strip()] if args.backend
-                          else ["heap", "wheel"])
-        micro_rows = engine_micro(backends=micro_backends)
-        print_engine_micro(micro_rows)
-        if not args.fast and args.experiments is None:
-            return 0  # micro-only invocation: no catalogue, no report
-
     ids = (args.experiments.split(",") if args.experiments else ALL_ORDER)
     ids = [i.strip() for i in ids if i.strip()]
-    backends = ([b.strip() for b in args.backend.split(",") if b.strip()]
-                if args.backend else [engine_backend_default()])
     parallel.set_default_jobs(args.jobs)
-    if args.cache and len(backends) > 1:
-        print("--cache with multiple backends would serve backend A's "
-              "timings to backend B (unit keys don't encode the backend); "
-              "refusing", file=sys.stderr)
-        return 2
     cache = ResultCache(args.cache_dir) if args.cache else None
     fingerprint = code_fingerprint() if args.cache else None
 
-    saved_backend = os.environ.get("VSCHED_REPRO_ENGINE")
-    runs = {}        # backend -> list of report rows
-    supervisors = {}  # backend -> supervisor stats dict
-    try:
-        for backend in backends:
-            os.environ["VSCHED_REPRO_ENGINE"] = backend
-            if args.jobs > 1:
-                results = bench_campaign(ids, fast=args.fast,
-                                         check=args.check,
-                                         jobs=args.jobs, cache=cache)
-            else:
-                results = []
-                for exp_id in ids:
-                    results.append(bench_one(exp_id, fast=args.fast,
-                                             check=args.check, cache=cache,
-                                             fingerprint=fingerprint))
-            for res in results:
-                status = res["error"] or "ok"
-                cache_note = ""
-                if cache is not None:
-                    cache_note = (f" {res['cache']['hits']}h/"
-                                  f"{res['cache']['misses']}m")
-                print(f"{res['exp_id']:8s} [{backend:5s}] "
-                      f"{res['wall_s']:8.2f}s "
-                      f"{res['events_fired']:>12,d} ev "
-                      f"{res.get('events_elided', 0):>11,d} el "
-                      f"{res['events_per_sec']:>10,d} ev/s{cache_note}  "
-                      f"[{status}]", flush=True)
-            runs[backend] = results
-            sup_stats = parallel.last_campaign_stats()
-            supervisors[backend] = sup_stats.as_dict() \
-                if sup_stats is not None else SupervisorStats().as_dict()
-    finally:
-        if saved_backend is None:
-            os.environ.pop("VSCHED_REPRO_ENGINE", None)
-        else:
-            os.environ["VSCHED_REPRO_ENGINE"] = saved_backend
+    if args.jobs > 1:
+        primary = bench_campaign(ids, fast=args.fast, check=args.check,
+                                 jobs=args.jobs, cache=cache)
+    else:
+        primary = [bench_one(exp_id, fast=args.fast, check=args.check,
+                             cache=cache, fingerprint=fingerprint)
+                   for exp_id in ids]
+    for res in primary:
+        status = res["error"] or "ok"
+        cache_note = ""
+        if cache is not None:
+            cache_note = (f" {res['cache']['hits']}h/"
+                          f"{res['cache']['misses']}m")
+        print(f"{res['exp_id']:8s} {res['wall_s']:8.2f}s "
+              f"{res['events_fired']:>12,d} ev "
+              f"{res.get('events_elided', 0):>11,d} el "
+              f"{res['events_per_sec']:>10,d} ev/s{cache_note}  "
+              f"[{status}]", flush=True)
+    sup_stats = parallel.last_campaign_stats()
 
-    # Top-level totals stay the first backend's so snapshots remain
-    # trajectory-comparable; additional backends go under backend_runs.
-    primary = runs[backends[0]]
     report = {
         "date": datetime.date.today().isoformat(),
         "fast": args.fast,
         "jobs": args.jobs,
         "python": platform.python_version(),
-        "engine_backend": backends[0],
         "total_wall_s": round(sum(r["wall_s"] for r in primary), 3),
         "total_events_fired": sum(r["events_fired"] for r in primary),
         "total_events_elided": sum(r.get("events_elided", 0)
@@ -453,23 +293,10 @@ def main(argv=None) -> int:
             "prefix_saved_s": round(sum(r["snapshot"]["prefix_saved_s"]
                                         for r in primary), 3),
         },
-        "supervisor": supervisors[backends[0]],
+        "supervisor": (sup_stats.as_dict() if sup_stats is not None
+                       else SupervisorStats().as_dict()),
         "experiments": primary,
     }
-    if len(backends) > 1:
-        report["backend_runs"] = {
-            backend: {
-                "total_wall_s": round(sum(r["wall_s"]
-                                          for r in runs[backend]), 3),
-                "total_events_fired": sum(r["events_fired"]
-                                          for r in runs[backend]),
-                "total_events_elided": sum(r.get("events_elided", 0)
-                                           for r in runs[backend]),
-                "supervisor": supervisors[backend],
-                "experiments": runs[backend],
-            }
-            for backend in backends[1:]
-        }
     if args.snapshot_ab:
         saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
         os.environ["VSCHED_REPRO_SNAPSHOT"] = "0"
@@ -509,8 +336,6 @@ def main(argv=None) -> int:
         print(f"snapshot A/B: forked {on_total:.1f}s vs cold "
               f"{off_total:.1f}s -> x{report['snapshot_ab']['speedup']:.2f}",
               flush=True)
-    if micro_rows is not None:
-        report["engine_micro"] = micro_rows
     if cache is not None:
         report["cache"] = {
             "dir": cache.path,
@@ -531,12 +356,8 @@ def main(argv=None) -> int:
           f"{report['total_events_elided']:,d} elided"
           + snap_note
           + (f", cache {cache.hits}h/{cache.misses}m" if cache else ""))
-    for backend, block in report.get("backend_runs", {}).items():
-        print(f"  backend {backend}: {block['total_wall_s']:.1f}s total, "
-              f"{block['total_events_fired']:,d} events fired")
 
-    failures = [r["exp_id"] for rows in runs.values() for r in rows
-                if r["error"]]
+    failures = [r["exp_id"] for r in primary if r["error"]]
     if failures:
         print(f"FAILURES: {failures}")
         return 1

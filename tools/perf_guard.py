@@ -1,18 +1,13 @@
 #!/usr/bin/env python3
 """Perf guard: fail CI when the event budget regresses.
 
-Runs a small pinned set of fast experiments under *both* engine backends
-and compares their ``events_fired`` against the checked-in baseline
+Runs a small pinned set of fast experiments and compares their
+``events_fired`` against the checked-in baseline
 (``tools/perf_baseline.json``).  The simulator is deterministic — fired
 counts are exact and platform-independent — so a count above baseline
 means a real regression in the engine or in timer elision, not noise.
 The tolerance absorbs small intentional drifts; bigger deliberate changes
 should refresh the baseline with ``--write`` in the same commit.
-
-The backend axis has **zero** tolerance: the event store decides how fast
-entries are filed and popped, never *what* runs, so the wheel backend's
-fired budget must equal the heap's exactly.  A single baseline per
-experiment covers both backends for the same reason.
 
 One prefix-migrated experiment (``SNAP_PINNED``) is additionally
 measured with warm-start forking on *and* off (INTERNALS §15).  Both
@@ -53,19 +48,12 @@ PINNED = ("fig2", "fig4")
 #: Prefix-migrated experiment measured under snapshot fork AND cold mode.
 #: fig14 shares 2 warm-up prefixes across 20 units, so cold mode re-fires
 #: each prefix 10x and the fork budget sits well below the cold one.
-#: Measured on the reference backend only — backend equality for the
-#: migrated experiments is the ab-identity shard's job.
 SNAP_PINNED = ("fig14",)
 SNAP_MODES = ("fork", "cold")
-#: Event-store backends: identical fired budgets required (exactly — the
-#: store never decides *what* runs).
-BACKENDS = ("heap", "wheel")
 
 
-def measure(exp_id: str, backend: str, snapshot: bool = True) -> dict:
-    saved = os.environ.get("VSCHED_REPRO_ENGINE")
+def measure(exp_id: str, snapshot: bool = True) -> dict:
     saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
-    os.environ["VSCHED_REPRO_ENGINE"] = backend
     os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
     try:
         fired0 = Engine.total_events_fired
@@ -74,12 +62,10 @@ def measure(exp_id: str, backend: str, snapshot: bool = True) -> dict:
         return {"events_fired": Engine.total_events_fired - fired0,
                 "events_elided": Engine.total_events_elided - elided0}
     finally:
-        for var, val in (("VSCHED_REPRO_ENGINE", saved),
-                         ("VSCHED_REPRO_SNAPSHOT", saved_snap)):
-            if val is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = val
+        if saved_snap is None:
+            os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)
+        else:
+            os.environ["VSCHED_REPRO_SNAPSHOT"] = saved_snap
 
 
 def main(argv=None) -> int:
@@ -90,28 +76,16 @@ def main(argv=None) -> int:
                         help="rewrite the baseline from a fresh run")
     args = parser.parse_args(argv)
 
-    measured = {exp_id: {backend: measure(exp_id, backend)
-                         for backend in BACKENDS}
-                for exp_id in PINNED}
-    snap_measured = {exp_id: {mode: measure(exp_id, BACKENDS[0],
-                                            snapshot=(mode == "fork"))
+    measured = {exp_id: measure(exp_id) for exp_id in PINNED}
+    snap_measured = {exp_id: {mode: measure(exp_id, mode == "fork")
                               for mode in SNAP_MODES}
                      for exp_id in SNAP_PINNED}
 
-    # Backend equality first: exact, no tolerance, applies to --write too
-    # (a baseline written from divergent backends would be meaningless).
+    # Structural snapshot invariant, independent of any baseline (so it
+    # applies to --write too): forking must fire strictly fewer events
+    # than cold prefix rebuilds, or the units silently stopped sharing
+    # their warm-up.
     failures = []
-    for exp_id, per_backend in measured.items():
-        ref = per_backend[BACKENDS[0]]["events_fired"]
-        for backend in BACKENDS[1:]:
-            fired = per_backend[backend]["events_fired"]
-            if fired != ref:
-                print(f"{exp_id:8s} backend {backend!r} fired={fired:,d} "
-                      f"!= {BACKENDS[0]!r} fired={ref:,d} (must be exact)")
-                failures.append(f"{exp_id}:{backend}")
-    # Structural snapshot invariant, independent of any baseline: forking
-    # must fire strictly fewer events than cold prefix rebuilds, or the
-    # units silently stopped sharing their warm-up.
     for exp_id, per_mode in snap_measured.items():
         fork = per_mode["fork"]["events_fired"]
         cold = per_mode["cold"]["events_fired"]
@@ -125,10 +99,7 @@ def main(argv=None) -> int:
 
     if args.write:
         payload = {"tolerance_pct": TOLERANCE_PCT, "fast": True,
-                   "backends": list(BACKENDS),
-                   "experiments": {exp_id: per_backend[BACKENDS[0]]
-                                   for exp_id, per_backend in
-                                   measured.items()},
+                   "experiments": measured,
                    "snapshot_experiments": snap_measured}
         with open(BASELINE_PATH, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -153,12 +124,10 @@ def main(argv=None) -> int:
               f"baseline={base:>12,d} {delta:+6.2f}%  "
               f"elided={elided:>11,d} [{verdict}]")
 
-    for exp_id, per_backend in measured.items():
+    for exp_id, row in measured.items():
         base = baseline["experiments"][exp_id]["events_fired"]
-        for backend in BACKENDS:
-            row = per_backend[backend]
-            judge(exp_id, backend, row["events_fired"], base,
-                  row["events_elided"])
+        judge(exp_id, "fired", row["events_fired"], base,
+              row["events_elided"])
     for exp_id, per_mode in snap_measured.items():
         for mode in SNAP_MODES:
             row = per_mode[mode]

@@ -139,8 +139,6 @@ def _per_file_rules(module: Module) -> List[Finding]:
     if "layering" in families:
         layering.check_imports(module, findings)
         layering.check_guest_abi(module, findings)
-    if "layering" in families or policy.get("heap_encapsulation"):
-        layering.check_heap_encapsulation(module, findings)
     if "determinism" in families:
         determinism.check_clocks_and_rng(module, findings)
         determinism.check_unordered_iteration(module, findings)

@@ -47,12 +47,6 @@ NEUTRAL_MODULES = frozenset({
 #: ABI below covers every sanctioned channel).  Maps module -> names.
 GUEST_IMPORT_ALLOWLIST: dict = {}
 
-#: The package whose modules may touch ``heapq`` / ``._heap`` directly.
-#: Everything else goes through the Engine API (call_at/call_in/cancel) or
-#: the backend protocol (push/pop_due/note_cancelled), so the event store
-#: stays swappable (heap vs timer wheel) without grep-and-pray refactors.
-HEAP_OWNER_PACKAGE = "repro.sim"
-
 # ---------------------------------------------------------------------------
 # Guest-visible runtime ABI (attribute allowlist)
 # ---------------------------------------------------------------------------
@@ -189,10 +183,9 @@ ELISION_EXEMPT_EVERYWHERE = frozenset({"__init__"})
 # vschedlint lints three trees with different contracts.  ``src/repro`` is
 # the simulator: every family applies.  ``tools/`` is host-side dev
 # tooling: it may read real clocks (bench measures wall time) but must
-# still be deterministic where it feeds A/B comparisons, and must not
-# reach into engine internals.  ``tests/`` may read clocks and poke
-# internals (white-box tests of the backends are the point), but unseeded
-# randomness would make failures unreproducible.
+# still be deterministic where it feeds A/B comparisons.  ``tests/`` may
+# read clocks and poke internals (white-box tests are the point), but
+# unseeded randomness would make failures unreproducible.
 #
 # Families: "layering", "determinism", "elision", "snapshot", "cachekeys",
 # "leakage".  Flags soften individual determinism rules per tree.
@@ -213,8 +206,6 @@ TREE_POLICIES = {
         "allow_seeded_rng": True,
         # the dict-view+sink heuristic targets the sim event heap
         "dict_view_sinks": False,
-        # tools must not reach into the engine's event store either
-        "heap_encapsulation": True,
     },
     "tests": {
         "families": frozenset({"determinism"}),
@@ -222,7 +213,6 @@ TREE_POLICIES = {
         "allow_identity": True,
         "allow_seeded_rng": True,
         "dict_view_sinks": False,
-        "heap_encapsulation": False,  # white-box backend tests are fine
     },
 }
 
@@ -295,17 +285,15 @@ FINGERPRINTED_THIRD_PARTY = frozenset({"numpy", "np"})
 #: different results*.
 HIDDEN_INPUT_BLESSED = {
     "repro.sim.engine": {
-        # The three process-mode knobs.  They change how results are
+        # The two process-mode knobs.  They change how results are
         # *computed*, never what they are: the A/B identity CI jobs prove
-        # byte-identical tables across backend x tickless x snapshot, and
-        # the snapshot store folds all three into its prefix keys anyway
-        # (prefix_store_key).
+        # byte-identical tables across tickless x snapshot, and the
+        # snapshot store folds the elision mode into its prefix keys
+        # anyway (prefix_store_key).
         "elision_default": "mode knob; byte-identity across settings is "
                            "CI-enforced and snapstore keys fold it in",
         "snapshot_default": "mode knob; fork-vs-cold byte-identity is "
                             "CI-enforced (abdiff --snapshot-modes)",
-        "engine_backend_default": "mode knob; backend byte-identity is "
-                                  "CI-enforced (abdiff --backends)",
     },
     "repro.experiments.cache": {
         # The fingerprint is the cache key's code input itself; reading
@@ -337,7 +325,7 @@ PROCESS_STATE_BLESSED = {
     "repro.experiments.snapstore": {
         "_process_store": "the intentional per-process snapshot store; "
                           "entries are content-addressed by code "
-                          "fingerprint + prefix chain + mode, and abdiff "
+                          "fingerprint + prefix + mode, and abdiff "
                           "--snapshot-modes proves fork==cold",
     },
     "repro.experiments.cache": {
@@ -372,7 +360,6 @@ PROCESS_STATE_BLESSED = {
         "Engine.total_pushes": "process-wide telemetry (deltas)",
         "Engine.total_cancels": "process-wide telemetry (deltas)",
         "Engine.total_dead_drops": "process-wide telemetry (deltas)",
-        "Engine.total_cascades": "process-wide telemetry (deltas)",
         "Engine.profile_data": "opt-in profiling table, rendered for "
                                "humans by profile_table(); no result "
                                "reads it",

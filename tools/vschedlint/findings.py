@@ -18,9 +18,6 @@ RULES: Dict[str, tuple] = {
                   "guest-side attribute access outside the guest-visible ABI"),
     "layer-unknown": ("VSL104", "layering",
                       "module outside the declared layer graph"),
-    "heap-encapsulation": ("VSL105", "layering",
-                           "direct heapq/_heap access outside the engine "
-                           "backends (repro.sim)"),
     # determinism
     "wall-clock": ("VSL201", "determinism",
                    "wall-clock read in deterministic code"),

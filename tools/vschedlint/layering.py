@@ -8,11 +8,6 @@ Three checks:
 * ``guest-isolation`` — guest-side layers may not import from
   ``repro.hypervisor`` at all (the paper's "no hypervisor changes"
   boundary), except names in the explicit allowlist.
-* ``heap-encapsulation`` — ``heapq`` imports and ``._heap`` attribute
-  access are reserved to ``repro.sim`` (the engine backends).  Everything
-  else schedules through the Engine API, so the event store stays
-  swappable (binary heap vs timer wheel) without callers growing
-  structural assumptions about it.
 * ``guest-abi`` — in guest-side code, attribute access on hypervisor
   handles (``*.vcpu``, ``*.vm``, ``*.machine``) must stay inside the
   guest-visible ABI: steal time, halt/kick, activity transitions, and the
@@ -103,33 +98,6 @@ def check_imports(module, findings: List[Finding]) -> None:
                         f"physics)",
                         symbol=module.symbol_at(node.lineno),
                         modname=module.modname))
-
-
-def check_heap_encapsulation(module, findings: List[Finding]) -> None:
-    """heap-encapsulation: heapq/_heap stay inside the engine backends."""
-    owner = config.HEAP_OWNER_PACKAGE
-    if module.modname == owner or module.modname.startswith(owner + "."):
-        return
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            hit = any(a.name == "heapq" or a.name.startswith("heapq.")
-                      for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            hit = node.level == 0 and node.module == "heapq"
-        elif isinstance(node, ast.Attribute):
-            hit = node.attr == "_heap"
-        else:
-            continue
-        if hit:
-            what = ("backend-private attribute '_heap'"
-                    if isinstance(node, ast.Attribute) else "heapq")
-            findings.append(Finding(
-                "heap-encapsulation", module.path, node.lineno,
-                node.col_offset,
-                f"direct use of {what} outside {owner}; schedule through "
-                f"the Engine API so the event store stays swappable",
-                symbol=module.symbol_at(node.lineno),
-                modname=module.modname))
 
 
 class _AbiVisitor(ast.NodeVisitor):
