@@ -223,7 +223,6 @@ class _UnitState:
     tb: Optional[str] = None
     wall_s: float = 0.0
     events: int = 0
-    elided: int = 0
     #: Engine counter deltas (pushes/cancels/dead_drops) over the unit's
     #: successful attempt; empty for cached units.
     counters: Dict[str, int] = field(default_factory=dict)
@@ -253,6 +252,7 @@ class CampaignResult:
     rendered: str
     wall_s: float
     events_fired: int
+    #: Always 0 (no timer is elided); kept because vbench/child.py reads it.
     events_elided: int = 0
     check_error: Optional[str] = None
     n_units: int = 1
@@ -286,7 +286,7 @@ def _failure_panel(exp_id: str, states: List[_UnitState]) -> str:
 
 def _unit_stats(states: List[_UnitState]) -> List[dict]:
     return [{"label": st.unit.label, "wall_s": round(st.wall_s, 3),
-             "events_fired": st.events, "events_elided": st.elided,
+             "events_fired": st.events,
              "engine": dict(st.counters),
              "attempts": st.attempts, "cached": st.cached}
             for st in states]
@@ -325,7 +325,6 @@ def _finish_experiment(exp_id: str, states: List[_UnitState],
             exp_id=exp_id, rendered=_failure_panel(exp_id, states),
             wall_s=sum(st.wall_s for st in states),
             events_fired=sum(st.events for st in states),
-            events_elided=sum(st.elided for st in states),
             n_units=len(states),
             cache_hits=sum(1 for st in states if st.cached),
             retries=retries,
@@ -347,7 +346,6 @@ def _finish_experiment(exp_id: str, states: List[_UnitState],
         exp_id=exp_id, rendered=table.render(),
         wall_s=sum(st.wall_s for st in states),
         events_fired=sum(st.events for st in states),
-        events_elided=sum(st.elided for st in states),
         check_error=check_error, n_units=len(states),
         cache_hits=sum(1 for st in states if st.cached),
         retries=retries, unit_stats=_unit_stats(states),
@@ -438,7 +436,6 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
             st = pending[pos]
             st.result, st.error, st.tb = out.result, out.error, out.tb
             st.wall_s, st.events = out.wall_s, out.events
-            st.elided = out.elided
             st.counters = out.counters or {}
             st.attempts, st.fate = out.attempts, out.fate
             st.done = True
@@ -482,7 +479,6 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
             fates: List[str] = []
             while True:
                 events0 = Engine.total_events_fired
-                elided0 = Engine.total_events_elided
                 counters0 = Engine.counters()
                 snap0 = snapshot_counters()
                 started = time.perf_counter()
@@ -497,10 +493,9 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
                     retryable = isinstance(exc, TransientUnitError)
                 st.wall_s = time.perf_counter() - started
                 st.events = Engine.total_events_fired - events0
-                st.elided = Engine.total_events_elided - elided0
                 st.counters = {k: v - counters0[k]
                                for k, v in Engine.counters().items()
-                               if k not in ("fired", "elided")}
+                               if k != "fired"}
                 st.counters.update(
                     {k: round(v - snap0[k], 3)
                      for k, v in snapshot_counters().items()})

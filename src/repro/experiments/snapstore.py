@@ -12,9 +12,9 @@ results (``tools/abdiff.py`` proves it) at a fraction of the wall time.
 
 Keying follows the unit result cache
 (:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
-``SHA-256(code fingerprint | prefix (key, config, seed) | fast |
-tickless)``, so any source change invalidates every stored prefix,
-exactly like unit results.  The store itself is **in-process**
+``SHA-256(code fingerprint | prefix (key, config, seed) | fast)``, so
+any source change invalidates every stored prefix, exactly like unit
+results.  The store itself is **in-process**
 (snapshots hold live object graphs; they are never pickled to disk) —
 each campaign worker process grows its own store, which is why sharing
 a prefix across many units of the same experiment pays off even under
@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import elision_default, snapshot_default
+from repro.sim.engine import snapshot_default
 from repro.sim.snapshot import WorldSnapshot
 
 __all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
@@ -68,19 +68,13 @@ def prefix_parts(prefix: PrefixSpec) -> List[str]:
 
 def prefix_store_key(prefix: PrefixSpec, fast: bool,
                      fingerprint: Optional[str] = None) -> str:
-    """Content address of one prefix's frozen world.
-
-    Besides the prefix and the fast/full mode, the key names the tickless
-    elision mode: a frozen world bakes it in at construction, so an
-    in-process toggle — the A/B tests flip the env var mid-run — must
-    miss rather than fork a world built under the other mode.
-    """
+    """Content address of one prefix's frozen world: the code
+    fingerprint, the prefix and the fast/full mode."""
     from repro.experiments.cache import code_fingerprint
     h = hashlib.sha256()
     parts = [fingerprint if fingerprint is not None else code_fingerprint()]
     parts += prefix_parts(prefix)
     parts.append("fast" if fast else "full")
-    parts.append(f"tickless={int(elision_default())}")
     for part in parts:
         h.update(part.encode())
         h.update(b"\0")

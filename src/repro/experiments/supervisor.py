@@ -171,7 +171,6 @@ class UnitOutcome:
     tb: Optional[str] = None
     wall_s: float = 0.0
     events: int = 0
-    elided: int = 0
     #: Engine counter deltas over the unit (pushes/cancels/dead_drops —
     #: see Engine.counters); None for units that never ran.
     counters: Optional[Dict[str, int]] = None
@@ -218,7 +217,6 @@ def _worker_main(worker_id: int, task_r, result_w,
             break
         idx, attempt, tag, func, config, prefix = item
         events0 = Engine.total_events_fired
-        elided0 = Engine.total_events_elided
         counters0 = Engine.counters()
         snap0 = snapshot_counters()
         started = time.perf_counter()
@@ -237,14 +235,13 @@ def _worker_main(worker_id: int, task_r, result_w,
             retryable = isinstance(exc, TransientUnitError)
         counters = {k: v - counters0[k]
                     for k, v in Engine.counters().items()
-                    if k not in ("fired", "elided")}
+                    if k != "fired"}
         counters.update({k: round(v - snap0[k], 3)
                          for k, v in snapshot_counters().items()})
         try:
             result_w.send((worker_id, idx, attempt, result, error, tb,
                            retryable, time.perf_counter() - started,
                            Engine.total_events_fired - events0,
-                           Engine.total_events_elided - elided0,
                            counters))
         except (BrokenPipeError, OSError):
             break  # parent is gone; nothing left to report to
@@ -390,7 +387,7 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                     pass
             for msg in msgs:
                 wid, idx, attempt, result, error, tb, retryable, wall, \
-                    events, elided, counters = msg
+                    events, counters = msg
                 w = workers.get(wid)
                 if w is not None and w.current is not None \
                         and w.current[0] == idx:
@@ -405,7 +402,7 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                             + f"; ok on attempt {attempts_made[idx]}")
                         yield idx, UnitOutcome(
                             result=result, wall_s=wall, events=events,
-                            elided=elided, counters=counters,
+                            counters=counters,
                             attempts=attempts_made[idx], fate=fate)
                     elif retryable:
                         out = settle(idx, error)
@@ -421,7 +418,7 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                             f"attempt {attempts_made[idx]}: {error}")
                         yield idx, UnitOutcome(
                             error=error, tb=tb, wall_s=wall, events=events,
-                            elided=elided, counters=counters,
+                            counters=counters,
                             attempts=attempts_made[idx],
                             fate="; ".join(history[idx])
                                  + " (not retryable)")

@@ -250,7 +250,6 @@ class LoadBalancer:
             if task.is_idle_policy or not task.may_run_on(cpu.index):
                 continue
             their_cap = max(1.0, kernel.capacity_of(c))
-            other._catch_up()  # a running task's PELT is tick-maintained
             util = task.util(now)
             if util < self.MISFIT_UTIL_FRACTION * their_cap:
                 continue

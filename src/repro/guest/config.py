@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.sim.engine import MSEC, USEC, elision_default
+from repro.sim.engine import MSEC, USEC
 
 
 @dataclass
@@ -60,12 +60,6 @@ class GuestConfig:
     #: get (cap * spin_check_ns of extra acquisition delay in the worst
     #: case).  1 disables coalescing.
     spin_coalesce_max: int = 8
-    #: NO_HZ-style tick elision: when a CPU's upcoming ticks provably have
-    #: no side effects beyond per-CPU accounting (no balance due, no slice
-    #: preemption possible, no tick hook installed), they are skipped on
-    #: the event heap and their arithmetic is replayed on demand.
-    #: Default follows $VSCHED_REPRO_TICKLESS (on unless set to "0").
-    tickless: bool = field(default_factory=elision_default)
 
     def slice_for(self, nr_running: int) -> int:
         """CFS time slice given the number of co-runnable tasks."""

@@ -10,21 +10,9 @@ event.
 The guest tick fires every ``tick_ns`` **only while the vCPU is active** —
 when the hypervisor preempts the vCPU the pending tick is delivered on
 resume, which is exactly the mechanism vact uses to observe steal-time
-jumps (§3.1).
-
-Tickless operation (NO_HZ analogue): most ticks of a continuously-running
-vCPU are pure per-CPU arithmetic — integrate the current task, stamp the
-heartbeat, read an unchanged steal counter, decay the capacity EMA.  Such
-ticks have *provably* no cross-CPU side effects up to a computable horizon
-(the next balance tick, the earliest possible slice preemption, §docs
-INTERNALS §11), so instead of going through the event heap they are elided:
-the one scheduled tick event is armed directly at the horizon and the
-skipped ticks' effects are replayed arithmetically — with the exact same
-per-tick float/integer operation sequence, hence bit-identical state — by
-:meth:`GuestCpu._catch_up` the moment anything could observe them.  Tick
-events also occupy a per-CPU negative priority "lane" in the engine heap so
-their ordering against same-instant events never depends on when they were
-(re-)armed.
+jumps (§3.1).  Every tick is one event on the engine heap, armed in a
+per-CPU negative priority "lane" so its ordering against same-instant
+events never depends on when it was (re-)armed.
 """
 
 from __future__ import annotations
@@ -68,16 +56,8 @@ class GuestCpu:
         self._tick_due = (index * 97_000) % kernel.config.tick_ns
         self._tick_event = None
         self.last_tick_time = 0
-        # Same-instant ordering lane for this CPU's tick events; allocated
-        # unconditionally so event ordering is identical with and without
-        # tick elision.
+        # Same-instant ordering lane for this CPU's tick events.
         self._tick_lane = self.engine.alloc_lane()
-        # When an overdue tick collapsed to the resume instant is deferred,
-        # eager mode would have armed it *mid-instant*; record where so
-        # _catch_up can replay it exactly when that entry would have fired
-        # (see engine.max_prio_popped_since).
-        self._tick_arm_time = -1
-        self._tick_arm_epoch = 0
 
         # --- vact kernel-side instrumentation ------------------------------
         self.last_heartbeat = -(10 ** 12)
@@ -108,60 +88,37 @@ class GuestCpu:
     # ------------------------------------------------------------------
     # Host-side callbacks (from VCpuThread)
     # ------------------------------------------------------------------
-    def host_resumed(self, now: int, rate: float) -> None:  # vschedlint: disable=elision-sync -- resume IS the materialization point: end_wait closed the steal interval, and collapsing overdue ticks to `now` here is the replay arithmetic itself (INTERNALS §11)
+    def host_resumed(self, now: int, rate: float) -> None:
         self.rate = rate
         self._seg_update = now
         self.halted = False
-        # Collapse overdue ticks to the resume instant (tick instants that
-        # fell inside the inactive window do not happen, exactly as
-        # before), then defer to the usual elision horizon.  The replay is
-        # exact even for the collapsed tick: steal_ns is constant over a
-        # continuously-active span (end_wait closes the interval before
-        # this callback runs), so a later replay observes exactly the
-        # steal jump this preemption produced.  But a tick deferred *at*
-        # the resume instant needs one extra piece of bookkeeping: eagerly
-        # it would be armed mid-instant, firing only after the cascade
-        # that resumed us — record the arming epoch so _catch_up can
-        # reproduce that position (engine.max_prio_popped_since).
+        # Collapse overdue ticks to the resume instant: tick instants that
+        # fell inside the inactive window do not happen.
         due = max(now, self._tick_due)
         self._tick_due = due
-        horizon = self._tick_horizon(due)
-        if horizon > due and due == now:
-            self._tick_arm_time = now
-            self._tick_arm_epoch = self.engine.pop_epoch
         ev = self._tick_event
-        if ev is not None and not (ev.active and ev.time == horizon):
+        if ev is not None and not (ev.active and ev.time == due):
             ev.cancel()
             ev = None
         if ev is None:
             # Otherwise the event kept across the preemption already sits
             # at the right instant (and lane): reuse it, zero heap ops.
             self._tick_event = self.engine.call_at(
-                horizon, self._tick, prio=self._tick_lane)
+                due, self._tick, prio=self._tick_lane)
         if self.current is None:
             self._dispatch()
         else:
             self._arm_segment()
 
     def host_preempted(self, now: int) -> None:
-        self._catch_up()
         self._integrate(now)
         self.rate = 0.0
         if self._seg_event is not None:
             self._seg_event.cancel()
             self._seg_event = None
-        if self.kernel.config.tickless:
-            # Preemptions regularly outlast the pending tick, and a tick
-            # firing while the vCPU is inactive is a pure no-op (the tick
-            # stays due and is delivered on resume).  Cancel it instead of
-            # paying a heap dispatch for nothing; resume re-arms.
-            ev = self._tick_event
-            if ev is not None:
-                ev.cancel()
-                self._tick_event = None
-        # In eager mode the tick event is kept across the preemption: a
-        # quick resume with an unchanged due reuses it as-is; if it fires
-        # while the vCPU is inactive it is a no-op.
+        # The tick event is kept across the preemption: a quick resume with
+        # an unchanged due reuses it as-is; if it fires while the vCPU is
+        # inactive it is a no-op.
 
     def host_rate_changed(self, now: int, rate: float) -> None:
         if rate == self.rate:
@@ -170,7 +127,6 @@ class GuestCpu:
             # churn entirely (SMT-sibling and DVFS notifications frequently
             # re-announce an unchanged rate).
             return
-        self._catch_up()
         self._integrate(now)
         self.rate = rate
         self._arm_segment()
@@ -218,7 +174,6 @@ class GuestCpu:
     def _segment_done(self) -> None:
         self._seg_event = None
         now = self.engine.now
-        self._catch_up()
         self._integrate(now)
         task = self.current
         if task is None:
@@ -274,7 +229,6 @@ class GuestCpu:
         """Pick and start the next runnable task (or go idle)."""
         if self._in_sched:
             return  # the active scheduling pass will see the new work
-        self._catch_up()  # current changes below; replay ticks first
         now = self.engine.now
         tried_newidle = False
         self._in_sched = True
@@ -283,7 +237,7 @@ class GuestCpu:
         finally:
             self._in_sched = False
 
-    def _dispatch_loop(self, now: int, tried_newidle: bool) -> None:  # vschedlint: disable=elision-sync -- only reached from _dispatch/_segment_done, both of which _catch_up() before calling; writing _seg_update=now opens the new segment
+    def _dispatch_loop(self, now: int, tried_newidle: bool) -> None:
         while True:
             nxt = self.rq.pick_next()
             if nxt is None:
@@ -326,7 +280,6 @@ class GuestCpu:
         if task is None:
             return None
         now = self.engine.now
-        self._catch_up()
         self._integrate(now)
         if self._seg_event is not None:
             self._seg_event.cancel()
@@ -342,7 +295,6 @@ class GuestCpu:
         if task is None:
             return None
         now = self.engine.now
-        self._catch_up()
         self._integrate(now)
         if self._seg_event is not None:
             self._seg_event.cancel()
@@ -367,145 +319,23 @@ class GuestCpu:
             self._dispatch()
 
     # ------------------------------------------------------------------
-    # Tick (tickless: one heap event per elision horizon, not per tick)
+    # Tick
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        self._catch_up()  # materialize any ticks elided before this one
         self._tick_event = None
         if not self.host_active:
             # Fired while the vCPU was preempted (the event is kept across
             # preemptions for reuse): the tick stays due and is delivered
-            # on resume, exactly as when it used to be cancelled.
+            # on resume.
             return
         now = self.engine.now
         self._tick_due = now + self.kernel.config.tick_ns
         self._tick_event = self.engine.call_at(
-            self._tick_horizon(self._tick_due), self._tick,
-            prio=self._tick_lane)
+            self._tick_due, self._tick, prio=self._tick_lane)
         self._integrate(now)
         self.kernel.on_tick(self, now)
         self.last_tick_time = now
         self._check_slice_preemption(now)
-
-    def _tick_horizon(self, base: int) -> int:  # vschedlint: disable=elision-sync -- pure function of already-materialized state: every caller (_retick, host_resumed, _tick) holds the catch-up invariant when computing the horizon
-        """First tick instant >= ``base`` that may have side effects.
-
-        Ticks strictly before the returned instant are pure per-CPU
-        arithmetic — no balance pass due, no slice preemption reachable,
-        no tick hook installed, and (while the vCPU stays continuously
-        active) a provably unchanged steal counter — so the tick event is
-        armed there and the skipped instants are replayed by
-        :meth:`_catch_up`.  Returns ``base`` itself when the very next
-        tick needs the full path.
-        """
-        kernel = self.kernel
-        config = kernel.config
-        if not config.tickless or kernel.tick_hook is not None:
-            return base
-        next_balance = self.next_balance
-        if next_balance <= base:
-            return base
-        tick = config.tick_ns
-        # First tick at or after the balance deadline (ceil to the grid).
-        horizon = base + -(-(next_balance - base) // tick) * tick
-        cur = self.current
-        nr = self.rq.nr_running()
-        if cur is None:
-            if nr > 0:
-                return base  # wake-up in flight; don't defer anything
-        elif nr > 0:
-            if cur.is_idle_policy and self.rq.has_queued_normal():
-                return base
-            lack = config.slice_for(nr + 1) - cur.slice_ran
-            if lack <= 0:
-                return base
-            # slice_ran grows with wall time from _seg_update while the
-            # vCPU stays active, so it crosses the slice at a known
-            # instant; the first tick at or after it may preempt.
-            cross = self._seg_update + lack
-            if cross <= base:
-                return base
-            first = base + -(-(cross - base) // tick) * tick
-            if first < horizon:
-                horizon = first
-        return horizon
-
-    def _catch_up(self) -> None:
-        """Replay elided ticks that order before the current event.
-
-        No-op unless an elided span is pending (the armed tick event sits
-        beyond the next logical tick due).  Each skipped tick replays the
-        exact full-tick arithmetic (integration, heartbeat, steal read,
-        capacity EMA) in order, so all float/integer state is bit-identical
-        to a run that dispatched every tick through the heap; the balance
-        pass, tick hook, and slice preemption are guaranteed no-ops inside
-        the span by :meth:`_tick_horizon`.
-        """
-        ev = self._tick_event
-        if ev is None:
-            return
-        due = self._tick_due
-        hard = ev.time
-        if due >= hard or not self.vcpu.active:
-            return
-        engine = self.engine
-        limit = engine.current_key()
-        if limit is None:
-            limit_t, limit_p = engine.now, 1  # between runs: everything due
-        else:
-            limit_t, limit_p = limit
-        lane = self._tick_lane
-        tick = self.kernel.config.tick_ns
-        account = self.kernel.tick_accounting
-        arm_time = self._tick_arm_time
-        n = 0
-        while due < hard:
-            if due >= limit_t:
-                if due > limit_t:
-                    break
-                if due == arm_time:
-                    # Deferred at the resume instant itself: the eager
-                    # entry was armed *mid-instant*, so it contends only
-                    # from that epoch on — by the heap-min property it has
-                    # fired iff a higher-priority pop followed the arming.
-                    m = engine.max_prio_popped_since(self._tick_arm_epoch)
-                    if m is None or m <= lane:
-                        break
-                elif lane >= limit_p:
-                    break
-            self._tick_due = due + tick
-            self._integrate(due)
-            account(self, due)
-            self.last_tick_time = due
-            due += tick
-            n += 1
-        if n:
-            engine.note_elided(n, self._tick)
-
-    def _retick(self) -> None:
-        """Re-evaluate a deferred tick horizon after a state change.
-
-        Called after an enqueue — the only mutation that can move the
-        horizon *earlier* (more runnable tasks shrink the slice; a normal
-        arrival can make an idle-policy current preemptable).  All other
-        mutations only push the horizon out, where a too-early hard tick
-        is merely one extra event, never a missed side effect.
-        """
-        ev = self._tick_event
-        if ev is None or not self.vcpu.active:
-            return
-        # Replay anything already logically fired before re-evaluating: a
-        # tick deferred at this very instant may order before the enqueue
-        # that triggered us, and the recomputed horizon must start past it.
-        self._catch_up()
-        due = self._tick_due
-        if due >= ev.time:
-            return  # next tick is already a real one
-        horizon = self._tick_horizon(due)
-        if horizon != ev.time:
-            ev.cancel()
-            self._tick_event = self.engine.call_at(
-                horizon, self._tick, prio=self._tick_lane)
 
     def _check_slice_preemption(self, now: int) -> None:
         task = self.current

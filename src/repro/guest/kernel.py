@@ -84,21 +84,6 @@ class GuestKernel:
         self.tick_hook: Optional[Callable] = None
         self.capacity_provider: Optional[Callable] = None
 
-        # Materialize elided ticks whenever a run()/run_until() returns so
-        # state read between runs (progress polling, table assembly) never
-        # lags the clock.
-        self.engine.add_sync_hook(self.sync_ticks)
-
-    def sync_ticks(self) -> None:
-        """Replay any pending elided ticks on every CPU.
-
-        No-op without tickless elision (or when nothing is pending).  Call
-        before reading tick-maintained task/CPU state (``stats.work_done``,
-        PELT, vruntime) from outside the scheduler's own code paths.
-        """
-        for cpu in self.cpus:
-            cpu._catch_up()
-
     # ------------------------------------------------------------------
     # Time & misc
     # ------------------------------------------------------------------
@@ -476,7 +461,6 @@ class GuestKernel:
     def migrate_queued(self, task: Task, src: GuestCpu, dst: GuestCpu,
                        reason: str = "lb") -> None:
         """Move a queued (not running) task between runqueues."""
-        dst._catch_up()  # min_vruntime is read below; ticks advance it
         src.rq.dequeue(task)
         task.vruntime += dst.rq.min_vruntime - src.rq.min_vruntime
         task.extra_work += self.config.migration_cost_ns
@@ -537,19 +521,7 @@ class GuestKernel:
     # Scheduler tick (vact kernel instrumentation + hooks)
     # ------------------------------------------------------------------
     def on_tick(self, cpu: GuestCpu, now: int) -> None:
-        self.tick_accounting(cpu, now)
-        self.balancer.periodic(cpu, now)
-        if self.tick_hook is not None:
-            self.tick_hook(cpu, now)
-
-    def tick_accounting(self, cpu: GuestCpu, now: int) -> None:
-        """The per-CPU arithmetic portion of one tick.
-
-        Factored out of :meth:`on_tick` because tickless catch-up
-        (:meth:`GuestCpu._catch_up`) replays exactly this — and only this —
-        for every elided tick instant; the balance pass and tick hook are
-        guaranteed no-ops inside an elided span.
-        """
+        """One scheduler tick: vact accounting, balancing, then the hook."""
         self.stats.ticks += 1
         cpu.last_heartbeat = now
         steal = cpu.vcpu.steal_ns(now)
@@ -564,6 +536,9 @@ class GuestKernel:
             # from "was shaved every tick by sub-threshold slices".
             cpu.steal_graze_count += 1
         self._update_default_capacity(cpu, now, jump)
+        self.balancer.periodic(cpu, now)
+        if self.tick_hook is not None:
+            self.tick_hook(cpu, now)
 
     def _update_default_capacity(self, cpu: GuestCpu, now: int, steal_jump: int) -> None:
         """The stock (inaccurate) CFS capacity estimate (§5.3).
@@ -589,7 +564,6 @@ class GuestKernel:
         if self.capacity_provider is not None:
             return self.capacity_provider(cpu_index)
         cpu = self.cpus[cpu_index]
-        cpu._catch_up()  # cfs_capacity is tick-maintained
         if cpu.current is None:
             idle_ns = self.engine.now - cpu._cap_touch
             if idle_ns > 0:
@@ -612,7 +586,6 @@ class GuestKernel:
         """
         now = self.engine.now
         cpu = self.cpus[cpu_index]
-        cpu._catch_up()  # the heartbeat is stamped by (possibly elided) ticks
         stale_after = self.config.heartbeat_stale_ticks * self.config.tick_ns
         if now - cpu.last_heartbeat > stale_after:
             return VCpuHostState.INACTIVE, cpu.last_heartbeat

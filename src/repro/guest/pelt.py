@@ -27,9 +27,8 @@ PELT_MAX_SUM = PELT_PERIOD_NS / (1.0 - PELT_Y)
 UTIL_SCALE = 1024
 
 #: Memoized decay factors keyed by period count.  Tick-driven updates
-#: arrive at a handful of recurring intervals (the 1 ms tick dominates,
-#: especially in tickless catch-up replay loops), and ``pow`` is the hot
-#: instruction of the signal — reusing the identical float result is both
+#: arrive at a handful of recurring intervals (the 1 ms tick dominates),
+#: and ``pow`` is the hot instruction of the signal — reusing the identical float result is both
 #: faster and bit-identical by construction.
 _DECAY_CACHE: dict = {}
 

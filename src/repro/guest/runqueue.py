@@ -74,7 +74,6 @@ class CfsRunqueue:
     # ------------------------------------------------------------------
     def enqueue(self, task: Task) -> None:
         cpu = self.cpu
-        cpu._catch_up()  # min_vruntime and current's slice are tick-driven
         # Sleeper credit: cap how far behind min_vruntime a waker can be so
         # long sleepers don't monopolize the CPU when they return.
         floor = self.min_vruntime - cpu.kernel.config.sched_latency_ns
@@ -84,10 +83,8 @@ class CfsRunqueue:
         band.append(task)
         task.state = TaskState.RUNNABLE
         task.cpu = cpu
-        cpu._retick()  # more runnable work can move the tick horizon earlier
 
     def dequeue(self, task: Task) -> None:
-        self.cpu._catch_up()
         band = self.idle_band if task.is_idle_policy else self.normal
         band.remove(task)
 

@@ -27,7 +27,7 @@ from repro.hypervisor.bandwidth import BandwidthController
 from repro.hypervisor.entity import EntityState, HostEntity, HostTask, NICE0_WEIGHT
 from repro.hypervisor.runqueue import HostRunqueue
 from repro.hypervisor.vcpu import VCpuThread, VM
-from repro.sim.engine import Engine, MSEC, elision_default
+from repro.sim.engine import Engine, MSEC
 from repro.sim.tracing import Tracer
 
 
@@ -65,22 +65,11 @@ class Machine:
         self._core_ramp_event: Dict[int, object] = {}
         self._has_unpinned = False
         self._balance_event = None
-        #: Timer elision (tickless host): suppress balance ticks while every
-        #: runqueue is quiescent and let DVFS ramp events chase their logical
-        #: due instead of being cancelled/re-pushed on every busy flip.
-        self.elide_timers = elision_default()
-        #: Next grid instant of the balance chain (origin: first unpinned
-        #: registration + interval).  Tracked in both modes so elision can
-        #: re-arm on exactly the instants the eager chain would fire at.
-        self._balance_next: Optional[int] = None
-        # Priority lanes keep same-instant ordering identical whether a
-        # timer event was kept, elided, or re-armed — allocated
-        # unconditionally so both modes agree.
+        # Priority lanes fix the same-instant order of the balance and
+        # DVFS timers, however often they are cancelled and re-armed.
         self._balance_lane = engine.alloc_lane()
         self._core_lane: Dict[int, int] = {
             c.index: engine.alloc_lane() for c in topology.cores}
-        #: Pending DVFS target per core: (warm, logical_due) or None.
-        self._core_ramp_goal: Dict[int, Optional[Tuple[bool, int]]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -254,62 +243,14 @@ class Machine:
     # Host load balancing (unpinned entities, §5.8)
     # ------------------------------------------------------------------
     def _start_host_balance(self) -> None:
-        """Begin (or join) the periodic balance chain.
-
-        The first unpinned registration fixes the grid origin.  The eager
-        mode arms the chain immediately; the elided mode arms only if a
-        backlog already exists (otherwise :meth:`_note_host_waiting` arms
-        it when contention first appears)."""
-        if self._balance_next is None:
-            self._balance_next = self.engine.now + self.balance_interval_ns
-            if self.elide_timers and any(rq.waiting for rq in self.runqueues):
-                self._balance_event = self.engine.call_at(
-                    self._balance_next, self._host_balance,
-                    prio=self._balance_lane)
-        if not self.elide_timers and self._balance_event is None:
-            self._balance_event = self.engine.call_at(
-                self._balance_next, self._host_balance,
+        """Begin the periodic balance chain (no-op once it is running)."""
+        if self._balance_event is None:
+            self._balance_event = self.engine.call_in(
+                self.balance_interval_ns, self._host_balance,
                 prio=self._balance_lane)
 
-    def _note_host_waiting(self) -> None:
-        """A host entity just started waiting: re-arm the balance chain.
-
-        Called by runqueues whenever something lands on a waiting list.
-        Grid points skipped while everything was quiescent are counted as
-        elided — the eager chain would have fired a no-op at each.  A grid
-        point exactly at ``now`` has been passed only if the eager chain's
-        event would already have popped this instant (its lane is below the
-        engine's instant high-water mark); otherwise it is still to come
-        and must be armed at ``now`` so it sees this enqueue, exactly as
-        the eager chain would."""
-        if (not self.elide_timers or self._balance_next is None
-                or self._balance_event is not None):
-            return
-        now = self.engine.now
-        nxt = self._balance_next
-        if nxt <= now:
-            interval = self.balance_interval_ns
-            skipped, rem = divmod(now - nxt, interval)
-            if rem:
-                skipped += 1  # last grid point lies strictly before now
-            else:
-                key = self.engine.current_key()
-                if key is None or self._balance_lane < key[1]:
-                    # Between runs the instant has fully drained; inside
-                    # one, the fire at now already ordered before us.
-                    skipped += 1
-            if skipped:
-                self.engine.note_elided(skipped, self._host_balance)
-                nxt += skipped * interval
-                self._balance_next = nxt
-        self._balance_event = self.engine.call_at(
-            nxt, self._host_balance, prio=self._balance_lane)
-
     def _host_balance(self) -> None:
-        # Advance the grid before the body: enqueues below re-enter
-        # _note_host_waiting, which must see the *next* grid point.
         self._balance_event = None
-        self._balance_next += self.balance_interval_ns
         idle = [rq for rq in self.runqueues if rq.is_idle()]
         for rq in idle:
             busiest = max(self.runqueues, key=lambda r: len(r.waiting))
@@ -323,12 +264,7 @@ class Machine:
             busiest.steal_waiting(victim)
             victim.vruntime += rq.min_vruntime - busiest.min_vruntime
             rq.enqueue(victim)
-        if self._balance_event is None and (
-                not self.elide_timers
-                or any(rq.waiting for rq in self.runqueues)):
-            self._balance_event = self.engine.call_at(
-                self._balance_next, self._host_balance,
-                prio=self._balance_lane)
+        self._start_host_balance()
 
     # ------------------------------------------------------------------
     # Speed dynamics (SMT contention + DVFS ramp)
@@ -358,49 +294,26 @@ class Machine:
         return any(t.runqueue.current is not None for t in core.threads)
 
     def _update_dvfs(self, core: Core) -> None:
+        """Restart the ramp (idle -> busy) or cooldown (busy -> idle) timer
+        whenever the core's busy state disagrees with its clock state."""
         if not self.speed.dvfs_enabled:
             return
-        busy = self._core_busy(core)
         idx = core.index
-        now = self.engine.now
-        if busy and not self._core_warm[idx]:
-            goal = (True, now + self.speed.dvfs_ramp_ns)
-        elif not busy and self._core_warm[idx]:
-            goal = (False, now + self.speed.dvfs_cooldown_ns)
-        else:
-            goal = None
-        self._core_ramp_goal[idx] = goal
         pending = self._core_ramp_event.get(idx)
-        if goal is None:
-            if pending is not None:
-                pending.cancel()
-                self._core_ramp_event[idx] = None
-            return
         if pending is not None:
-            if self.elide_timers and pending.time <= goal[1]:
-                # Keep the stale event; _dvfs_fire chases the logical due.
-                return
             pending.cancel()
-        self._core_ramp_event[idx] = self.engine.call_at(
-            goal[1], self._dvfs_fire, core, prio=self._core_lane[idx])
-
-    def _dvfs_fire(self, core: Core) -> None:
-        """Ramp timer fired: transition if the logical due was reached,
-        otherwise re-arm at the (moved) due."""
-        idx = core.index
-        self._core_ramp_event[idx] = None
-        goal = self._core_ramp_goal.get(idx)
-        if goal is None:
+            self._core_ramp_event[idx] = None
+        busy = self._core_busy(core)
+        if busy == self._core_warm[idx]:
             return
-        warm, due = goal
-        if self.engine.now < due:
-            self._core_ramp_event[idx] = self.engine.call_at(
-                due, self._dvfs_fire, core, prio=self._core_lane[idx])
-            return
-        self._core_ramp_goal[idx] = None
-        self._dvfs_transition(core, warm)
+        delay = (self.speed.dvfs_ramp_ns if busy
+                 else self.speed.dvfs_cooldown_ns)
+        self._core_ramp_event[idx] = self.engine.call_in(
+            delay, self._dvfs_transition, core, busy,
+            prio=self._core_lane[idx])
 
     def _dvfs_transition(self, core: Core, warm: bool) -> None:
+        self._core_ramp_event[core.index] = None
         if warm and not self._core_busy(core):
             return  # went idle before finishing the ramp
         if not warm and self._core_busy(core):

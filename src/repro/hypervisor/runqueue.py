@@ -70,7 +70,6 @@ class HostRunqueue:
         if self.current is None:
             self._dispatch()
             return
-        self.machine._note_host_waiting()
         # The current entity may have been dispatched alone; contention has
         # now appeared, so start its slice clock.
         if self._slice_event is None:
@@ -169,7 +168,6 @@ class HostRunqueue:
             cur.state = EntityState.QUEUED
             self.waiting.append(cur)
             cur.begin_wait(now)
-            self.machine._note_host_waiting()
         return cur
 
     # ------------------------------------------------------------------

@@ -74,7 +74,6 @@ class CycleMeter:
         self._stall0 = 0.0
 
     def _totals(self):
-        self.kernel.sync_ticks()  # work_done lags while ticks are elided
         run = self.env.vm.total_run_ns()
         work = sum(t.stats.work_done for t in self.kernel.tasks)
         stall = (self.kernel.stats.stall_ns

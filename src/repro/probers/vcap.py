@@ -178,10 +178,6 @@ class VCap:
         if win.stopped:
             return
         cpu = self.kernel.cpus[c]
-        # Materialize elided ticks before baselining: preempt_count is
-        # tick-replayed state, and this callback fires mid-run where no
-        # engine sync hook has intervened.
-        cpu._catch_up()
         win.steal_before[c] = self.kernel.steal_of(c)
         win.preempt_before[c] = cpu.preempt_count
         win.graze_before[c] = cpu.steal_graze_count
@@ -226,9 +222,6 @@ class VCap:
         win.stopped = True
         self._window_open = False
         now = self.kernel.now()
-        # Probers may still be mid-chunk; their work/wall stats are
-        # integrated at (possibly elided) ticks, so replay those first.
-        self.kernel.sync_ticks()
         activity_samples = []
         for c in win.cpus:
             if c not in win.probers:

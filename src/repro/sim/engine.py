@@ -17,27 +17,20 @@ cancelled-in-heap events and compacts when they dominate, so ``run_until``
 does not churn through millions of dead entries.  ``pending()`` is O(1),
 maintained on push/pop/cancel.
 
-Priority bands (``prio``) exist for timer elision: a periodic timer whose
-firing is elided and later re-armed would otherwise land at its original
-instant with a *newer* sequence number, perturbing same-instant ordering
-relative to a run without elision.  Timers that participate in elision are
-given a per-owner negative "lane" (:meth:`Engine.alloc_lane`) so their
-position among same-instant events is a function of (time, lane) alone —
-history-independent, hence identical whether or not the timer was ever
-cancelled, elided, or re-armed along the way.  Ordinary events use prio 0.
+Priority bands (``prio``) order the periodic timers among same-instant
+events.  Each guest tick, host balance and DVFS timer owns a negative
+"lane" (:meth:`Engine.alloc_lane`), so its position among same-instant
+events is a function of (time, lane) alone, however often it was cancelled
+and re-armed.  Ordinary events use prio 0.
 
 Compaction filters dead entries and re-heapifies the survivors; since the
 ``(time, prio, seq)`` key is unique per event, the pop order after
 compaction is identical to the order before it — event ordering semantics
 are preserved.
 
-Elision support: subsystems that skip scheduling a timer whose effect they
-materialize arithmetically (tickless guest CPUs, quiescent host balancing)
-report the skipped firings through :meth:`Engine.note_elided`; the counts
-surface next to ``events_fired`` in ``tools/bench.py``.  A callback
-attribution profiler (:attr:`Engine.profiling`) keeps per-callsite
-fired/cancelled/elided counters when enabled and costs one local truth test
-per event when off.
+A callback attribution profiler (:attr:`Engine.profiling`) keeps
+per-callsite fired/cancelled counters when enabled and costs one local
+truth test per event when off.
 """
 
 from __future__ import annotations
@@ -68,17 +61,6 @@ def ns_to_ms(t: int) -> float:
 def ns_to_sec(t: int) -> float:
     """Convert engine nanoseconds to floating-point seconds."""
     return t / SEC
-
-
-def elision_default() -> bool:
-    """Process-wide default for timer elision (on unless opted out).
-
-    ``VSCHED_REPRO_TICKLESS=0`` disables elision; the A/B harness
-    (``tools/abdiff.py``) flips this to assert that elided and non-elided
-    runs produce byte-identical tables.  Read lazily at each construction
-    site so tests can toggle it in-process.
-    """
-    return os.environ.get("VSCHED_REPRO_TICKLESS", "1") != "0"
 
 
 def snapshot_default() -> bool:
@@ -157,9 +139,6 @@ class Engine:
     #: read by tools/bench.py to report events/sec).  A "fire" is a live
     #: dispatch — cancelled entries never count.
     total_events_fired: int = 0
-    #: Process-wide count of timer firings elided (materialized
-    #: arithmetically instead of dispatched through the heap).
-    total_events_elided: int = 0
     #: Process-wide count of ``call_at``/``call_in`` arms.
     total_pushes: int = 0
     #: Process-wide count of ``Event.cancel`` calls on still-pending events.
@@ -169,9 +148,9 @@ class Engine:
     #: it converges to ``total_cancels``.
     total_dead_drops: int = 0
     #: Callback-attribution profiler switch.  When True, per-callsite
-    #: fired/cancelled/elided counters accumulate in :attr:`profile_data`.
+    #: fired/cancelled counters accumulate in :attr:`profile_data`.
     profiling: bool = False
-    #: qualname -> [fired, cancelled, elided]
+    #: qualname -> [fired, cancelled]
     profile_data: Dict[str, List[int]] = {}
 
     def __init__(self) -> None:
@@ -190,37 +169,8 @@ class Engine:
         self._stopped = False
         #: Events fired by this engine instance.
         self.events_fired = 0
-        #: Timer firings elided by this engine instance.
-        self.events_elided = 0
         #: Next negative priority lane to hand out (see module docstring).
         self._next_lane = 0
-        #: Heap entry of the event currently being dispatched, or None.
-        self._current: Optional[Tuple[int, int, int, Event]] = None
-        #: Highest priority popped so far at the current instant.  The heap
-        #: invariant guarantees that when an entry with priority ``p`` pops
-        #: at time ``t``, every entry armed *before* instant ``t`` began
-        #: with priority ``< p`` has already popped — so this high-water
-        #: mark, not the executing event's own priority, is the correct
-        #: replay limit for elided same-instant timers.  (The executing
-        #: event itself may have been armed mid-instant — e.g. an overdue
-        #: tick re-armed at ``now`` by a resume — in which case its own
-        #: priority says nothing about what already ran.)
-        self._instant_hi: float = float("-inf")
-        #: Count of events popped, ever.  An "epoch" names a point in the
-        #: dispatch order; recording it when arming lets a later reader ask
-        #: whether anything has fired since (see
-        #: :meth:`max_prio_popped_since`).
-        self._pop_epoch: int = 0
-        #: ``(epoch, prio)`` marks for pops at the *current* instant, epochs
-        #: increasing and priorities strictly decreasing (a pop evicts all
-        #: marks with priority <= its own before appending).  The first mark
-        #: with epoch > e is therefore the maximum priority popped since
-        #: epoch ``e`` at this instant.
-        self._instant_marks: List[Tuple[int, int]] = []
-        #: Callbacks invoked when a run()/run_until() finishes, after the
-        #: clock settles — elision catch-up hooks use this so state reads
-        #: *between* runs see fully materialized effects.
-        self._sync_hooks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -257,57 +207,11 @@ class Engine:
         """Reserve a unique negative priority band for one periodic timer.
 
         Allocation order must be deterministic (construction order of the
-        owning objects), and owners must allocate unconditionally — lanes
-        shape same-instant ordering, so they have to be identical between
-        elision-on and elision-off runs.
+        owning objects): lanes shape same-instant ordering, which is part
+        of the reference output.
         """
         self._next_lane -= 1
         return self._next_lane
-
-    def current_key(self) -> Optional[Tuple[int, float]]:
-        """Replay limit while an event is dispatching, or None outside one.
-
-        Returns ``(now, hi)`` where ``hi`` is the highest priority popped
-        so far at this instant.  Elision catch-up materializes a skipped
-        timer firing iff its own (time, lane) orders strictly before that
-        key: such an entry, had it been armed eagerly, would already have
-        popped.  Comparing against the *executing* event's priority would
-        be wrong when that event was armed mid-instant (an overdue timer
-        re-armed at ``now`` runs after entries of every lane that popped
-        earlier in the instant, not only after lower-priority ones).
-        """
-        cur = self._current
-        if cur is None:
-            return None
-        return (cur[0], self._instant_hi)
-
-    @property
-    def pop_epoch(self) -> int:
-        """Dispatch-order position: count of events popped so far."""
-        return self._pop_epoch
-
-    def max_prio_popped_since(self, epoch: int) -> Optional[int]:
-        """Max priority popped at the current instant after ``epoch``.
-
-        Returns None when nothing has popped since.  Used to replay a timer
-        that eager mode would have armed *mid-instant*: such an entry sits
-        in the heap from its arming epoch on, so by the heap-min property
-        it has fired iff some later pop carried a higher priority.
-        """
-        for e, p in self._instant_marks:
-            if e > epoch:
-                return p
-        return None
-
-    # ------------------------------------------------------------------
-    # Elision accounting
-    # ------------------------------------------------------------------
-    def note_elided(self, n: int, callback: Callable[..., None]) -> None:
-        """Record ``n`` timer firings of ``callback`` elided off the heap."""
-        self.events_elided += n
-        Engine.total_events_elided += n
-        if Engine.profiling:
-            Engine._profile_bump(callback, 2, n)
 
     @classmethod
     def counters(cls) -> Dict[str, int]:
@@ -320,7 +224,6 @@ class Engine:
             "pushes": cls.total_pushes,
             "cancels": cls.total_cancels,
             "fired": cls.total_events_fired,
-            "elided": cls.total_events_elided,
             "dead_drops": cls.total_dead_drops,
         }
 
@@ -328,13 +231,12 @@ class Engine:
     # Callback-attribution profiler
     # ------------------------------------------------------------------
     @classmethod
-    def _profile_bump(cls, callback: Callable[..., None], slot: int,
-                      n: int = 1) -> None:
+    def _profile_bump(cls, callback: Callable[..., None], slot: int) -> None:
         name = getattr(callback, "__qualname__", repr(callback))
         row = cls.profile_data.get(name)
         if row is None:
-            row = cls.profile_data[name] = [0, 0, 0]
-        row[slot] += n
+            row = cls.profile_data[name] = [0, 0]
+        row[slot] += 1
 
     @classmethod
     def profile_reset(cls) -> None:
@@ -344,39 +246,25 @@ class Engine:
     def profile_table(cls, top: int = 15) -> str:
         """Render the hot-callback table (sorted by fired, descending).
 
-        The key is total (name breaks fired-count ties): registration
-        order differs between elided and eager runs, so an insertion-order
-        tiebreak would render A/B-divergent tables.
+        The key is total (name breaks fired-count ties), so the table does
+        not depend on the order in which callbacks first registered.
         """
         rows = sorted(cls.profile_data.items(),
                       key=lambda kv: (-kv[1][0], kv[0]))[:top]
         width = max([len(name) for name, _ in rows] + [8])
-        lines = [f"{'callback':<{width}} {'fired':>12} {'cancelled':>12} "
-                 f"{'elided':>12}"]
-        for name, (fired, cancelled, elided) in rows:
-            lines.append(f"{name:<{width}} {fired:>12,d} {cancelled:>12,d} "
-                         f"{elided:>12,d}")
+        lines = [f"{'callback':<{width}} {'fired':>12} {'cancelled':>12}"]
+        for name, (fired, cancelled) in rows:
+            lines.append(f"{name:<{width}} {fired:>12,d} {cancelled:>12,d}")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def add_sync_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook()`` after every run()/run_until() completes.
-
-        Subsystems that defer state materialization (tickless catch-up)
-        register here so callers reading state between runs never observe
-        a half-materialized world.
-        """
-        self._sync_hooks.append(hook)
-
     def _dispatch(self, deadline: Optional[int],
                   max_events: Optional[int]) -> int:
         """Shared dispatch loop: pop due heap entries and fire them.
 
-        Cancelled entries are dropped as they surface.  The instant/epoch
-        bookkeeping (``_instant_hi``, ``_instant_marks``, ``_pop_epoch``)
-        is keyed purely on the popped ``(time, prio, seq)``.
+        Cancelled entries are dropped as they surface.
         """
         if self._running:
             raise RuntimeError("engine is not reentrant")
@@ -401,25 +289,12 @@ class Engine:
                     Engine.total_dead_drops += 1
                     continue
                 ev._engine = None
-                self._pop_epoch += 1
-                marks = self._instant_marks
-                if entry[0] != self.now:
-                    self._instant_hi = entry[1]
-                    del marks[:]
-                else:
-                    if entry[1] > self._instant_hi:
-                        self._instant_hi = entry[1]
-                    while marks and marks[-1][1] <= entry[1]:
-                        marks.pop()
-                marks.append((self._pop_epoch, entry[1]))
                 self.now = entry[0]
-                self._current = entry
                 ev.callback(*ev.args)
                 fired += 1
                 if profiling:
                     bump(ev.callback, 0)
         finally:
-            self._current = None
             self._running = False
             self.events_fired += fired
             Engine.total_events_fired += fired
@@ -431,21 +306,13 @@ class Engine:
         The clock is left at ``deadline`` even if the queue drains earlier,
         so that subsequent relative scheduling behaves intuitively.
         """
-        try:
-            self._dispatch(deadline, None)
-            if self.now < deadline:
-                self.now = deadline
-        finally:
-            for hook in self._sync_hooks:
-                hook()
+        self._dispatch(deadline, None)
+        if self.now < deadline:
+            self.now = deadline
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fire); return count."""
-        try:
-            return self._dispatch(None, max_events)
-        finally:
-            for hook in self._sync_hooks:
-                hook()
+        return self._dispatch(None, max_events)
 
     def stop(self) -> None:
         """Stop the current ``run``/``run_until`` after the active callback."""
@@ -458,25 +325,14 @@ class Engine:
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
-    def materialize(self) -> None:
-        """Replay all deferred (elided) state by running the sync hooks.
-
-        Identical to what run()/run_until() do on completion; exposed so
-        the snapshot layer can assert a fully-materialized world before
-        freezing — a frozen half-materialized world would let a restore
-        skip ``_catch_up`` replay that the cold run performed.
-        """
-        for hook in self._sync_hooks:
-            hook()
-
     def __deepcopy__(self, memo) -> "Engine":  # vschedlint: disable=identity-key -- deepcopy memo is keyed by id() per the copy protocol, never simulation state
         """Deep-copy the engine; refused while it is dispatching.
 
-        Everything — heap contents, lanes, ``now``, pop-epoch/instant
-        marks, per-instance counters, sync hooks — copies structurally
-        through the memo, so event back-refs and callback bindings land on
-        the copied world.  The ``_push`` partial copies its heap argument
-        through the same memo, so it targets the copied heap.
+        Everything — heap contents, lanes, ``now``, per-instance counters
+        — copies structurally through the memo, so event back-refs and
+        callback bindings land on the copied world.  The ``_push`` partial
+        copies its heap argument through the same memo, so it targets the
+        copied heap.
         """
         if self._running:
             raise RuntimeError("cannot snapshot a running engine "
@@ -490,13 +346,10 @@ class Engine:
         """Freeze this engine (and everything reachable from its queue).
 
         Returns an inert deep copy sharing nothing mutable with the live
-        engine.  Sync hooks run first so elided timer state is fully
-        materialized — the frozen world equals what a cold run observes
-        between runs.  Restore it with :meth:`restore` (in place) or fork
-        it any number of times with ``copy.deepcopy`` /
+        engine.  Restore it with :meth:`restore` (in place) or fork it any
+        number of times with ``copy.deepcopy`` /
         :class:`repro.sim.snapshot.WorldSnapshot`.
         """
-        self.materialize()
         return copy.deepcopy(self)
 
     def restore(self, frozen: "Engine") -> None:  # vschedlint: disable=identity-key -- pre-seeding the deepcopy memo (id-keyed by protocol) is what rewires frozen-engine back-refs to self

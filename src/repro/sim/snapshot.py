@@ -29,12 +29,9 @@ own ``__deepcopy__`` (restartable-factory registry / explicit
 state-machine bodies), and the guard rejects raw generators appearing in
 event arguments.
 
-Soundness across tickless elision: freezing first calls
-``engine.materialize()`` (the same sync hooks run()/run_until() fire),
-so every elided tick is replayed arithmetically *before* the copy.  The
-frozen world is therefore exactly the state a cold run observes between
-runs, and a fork's subsequent ``_catch_up`` replay starts from the same
-materialized baseline — byte-identical with forking on or off.
+Every periodic timer is a live heap event, so the state frozen between two
+runs is exactly the state a cold run holds at that instant; a fork resumes
+from it byte-identically with forking on or off.
 """
 
 from __future__ import annotations
@@ -98,7 +95,7 @@ def _why_unsafe(cb: Callable) -> Optional[str]:
 
 
 def guard_world(engine: Engine) -> None:
-    """Vet every pending event and sync hook for deep-copy safety.
+    """Vet every pending event for deep-copy safety.
 
     Raises :class:`SnapshotError` listing all offenders at once (so one
     pass of the guard surfaces every edge that needs converting, not just
@@ -117,10 +114,6 @@ def guard_world(engine: Engine) -> None:
                 problems.append(
                     f"pending event at t={ev.time}: argument is a live "
                     f"generator {arg!r} (generators cannot be deep-copied)")
-    for hook in engine._sync_hooks:
-        why = _why_unsafe(hook)
-        if why is not None:
-            problems.append(f"sync hook: {why}")
     if problems:
         raise SnapshotError(
             "world is not snapshot-safe:\n  " + "\n  ".join(problems))
@@ -141,7 +134,6 @@ class WorldSnapshot:
         if engine._running:
             raise SnapshotError("cannot freeze a running engine "
                                 "(freeze between run()/run_until() calls)")
-        engine.materialize()
         guard_world(engine)
         try:
             self._image = copy.deepcopy({"engine": engine, "roots": roots})

@@ -40,4 +40,3 @@ def wire(engine, world):
     engine.call_at(2000, on_fire, world, 3)    # module function + args
     engine.call_at(3000, partial(on_fire, world))  # partial over module fn
     engine.call_at(4000, vouched_bump)         # decorator-vouched
-    engine.add_sync_hook(t._tick)              # bound method hook

@@ -357,49 +357,6 @@ def test_cancel_far_timer_then_rearm():
     assert log == ["near", "replacement", ("pending", 0)]
 
 
-def test_lane_priority_ordering_under_pop_epoch_replay():
-    """The replay-limit queries (current_key, pop_epoch,
-    max_prio_popped_since) as lanes and plain events pop at one
-    instant."""
-    eng = Engine()
-    log = []
-    lane_a = eng.alloc_lane()
-    lane_b = eng.alloc_lane()
-    epochs = {}
-
-    def observe(tag):
-        log.append((tag, eng.now, eng.current_key(), eng.pop_epoch))
-
-    def arm_and_record(tag):
-        observe(tag)
-        epochs[tag] = eng.pop_epoch
-
-    def probe(tag):
-        observe(tag)
-        for k, e in sorted(epochs.items()):
-            log.append((tag, k, eng.max_prio_popped_since(e)))
-
-    t = 9 * USEC
-    eng.call_at(t, arm_and_record, "first", prio=lane_b)
-    eng.call_at(t, arm_and_record, "second", prio=lane_a)
-    eng.call_at(t, probe, "plain")
-    eng.call_at(t, probe, "late")
-    eng.run_until(MSEC)
-    log.append(("outside", eng.current_key()))
-    assert (lane_a, lane_b) == (-1, -2)
-    assert log == [
-        ("first", t, (t, -2), 1),
-        ("second", t, (t, -1), 2),
-        ("plain", t, (t, 0), 3),
-        ("plain", "first", 0),
-        ("plain", "second", 0),
-        ("late", t, (t, 0), 4),
-        ("late", "first", 0),
-        ("late", "second", 0),
-        ("outside", None),
-    ]
-
-
 def test_zero_delay_call_in_during_dispatch():
     """call_in(0, ...) from inside a callback fires later in the same
     run at the same instant, after already-armed same-instant events."""

@@ -4,14 +4,13 @@ The warm-start contract (docs/INTERNALS.md §15) has three layers, each
 tested here against its cold-path twin:
 
 * engine layer — ``Engine.snapshot()/restore()`` replay the identical
-  event sequence, with tickless elision on or off (including the
-  restore-then-``_catch_up`` case: elided guest ticks materialize before
-  the freeze, and elision resumes after the fork);
+  event sequence;
 * world layer — :class:`WorldSnapshot` freezes engine + roots in one
   deep copy, the guard rejects copy-unsafe callbacks loudly, and every
-  fork is independent of its siblings and of the frozen image;
+  fork resumes byte-identically to a cold run (under vsched and under
+  plain CFS) independent of its siblings and of the frozen image;
 * store layer — :class:`SnapshotStore` keys on
-  (code fingerprint, prefix, fast, tickless), hits after one miss, and
+  (code fingerprint, prefix, fast), hits after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
   off.
 """
@@ -41,7 +40,6 @@ FP = "f" * 64  # stand-in code fingerprint (key tests only)
 
 # ----------------------------------------------------------------------
 # A compact but fully real world: 4-vCPU VM, vsched, 2 stressor threads.
-# Two vCPUs stay idle so tickless runs actually elide guest ticks.
 # ----------------------------------------------------------------------
 def _world(seed: str = "snaptest", mode: str = "vsched",
            event_work_ns: int = 500_000):
@@ -58,8 +56,7 @@ def _world(seed: str = "snaptest", mode: str = "vsched",
 def _sig(roots):
     """Everything a divergent fork could corrupt, in one tuple."""
     env, wl, ctx = roots["env"], roots["wl"], roots["ctx"]
-    return (env.engine.now, env.engine.events_fired,
-            env.engine.events_elided, wl.events,
+    return (env.engine.now, env.engine.events_fired, wl.events,
             env.kernel.stats.migrations, rng_signature(ctx.rng))
 
 
@@ -67,18 +64,22 @@ def _sig(roots):
 _STORE = [pytest.param(lambda eng: eng._heap, id="heap")]
 
 
-@pytest.mark.parametrize("store", _STORE)
-@pytest.mark.parametrize("tickless", ["1", "0"])
-class TestForkMatchesColdRun:
-    def test_fork_resumes_byte_identically(self, store, tickless,
-                                           monkeypatch):
-        monkeypatch.setenv("VSCHED_REPRO_TICKLESS", tickless)
+# The default world, and a long-chunk CFS world whose guest ticks run
+# without vsched's 1 ms prober cadence.
+_WORLDS = [pytest.param({}, id="default"),
+           pytest.param({"mode": "cfs", "event_work_ns": 20 * MSEC},
+                        id="cfs-long-chunk")]
 
-        cold = _world()
+
+@pytest.mark.parametrize("store", _STORE)
+@pytest.mark.parametrize("world", _WORLDS)
+class TestForkMatchesColdRun:
+    def test_fork_resumes_byte_identically(self, store, world):
+        cold = _world(**world)
         cold["engine"].run_until(2 * SEC)
         want = _sig(cold)
 
-        warm = _world()
+        warm = _world(**world)
         warm["engine"].run_until(1 * SEC)
         snap = WorldSnapshot(warm["engine"], warm)
         at_freeze = _sig(warm)
@@ -94,33 +95,6 @@ class TestForkMatchesColdRun:
         assert _sig(warm) == at_freeze
 
 
-@pytest.mark.parametrize("store", _STORE)
-class TestForkResumesElision:
-    def test_elided_ticks_survive_freeze_and_fork(self, store, monkeypatch):
-        # The restore-then-_catch_up case: freezing materializes every
-        # elided tick (WorldSnapshot calls engine.materialize()), and the
-        # fork keeps eliding from that baseline.  A long-chunk CFS world
-        # elides nearly every tick (vsched's 1 ms prober cadence would
-        # keep the tick horizon short), so the counters prove the span
-        # machinery really ran on both sides of the freeze.
-        monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1")
-
-        cold = _world(mode="cfs", event_work_ns=20 * MSEC)
-        cold["engine"].run_until(2 * SEC)
-        want = _sig(cold)
-
-        warm = _world(mode="cfs", event_work_ns=20 * MSEC)
-        warm["engine"].run_until(1 * SEC)
-        snap = WorldSnapshot(warm["engine"], warm)
-        at_freeze = _sig(warm)
-        assert want[2] > at_freeze[2] > 0  # elision on both sides
-
-        _eng, fork = snap.fork()
-        assert store(fork["engine"]) is not store(warm["engine"])
-        fork["engine"].run_until(2 * SEC)
-        assert _sig(fork) == want
-
-
 class TestEngineRestore:
     def test_restore_replays_identical_event_sequence(self):
         roots = _world()
@@ -128,12 +102,12 @@ class TestEngineRestore:
         eng.run_until(1 * SEC)
         frozen = eng.snapshot()
         eng.run_until(2 * SEC)
-        first = (eng.now, eng.events_fired, eng.events_elided)
+        first = (eng.now, eng.events_fired)
 
         eng.restore(frozen)
-        assert (eng.now, eng.events_fired, eng.events_elided) != first
+        assert (eng.now, eng.events_fired) != first
         eng.run_until(2 * SEC)
-        assert (eng.now, eng.events_fired, eng.events_elided) == first
+        assert (eng.now, eng.events_fired) == first
 
     def test_snapshot_refused_while_running(self):
         eng = Engine()
@@ -236,15 +210,6 @@ class TestStoreKey:
         other = PrefixSpec(key="ticker", func=_ticker_prefix, config=(200,),
                            seed="t-100")
         assert prefix_store_key(other, True, FP) != base
-
-    def test_engine_mode_knobs_isolate(self, monkeypatch):
-        # A frozen world bakes the elision mode in at construction; an
-        # in-process env toggle must miss, not fork a world built under
-        # the other mode.
-        monkeypatch.delenv("VSCHED_REPRO_TICKLESS", raising=False)
-        base = prefix_store_key(_SPEC, True, FP)
-        monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "0")
-        assert prefix_store_key(_SPEC, True, FP) != base
 
 
 class TestSnapshotStore:

@@ -1,20 +1,10 @@
-"""Tickless timer elision: engine primitives, guest fast-forward, and
-A/B byte-identity of experiment tables with elision on vs off."""
+"""Engine priority lanes and the callback-attribution profiler."""
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
-from repro.cluster import build_plain_vm
-from repro.experiments.common import run_experiment
-from repro.sim.engine import MSEC, SEC, Engine
+from repro.sim.engine import Engine
 
 
-# ----------------------------------------------------------------------
-# Engine primitives
-# ----------------------------------------------------------------------
 class TestLanes:
     def test_lane_orders_before_prio0_at_same_instant(self):
         eng = Engine()
@@ -28,7 +18,7 @@ class TestLanes:
     def test_lane_position_is_history_independent(self):
         # A lane timer cancelled and re-armed at the same instant keeps
         # its slot among same-instant events even though its sequence
-        # number is now larger — the property elision correctness rests on.
+        # number is now larger.
         eng = Engine()
         lane = eng.alloc_lane()
         order = []
@@ -45,92 +35,6 @@ class TestLanes:
         assert len(set(lanes)) == 10
         assert all(l < 0 for l in lanes)
 
-    def test_current_key_inside_and_outside_dispatch(self):
-        eng = Engine()
-        lane = eng.alloc_lane()
-        seen = []
-        eng.call_at(25, lambda: seen.append(eng.current_key()), prio=lane)
-        eng.run_until(50)
-        assert seen == [(25, lane)]
-        assert eng.current_key() is None
-
-    def test_current_key_is_instant_high_water_not_own_prio(self):
-        # An event armed *during* the current instant (an overdue timer
-        # re-armed at now by a resume) runs after everything that already
-        # popped, whatever its lane.  Its replay limit must therefore be
-        # the instant's high-water priority, not its own.
-        eng = Engine()
-        lane_a = eng.alloc_lane()  # -1
-        lane_b = eng.alloc_lane()  # -2
-        seen = []
-
-        def prio0():
-            # Arm a lane event at the current instant, mid-dispatch.
-            eng.call_at(eng.now, lambda: seen.append(eng.current_key()),
-                        prio=lane_b)
-
-        eng.call_at(10, lambda: None, prio=lane_a)
-        eng.call_at(10, prio0)
-        eng.run_until(10)
-        # The late lane_b event executes last; a lane_a elided timer due at
-        # t=10 would already have popped, so the limit must sit at prio 0.
-        assert seen == [(10, 0)]
-
-    def test_instant_high_water_resets_at_new_instant(self):
-        eng = Engine()
-        lane = eng.alloc_lane()
-        seen = []
-        eng.call_at(10, lambda: None)  # prio 0 raises the mark at t=10
-        eng.call_at(20, lambda: seen.append(eng.current_key()), prio=lane)
-        eng.run_until(30)
-        assert seen == [(20, lane)]
-
-
-class TestPopEpoch:
-    def test_max_prio_popped_since_sees_later_pops_only(self):
-        # Three same-instant events pop deepest-lane first; an epoch
-        # recorded during the first sees exactly the pops that follow it,
-        # maxed by priority — the query _catch_up uses to decide whether a
-        # timer armed mid-instant would already have fired.
-        eng = Engine()
-        la = eng.alloc_lane()   # -1
-        lb = eng.alloc_lane()   # -2
-        seen = []
-        epoch = {}
-
-        def deep():
-            epoch['e'] = eng.pop_epoch
-            seen.append(eng.max_prio_popped_since(epoch['e']))
-
-        eng.call_at(10, deep, prio=lb)
-        eng.call_at(10, lambda: seen.append(
-            eng.max_prio_popped_since(epoch['e'])), prio=la)
-        eng.call_at(10, lambda: seen.append(
-            eng.max_prio_popped_since(epoch['e'])))
-        eng.run_until(10)
-        assert seen == [None, la, 0]
-
-    def test_epoch_marks_reset_at_new_instant(self):
-        eng = Engine()
-        epoch = {}
-        seen = []
-        eng.call_at(10, lambda: epoch.setdefault('e', eng.pop_epoch))
-        eng.call_at(20, lambda: seen.append(
-            eng.max_prio_popped_since(epoch['e'])))
-        eng.run_until(30)
-        # The t=20 pop itself happened after the recorded epoch.
-        assert seen == [0]
-
-
-class TestElidedCounters:
-    def test_note_elided_accumulates(self):
-        eng = Engine()
-        total0 = Engine.total_events_elided
-        eng.note_elided(7, test_sync_hooks_run_after_each_run)
-        eng.note_elided(2, test_sync_hooks_run_after_each_run)
-        assert eng.events_elided == 9
-        assert Engine.total_events_elided - total0 == 9
-
 
 class TestProfiler:
     def test_off_by_default(self):
@@ -146,12 +50,11 @@ class TestProfiler:
 
             eng.call_at(5, cb)
             eng.call_at(6, cb).cancel()
-            eng.note_elided(3, cb)
             eng.run_until(10)
         finally:
             Engine.profiling = False
         name = cb.__qualname__
-        assert Engine.profile_data[name] == [1, 1, 3]
+        assert Engine.profile_data[name] == [1, 1]
         table = Engine.profile_table()
         assert "fired" in table and name in table
         Engine.profile_reset()
@@ -165,149 +68,17 @@ class TestProfiler:
 
         eng.call_at(5, cb)
         eng.call_at(6, cb).cancel()
-        eng.note_elided(1, cb)
         eng.run_until(10)
         assert Engine.profile_data == {}
 
     def test_table_order_is_insertion_independent(self):
-        # Registration order differs between elided and eager runs, so a
-        # fired-count tie must break by name, not by insertion order.
+        # A fired-count tie must break by name, not by insertion order.
         Engine.profile_reset()
-        Engine.profile_data = {"b": [5, 0, 0], "a": [5, 0, 0], "c": [7, 0, 0]}
+        Engine.profile_data = {"b": [5, 0], "a": [5, 0], "c": [7, 0]}
         t1 = Engine.profile_table()
-        Engine.profile_data = {"c": [7, 0, 0], "a": [5, 0, 0], "b": [5, 0, 0]}
+        Engine.profile_data = {"c": [7, 0], "a": [5, 0], "b": [5, 0]}
         t2 = Engine.profile_table()
         Engine.profile_reset()
         assert t1 == t2
         names = [line.split()[0] for line in t1.splitlines()[1:]]
         assert names == ["c", "a", "b"]
-
-
-def test_sync_hooks_run_after_each_run():
-    eng = Engine()
-    calls = []
-    eng.add_sync_hook(lambda: calls.append(eng.now))
-    eng.run_until(100)
-    assert calls == [100]
-    eng.call_at(150, lambda: None)
-    eng.run(max_events=1)
-    assert calls == [100, 150]
-
-
-# ----------------------------------------------------------------------
-# Guest tickless fast-forward (micro-level)
-# ----------------------------------------------------------------------
-def _spin_vm(monkeypatch, tickless: bool):
-    """One pinned vCPU spinning alone for 1 s; returns run stats."""
-    monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1" if tickless else "0")
-    env = build_plain_vm(2)
-
-    def body(api):
-        while True:
-            yield api.run(10 * MSEC)
-
-    task = env.kernel.spawn(body, name="spin", cpu=0)
-    env.engine.run_until(1 * SEC)
-    return (env.engine.events_fired, env.engine.events_elided,
-            task.stats.work_done, env.kernel.stats.ticks,
-            env.kernel.cpus[0].last_tick_time)
-
-
-def test_lone_spinner_elides_ticks_without_changing_accounting(monkeypatch):
-    fired_on, elided_on, work_on, ticks_on, ltt_on = \
-        _spin_vm(monkeypatch, True)
-    fired_off, elided_off, work_off, ticks_off, ltt_off = \
-        _spin_vm(monkeypatch, False)
-    # A lone runnable task takes its ticks arithmetically: same work,
-    # same tick count, same heartbeat stamp — far fewer heap events.
-    assert work_on == work_off
-    assert ticks_on == ticks_off
-    assert ltt_on == ltt_off
-    assert elided_off == 0
-    assert elided_on > 0
-    assert fired_on + elided_on >= fired_off
-    assert fired_on < fired_off
-
-
-def test_host_balance_quiescent_vm_takes_no_balance_ticks(monkeypatch):
-    # An unpinned, fully idle machine: the eager chain fires every
-    # interval forever; the elided chain arms nothing.
-    from repro.hw.topology import HostTopology
-    from repro.hypervisor.machine import Machine
-
-    def build(tickless):
-        monkeypatch.setenv("VSCHED_REPRO_TICKLESS",
-                           "1" if tickless else "0")
-        eng = Engine()
-        machine = Machine(eng, HostTopology(1, 2, smt=1))
-        machine.add_host_task("t", pinned=None, start=False)
-        eng.run_until(1 * SEC)
-        return eng.events_fired
-
-    assert build(True) == 0
-    assert build(False) > 100
-
-
-# ----------------------------------------------------------------------
-# A/B byte-identity on real experiments
-# ----------------------------------------------------------------------
-def _table_bytes(table):
-    return repr(table.columns) + "\n".join(repr(r) for r in table.rows)
-
-
-@pytest.mark.parametrize("exp_id", ["fig2", "fig4", "fig11"])
-def test_experiment_tables_byte_identical_with_elision(exp_id, monkeypatch):
-    monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1")
-    elided0 = Engine.total_events_elided
-    fired0 = Engine.total_events_fired
-    on = _table_bytes(run_experiment(exp_id, fast=True))
-    elided = Engine.total_events_elided - elided0
-    fired_on = Engine.total_events_fired - fired0
-
-    monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "0")
-    fired0 = Engine.total_events_fired
-    off = _table_bytes(run_experiment(exp_id, fast=True))
-    fired_off = Engine.total_events_fired - fired0
-
-    assert on == off, f"{exp_id}: table diverged under elision"
-    assert elided > 0
-    assert fired_on < fired_off
-
-
-# ----------------------------------------------------------------------
-# Mid-run observers must materialize elided state before baselining
-# ----------------------------------------------------------------------
-def test_vcap_window_baselines_identical_with_elision(monkeypatch):
-    """vcap's staggered spawn_one baselines steal/preempt from a mid-run
-    callback, where no engine sync hook has intervened; it must
-    _catch_up() first so elided runs capture exactly the baselines eager
-    runs do."""
-    from repro.cluster import attach_scheduler
-    from repro.probers.vcap import VCap
-
-    orig = VCap._end_window
-
-    def run(tickless):
-        monkeypatch.setenv("VSCHED_REPRO_TICKLESS", "1" if tickless else "0")
-        env = build_plain_vm(2)
-        env.machine.add_host_task("tenant", pinned=(0,))
-        attach_scheduler(env, "enhanced",
-                         overrides={"enable_vtop": False,
-                                    "enable_rwc": False})
-        log = []
-
-        def spy(self, win):
-            log.append((win.heavy, sorted(win.steal_before.items()),
-                        sorted(win.preempt_before.items()),
-                        sorted(win.graze_before.items()),
-                        sorted(win.spawn_time.items())))
-            return orig(self, win)
-
-        monkeypatch.setattr(VCap, "_end_window", spy)
-        env.engine.run_until(5 * SEC)
-        return log
-
-    on = run(True)
-    off = run(False)
-    assert len(on) >= 5
-    assert on == off

@@ -76,17 +76,6 @@ class TestDeterminismRules:
         assert got == {"wall-clock": 2}
 
 
-class TestElisionRules:
-    def test_bad_elision_fixture(self):
-        findings = lint_fixture("guest/bad_elision.py")
-        assert rules_of(findings) == {"elision-sync": 2}
-        assert {f.symbol for f in findings} == {
-            "Sampler.read_stale", "Sampler.write_stale"}
-
-    def test_clean_elision_fixture(self):
-        assert lint_fixture("guest/clean_elision.py") == []
-
-
 class TestSnapshotRules:
     def test_bad_snapshot_fixture(self):
         got = rules_of(lint_fixture("sim/bad_snapshot.py"))

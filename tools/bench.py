@@ -59,7 +59,7 @@ from repro.experiments.supervisor import SupervisorStats
 from repro.sim.engine import Engine, snapshot_default
 
 #: Counter keys copied into per-scenario/per-experiment "engine" dicts
-#: (fired/elided are already first-class report fields).
+#: (fired is already a first-class report field).
 _COUNTER_KEYS = ("pushes", "cancels", "dead_drops")
 
 #: Snapshot-store keys (deltas ride the same counters channel as the
@@ -92,7 +92,6 @@ def bench_one(exp_id: str, fast: bool, check: bool, cache=None,
               fingerprint=None) -> dict:
     """Time one experiment unit-by-unit; returns the report row."""
     events0 = Engine.total_events_fired
-    elided0 = Engine.total_events_elided
     counters0 = Engine.counters()
     snap_before = snapshot_counters()
     started = time.perf_counter()
@@ -110,7 +109,6 @@ def bench_one(exp_id: str, fast: bool, check: bool, cache=None,
                 cached, value = cache.lookup(key)
             u_started = time.perf_counter()
             u_events0 = Engine.total_events_fired
-            u_elided0 = Engine.total_events_elided
             u_counters0 = Engine.counters()
             u_snap0 = snapshot_counters()
             if cached:
@@ -127,7 +125,6 @@ def bench_one(exp_id: str, fast: bool, check: bool, cache=None,
                 "label": unit.label,
                 "wall_s": round(time.perf_counter() - u_started, 3),
                 "events_fired": Engine.total_events_fired - u_events0,
-                "events_elided": Engine.total_events_elided - u_elided0,
                 "engine": _counter_delta(u_counters0),
                 "snapshot": _snap_block(_snap_delta(u_snap0)),
                 "cached": cached,
@@ -139,12 +136,10 @@ def bench_one(exp_id: str, fast: bool, check: bool, cache=None,
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - started
     events = Engine.total_events_fired - events0
-    elided = Engine.total_events_elided - elided0
     row = {
         "exp_id": exp_id,
         "wall_s": round(wall, 3),
         "events_fired": events,
-        "events_elided": elided,
         "events_per_sec": round(events / wall) if wall > 0 else 0,
         "engine": _counter_delta(counters0),
         "snapshot": _snap_block(_snap_delta(snap_before)),
@@ -176,7 +171,6 @@ def bench_campaign(ids, fast: bool, check: bool, jobs: int,
             "exp_id": res.exp_id,
             "wall_s": round(res.wall_s, 3),
             "events_fired": res.events_fired,
-            "events_elided": res.events_elided,
             "events_per_sec": round(res.events_fired / res.wall_s)
             if res.wall_s > 0 else 0,
             "engine": {k: res.counters.get(k, 0) for k in _COUNTER_KEYS},
@@ -193,8 +187,8 @@ def bench_campaign(ids, fast: bool, check: bool, jobs: int,
 
 def profile_experiment(exp_id: str, fast: bool) -> int:
     """cProfile one experiment; print the top 20 by cumulative time and
-    the engine's per-callback attribution table (fired/cancelled/elided
-    per callsite — where the event budget actually goes)."""
+    the engine's per-callback attribution table (fired/cancelled per
+    callsite — where the event budget actually goes)."""
     import cProfile
     import pstats
 
@@ -268,7 +262,6 @@ def main(argv=None) -> int:
                           f"{res['cache']['misses']}m")
         print(f"{res['exp_id']:8s} {res['wall_s']:8.2f}s "
               f"{res['events_fired']:>12,d} ev "
-              f"{res.get('events_elided', 0):>11,d} el "
               f"{res['events_per_sec']:>10,d} ev/s{cache_note}  "
               f"[{status}]", flush=True)
     sup_stats = parallel.last_campaign_stats()
@@ -280,9 +273,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "total_wall_s": round(sum(r["wall_s"] for r in primary), 3),
         "total_events_fired": sum(r["events_fired"] for r in primary),
-        "total_events_elided": sum(r.get("events_elided", 0)
-                                   for r in primary),
-        "tickless": os.environ.get("VSCHED_REPRO_TICKLESS", "1") != "0",
         "snapshot_forking": snapshot_default(),
         "snapshot": {
             "hits": sum(r["snapshot"]["hits"] for r in primary),
@@ -352,8 +342,7 @@ def main(argv=None) -> int:
                  if snap["hits"] or snap["misses"] or snap["cold_builds"]
                  else "")
     print(f"wrote {out}: {report['total_wall_s']:.1f}s total, "
-          f"{report['total_events_fired']:,d} events fired, "
-          f"{report['total_events_elided']:,d} elided"
+          f"{report['total_events_fired']:,d} events fired"
           + snap_note
           + (f", cache {cache.hits}h/{cache.misses}m" if cache else ""))
 

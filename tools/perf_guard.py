@@ -5,9 +5,9 @@ Runs a small pinned set of fast experiments and compares their
 ``events_fired`` against the checked-in baseline
 (``tools/perf_baseline.json``).  The simulator is deterministic — fired
 counts are exact and platform-independent — so a count above baseline
-means a real regression in the engine or in timer elision, not noise.
-The tolerance absorbs small intentional drifts; bigger deliberate changes
-should refresh the baseline with ``--write`` in the same commit.
+means a real regression in the engine or the simulated kernels, not
+noise.  The tolerance absorbs small intentional drifts; bigger deliberate
+changes should refresh the baseline with ``--write`` in the same commit.
 
 One prefix-migrated experiment (``SNAP_PINNED``) is additionally
 measured with warm-start forking on *and* off (INTERNALS §15).  Both
@@ -57,10 +57,8 @@ def measure(exp_id: str, snapshot: bool = True) -> dict:
     os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
     try:
         fired0 = Engine.total_events_fired
-        elided0 = Engine.total_events_elided
         run_experiment(exp_id, fast=True)
-        return {"events_fired": Engine.total_events_fired - fired0,
-                "events_elided": Engine.total_events_elided - elided0}
+        return {"events_fired": Engine.total_events_fired - fired0}
     finally:
         if saved_snap is None:
             os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)
@@ -111,8 +109,7 @@ def main(argv=None) -> int:
         baseline = json.load(fh)
     tolerance = baseline.get("tolerance_pct", TOLERANCE_PCT)
 
-    def judge(exp_id: str, label: str, fired: int, base: int,
-              elided: int) -> None:
+    def judge(exp_id: str, label: str, fired: int, base: int) -> None:
         delta = 100.0 * (fired - base) / base
         verdict = "ok"
         if delta > tolerance:
@@ -121,20 +118,17 @@ def main(argv=None) -> int:
         elif delta < -tolerance:
             verdict = "improved (consider --write)"
         print(f"{exp_id:8s} {label:5s} fired={fired:>12,d} "
-              f"baseline={base:>12,d} {delta:+6.2f}%  "
-              f"elided={elided:>11,d} [{verdict}]")
+              f"baseline={base:>12,d} {delta:+6.2f}%  [{verdict}]")
 
     for exp_id, row in measured.items():
         base = baseline["experiments"][exp_id]["events_fired"]
-        judge(exp_id, "fired", row["events_fired"], base,
-              row["events_elided"])
+        judge(exp_id, "fired", row["events_fired"], base)
     for exp_id, per_mode in snap_measured.items():
         for mode in SNAP_MODES:
             row = per_mode[mode]
             base = baseline["snapshot_experiments"][exp_id][mode][
                 "events_fired"]
-            judge(exp_id, mode, row["events_fired"], base,
-                  row["events_elided"])
+            judge(exp_id, mode, row["events_fired"], base)
     if failures:
         print(f"event budget regressed: {failures}")
         return 1

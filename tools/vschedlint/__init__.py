@@ -14,9 +14,6 @@ see being *almost* violated:
   cache, and the chaos drills all assume byte-identical replays.  A single
   wall-clock read, unseeded RNG draw, object-identity sort key, or
   unordered ``set`` iteration feeding the event heap breaks that quietly.
-* **Tickless catch-up discipline** — tick elision (INTERNALS §11) is only
-  sound if every reader or mutator of tick-replayed state calls
-  ``_catch_up()`` (or a registered sync hook) first.
 * **Snapshot safety** — a callable registered into the simulated world
   (``Engine.call_at``, listener lists) must survive ``copy.deepcopy`` or
   a warm-start fork aliases the original world (VSL4xx, the static twin

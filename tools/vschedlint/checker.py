@@ -1,7 +1,7 @@
 """Module discovery, the per-file rule pipeline, and the whole-program pass.
 
 The run has two stages.  Stage one is per-file: parse, run the AST rules
-(VSL1xx–3xx, policy-gated per tree), scan suppressions, and distill the
+(VSL1xx–2xx, policy-gated per tree), scan suppressions, and distill the
 file into a cacheable :class:`~vschedlint.index.FileRecord`; a file whose
 SHA-256 matches the on-disk index cache skips all of that.  Stage two is
 whole-program: a :class:`~vschedlint.index.ProjectIndex` over all records
@@ -18,8 +18,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from vschedlint import (cachekeys, config, determinism, elision, index,
-                        layering, leakage, snapshot_safety)
+from vschedlint import (cachekeys, config, determinism, index, layering,
+                        leakage, snapshot_safety)
 from vschedlint.callgraph import CallGraph
 from vschedlint.findings import Finding, finalize_fingerprints
 from vschedlint.index import FileRecord, IndexCache, ProjectIndex
@@ -132,7 +132,7 @@ def discover(paths: Iterable[str]) -> List[Tuple[Path, str]]:
 
 
 def _per_file_rules(module: Module) -> List[Finding]:
-    """The policy-gated single-file rules (VSL1xx–3xx)."""
+    """The policy-gated single-file rules (VSL1xx–2xx)."""
     policy = config.TREE_POLICIES[module.tree_kind]
     families = policy["families"]
     findings: List[Finding] = []
@@ -142,8 +142,6 @@ def _per_file_rules(module: Module) -> List[Finding]:
     if "determinism" in families:
         determinism.check_clocks_and_rng(module, findings)
         determinism.check_unordered_iteration(module, findings)
-    if "elision" in families:
-        elision.check_elision_sync(module, findings)
     return findings
 
 

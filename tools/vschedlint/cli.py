@@ -56,9 +56,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vschedlint",
         description="Static invariant checker for the vSched reproduction: "
-                    "layering/guest isolation, determinism, tickless "
-                    "catch-up discipline, snapshot safety, cache-key "
-                    "soundness, and cross-unit state leakage.")
+                    "layering/guest isolation, determinism, snapshot "
+                    "safety, cache-key soundness, and cross-unit state "
+                    "leakage.")
     parser.add_argument("paths", nargs="*", default=DEFAULT_PATHS,
                         help="files or directories to lint "
                              "(default: src/repro)")

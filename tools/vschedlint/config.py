@@ -1,5 +1,5 @@
-"""Declarative configuration: the layer graph, the guest-visible ABI, and
-the elision registry.
+"""Declarative configuration: the layer graph, the guest-visible ABI, the
+per-tree rule policies and the blessing registries.
 
 Everything the checker enforces is data in this module, so the contracts
 stay reviewable in one place.  Changing a boundary is a one-line diff here
@@ -124,60 +124,6 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset({
 })
 
 # ---------------------------------------------------------------------------
-# Elision registry
-# ---------------------------------------------------------------------------
-#: Fields whose value is maintained by (possibly elided) ticks and
-#: materialized by GuestCpu._catch_up / the engine sync hook.  Any function
-#: in src/repro that reads or writes one of these must call a sync method
-#: first (textually earlier in its body).
-ELISION_FIELDS = frozenset({
-    # GuestCpu tick/segment state (guest/cpu.py)
-    "_tick_due", "_seg_update", "last_tick_time",
-    # vact kernel-side instrumentation, stamped by tick_accounting
-    "last_heartbeat", "tick_steal_last", "preempt_count", "active_since_est",
-    "steal_graze_count",
-    # default-CFS capacity estimate, decayed per tick
-    "cfs_capacity", "steal_frac_avg", "_cap_touch",
-    # Machine elided-timer state (hypervisor/machine.py)
-    "_balance_next", "_core_ramp_goal",
-})
-
-#: Calls that count as "the state is materialized from here on".
-ELISION_SYNC_CALLS = frozenset({
-    "_catch_up",            # per-CPU replay (GuestCpu)
-    "sync_ticks",           # kernel-wide replay (GuestKernel, engine hook)
-    "_note_host_waiting",   # host balance-grid re-arm (Machine)
-    "materialize",          # engine-wide replay via the registered sync
-                            # hooks — Engine.snapshot()/WorldSnapshot call
-                            # it before freezing, so state read after a
-                            # freeze point is fully materialized (§15)
-})
-
-#: Functions allowed to touch registered fields without syncing, because
-#: they *are* the elision machinery (replay primitives, timer callbacks
-#: that own the state) or constructors.  Qualnames, matched per module.
-ELISION_EXEMPT = {
-    "repro.guest.cpu": {
-        "GuestCpu._catch_up",      # the replay loop itself
-        "GuestCpu._integrate",     # replay primitive, called per elided tick
-    },
-    "repro.guest.kernel": {
-        "GuestKernel.tick_accounting",          # the replayed arithmetic
-        "GuestKernel._update_default_capacity",  # called only from it
-    },
-    "repro.hypervisor.machine": {
-        "Machine._start_host_balance",  # grid origin setup
-        "Machine._note_host_waiting",   # the sync hook itself
-        "Machine._host_balance",        # the timer body; advances the grid
-        "Machine._update_dvfs",         # owns the logical-due goal
-        "Machine._dvfs_fire",           # timer body chasing the due
-    },
-}
-
-#: ``__init__`` initializes registered fields everywhere.
-ELISION_EXEMPT_EVERYWHERE = frozenset({"__init__"})
-
-# ---------------------------------------------------------------------------
 # Trees and per-tree rule policy
 # ---------------------------------------------------------------------------
 # vschedlint lints three trees with different contracts.  ``src/repro`` is
@@ -187,12 +133,11 @@ ELISION_EXEMPT_EVERYWHERE = frozenset({"__init__"})
 # read clocks and poke internals (white-box tests are the point), but
 # unseeded randomness would make failures unreproducible.
 #
-# Families: "layering", "determinism", "elision", "snapshot", "cachekeys",
-# "leakage".  Flags soften individual determinism rules per tree.
+# Families: "layering", "determinism", "snapshot", "cachekeys", "leakage".  Flags soften individual determinism rules per tree.
 TREE_POLICIES = {
     "repro": {
-        "families": frozenset({"layering", "determinism", "elision",
-                               "snapshot", "cachekeys", "leakage"}),
+        "families": frozenset({"layering", "determinism", "snapshot",
+                               "cachekeys", "leakage"}),
         "allow_wallclock": False,
         "allow_identity": False,
     },
@@ -232,7 +177,6 @@ EXCLUDED_DIR_COMPONENTS = frozenset({"__pycache__", "fixtures"})
 REGISTRATION_CALLS = {
     "call_at": 1,        # Engine.call_at(time, callback, *args)
     "call_in": 1,        # Engine.call_in(delay, callback, *args)
-    "add_sync_hook": 0,  # Engine.add_sync_hook(hook)
 }
 
 #: Attributes that hold listener lists on world objects;
@@ -285,15 +229,11 @@ FINGERPRINTED_THIRD_PARTY = frozenset({"numpy", "np"})
 #: different results*.
 HIDDEN_INPUT_BLESSED = {
     "repro.sim.engine": {
-        # The two process-mode knobs.  They change how results are
-        # *computed*, never what they are: the A/B identity CI jobs prove
-        # byte-identical tables across tickless x snapshot, and the
-        # snapshot store folds the elision mode into its prefix keys
-        # anyway (prefix_store_key).
-        "elision_default": "mode knob; byte-identity across settings is "
-                           "CI-enforced and snapstore keys fold it in",
+        # The process-mode knob changes how results are *computed*, never
+        # what they are: the snapshot-identity CI job proves
+        # byte-identical tables with forking on and off.
         "snapshot_default": "mode knob; fork-vs-cold byte-identity is "
-                            "CI-enforced (abdiff --snapshot-modes)",
+                            "CI-enforced (tools/abdiff.py)",
     },
     "repro.experiments.cache": {
         # The fingerprint is the cache key's code input itself; reading
@@ -325,8 +265,8 @@ PROCESS_STATE_BLESSED = {
     "repro.experiments.snapstore": {
         "_process_store": "the intentional per-process snapshot store; "
                           "entries are content-addressed by code "
-                          "fingerprint + prefix + mode, and abdiff "
-                          "--snapshot-modes proves fork==cold",
+                          "fingerprint + prefix + mode, and "
+                          "tools/abdiff.py proves fork==cold",
     },
     "repro.experiments.cache": {
         "_fingerprint_memo": "memo of a pure function of the source tree; "
@@ -356,7 +296,6 @@ PROCESS_STATE_BLESSED = {
     "repro.sim.engine": {
         "Engine.total_events_fired": "process-wide telemetry; units "
                                      "report deltas, results never read it",
-        "Engine.total_events_elided": "process-wide telemetry (deltas)",
         "Engine.total_pushes": "process-wide telemetry (deltas)",
         "Engine.total_cancels": "process-wide telemetry (deltas)",
         "Engine.total_dead_drops": "process-wide telemetry (deltas)",

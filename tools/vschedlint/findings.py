@@ -28,9 +28,6 @@ RULES: Dict[str, tuple] = {
     "unordered-iter": ("VSL204", "determinism",
                        "iteration over an unordered collection without an "
                        "explicit ordering"),
-    # elision
-    "elision-sync": ("VSL301", "elision",
-                     "tick-replayed field touched before _catch_up/sync"),
     # snapshot safety (whole-program)
     "snapshot-closure": ("VSL401", "snapshot",
                          "closure registered where a world freeze would "

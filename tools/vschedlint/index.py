@@ -1,6 +1,6 @@
 """The project index: one whole-program view built once per run.
 
-Per-file rules (VSL1xx–3xx) see one AST at a time; the snapshot-safety,
+Per-file rules (VSL1xx–2xx) see one AST at a time; the snapshot-safety,
 cache-key, and leakage families (VSL4xx–6xx) need to know what the *rest*
 of the tree does — where a callable handed to ``Engine.call_at`` is
 defined, which modules an experiment transitively imports, which functions

@@ -17,7 +17,7 @@ classes ``repro.sim.snapshot.guard_world`` rejects at runtime:
 The runtime guard only fires when a world is actually frozen, i.e. after
 a scenario has been migrated to a snapshot prefix; these rules fire at
 *every* registration site in ``src/repro`` (``Engine.call_at/call_in``,
-``add_sync_hook``, ``activity_listeners.append``), because any scenario
+``activity_listeners.append``), because any scenario
 is a candidate for migration and a violation discovered then is a
 mid-campaign crash.  Cross-module resolution goes through the project
 index; callables the index cannot resolve (parameters, values out of
