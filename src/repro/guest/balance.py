@@ -45,8 +45,8 @@ class LoadBalancer:
     # Entry points
     # ------------------------------------------------------------------
     def periodic(self, cpu, now: int) -> None:
-        if now < cpu.next_balance:
-            return
+        """The tick's balance pass; the tick calls it once ``now`` reaches
+        ``cpu.next_balance``."""
         cpu.next_balance = now + self.kernel.config.balance_interval_ns
         self._balance_domains(cpu, now, idle=cpu.current is None)
         self._nohz_idle_balance(now)
@@ -63,7 +63,8 @@ class LoadBalancer:
         for _ in range(n):
             self._nohz_cursor = (self._nohz_cursor + 1) % n
             cand = cpus[self._nohz_cursor]
-            if (cand.current is None and cand.rq.nr_running() == 0
+            rq = cand.rq
+            if (cand.current is None and not rq.normal and not rq.idle_band
                     and not cand._in_sched and now >= cand.next_balance):
                 cand.next_balance = now + self.kernel.config.balance_interval_ns
                 self._balance_domains(cand, now, idle=True)
@@ -95,10 +96,11 @@ class LoadBalancer:
             if c == my_index:
                 continue
             other = cpus[c]
-            nr = other.rq.nr_running()
+            rq = other.rq
+            nr = len(rq.normal) + len(rq.idle_band)
             if nr == 0:
                 continue
-            key = (nr, other.rq.load())
+            key = (nr, rq.load())
             if busiest is None or key > busiest_key:
                 busiest = other
                 busiest_key = key
@@ -208,7 +210,7 @@ class LoadBalancer:
                 continue
             other = kernel.cpus[c]
             task = other.current
-            if (task is None or other.rq.nr_running() > 0
+            if (task is None or other.rq.normal or other.rq.idle_band
                     or task.is_idle_policy or other._in_sched
                     or not task.may_run_on(cpu.index)):
                 continue

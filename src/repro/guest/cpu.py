@@ -131,10 +131,6 @@ class GuestCpu:
         self.rate = rate
         self._arm_segment()
 
-    @property
-    def host_active(self) -> bool:
-        return self.vcpu.active
-
     # ------------------------------------------------------------------
     # Work integration
     # ------------------------------------------------------------------
@@ -203,17 +199,22 @@ class GuestCpu:
             task.state = TaskState.RUNNING
             self._seg_update = now
             self._arm_segment()
-            self._post_advance_preempt_check(task)
+            if self.rq.normal:
+                self._post_advance_preempt_check(task)
         else:
             self.current = None
             self._dispatch()
 
     def _post_advance_preempt_check(self, task: Task) -> None:
-        """Handle wake-ups that arrived while the interpreter ran."""
+        """Handle wake-ups that arrived while the interpreter ran.
+
+        Only a queued normal task can preempt, so callers skip the check
+        while ``rq.normal`` is empty.
+        """
         if task is not self.current:
             return
         rq = self.rq
-        if task.is_idle_policy and rq.has_queued_normal():
+        if task.is_idle_policy and rq.normal:
             self.resched()
             return
         gran = self.kernel.config.wakeup_granularity_ns
@@ -323,7 +324,7 @@ class GuestCpu:
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         self._tick_event = None
-        if not self.host_active:
+        if not self.vcpu.active:
             # Fired while the vCPU was preempted (the event is kept across
             # preemptions for reuse): the tick stays due and is delivered
             # on resume.
@@ -341,10 +342,11 @@ class GuestCpu:
         task = self.current
         if task is None:
             return
-        if task.is_idle_policy and self.rq.has_queued_normal():
+        rq = self.rq
+        if task.is_idle_policy and rq.normal:
             self.resched()
             return
-        nr = self.rq.nr_running() + 1
+        nr = len(rq.normal) + len(rq.idle_band) + 1
         if nr <= 1:
             return
         if task.slice_ran >= self.kernel.config.slice_for(nr):

@@ -229,7 +229,7 @@ class GuestKernel:
         """
         now = self.engine.now
         # Charge any pending communication stall against the next Run.
-        if getattr(task, "pending_stall_from", None) is not None:
+        if task.pending_stall_from is not None:
             self._charge_stall(task, task.pending_stall_from)
             task.pending_stall_from = None
 
@@ -536,7 +536,8 @@ class GuestKernel:
             # from "was shaved every tick by sub-threshold slices".
             cpu.steal_graze_count += 1
         self._update_default_capacity(cpu, now, jump)
-        self.balancer.periodic(cpu, now)
+        if now >= cpu.next_balance:
+            self.balancer.periodic(cpu, now)
         if self.tick_hook is not None:
             self.tick_hook(cpu, now)
 

@@ -26,20 +26,13 @@ PELT_MAX_SUM = PELT_PERIOD_NS / (1.0 - PELT_Y)
 #: Full-scale utilization.
 UTIL_SCALE = 1024
 
-#: Memoized decay factors keyed by period count.  Tick-driven updates
-#: arrive at a handful of recurring intervals (the 1 ms tick dominates),
-#: and ``pow`` is the hot instruction of the signal — reusing the identical float result is both
-#: faster and bit-identical by construction.
+#: Memoized decay factors ``PELT_Y ** (delta / PELT_PERIOD_NS)`` keyed by
+#: the integer ns delta.  Tick-driven updates arrive at a handful of
+#: recurring intervals (the 1 ms tick dominates), and ``pow`` is the hot
+#: instruction of the signal.  Dividing by 2**20 is exact, so the key maps
+#: one-to-one onto the period count and a memo hit returns the identical
+#: float: faster and bit-identical by construction.  Cleared at 256 entries.
 _DECAY_CACHE: dict = {}
-
-
-def _decay(periods: float) -> float:
-    d = _DECAY_CACHE.get(periods)
-    if d is None:
-        if len(_DECAY_CACHE) >= 256:
-            _DECAY_CACHE.clear()
-        d = _DECAY_CACHE[periods] = PELT_Y ** periods
-    return d
 
 
 class Pelt:
@@ -63,7 +56,11 @@ class Pelt:
         if delta <= 0:
             return self.util_avg
         self.last_update = now
-        decay = _decay(delta / PELT_PERIOD_NS)
+        decay = _DECAY_CACHE.get(delta)
+        if decay is None:
+            if len(_DECAY_CACHE) >= 256:
+                _DECAY_CACHE.clear()
+            decay = _DECAY_CACHE[delta] = PELT_Y ** (delta / PELT_PERIOD_NS)
         if running:
             # Integral of contribution over the interval with continuous
             # decay: new = old*decay + (1 - decay) * MAX_SUM.
@@ -78,7 +75,11 @@ class Pelt:
         delta = now - self.last_update
         if delta <= 0:
             return self.util_avg
-        decay = _decay(delta / PELT_PERIOD_NS)
+        decay = _DECAY_CACHE.get(delta)
+        if decay is None:
+            if len(_DECAY_CACHE) >= 256:
+                _DECAY_CACHE.clear()
+            decay = _DECAY_CACHE[delta] = PELT_Y ** (delta / PELT_PERIOD_NS)
         s = self._sum * decay
         if running:
             s += (1.0 - decay) * PELT_MAX_SUM

@@ -106,22 +106,25 @@ class CfsRunqueue:
         return [t for t in self.normal if t.may_run_on(for_cpu_index)]
 
     def charge_vruntime(self, task: Task, wall_delta: int) -> None:
-        task.vruntime += wall_delta * GUEST_NICE0_WEIGHT // task.weight
-        self.update_min_vruntime()
+        """Charge ``wall_delta`` to ``task`` and advance ``min_vruntime``.
 
-    def update_min_vruntime(self) -> None:
-        """CFS rule: min_vruntime tracks min(curr, leftmost), monotonic.
-
-        Without this a long-running task leaves min_vruntime stale and a
+        CFS rule: min_vruntime tracks min(curr, leftmost), monotonic.
+        Without it a long-running task leaves min_vruntime stale and a
         waking task gets an unbounded vruntime credit.
         """
-        floor = None
+        task.vruntime += wall_delta * GUEST_NICE0_WEIGHT // task.weight
         cur = self.cpu.current
-        if cur is not None:
-            floor = cur.vruntime
         band = self.normal or self.idle_band
         if band:
-            w = min(t.vruntime for t in band)
-            floor = w if floor is None else min(floor, w)
-        if floor is not None and floor > self.min_vruntime:
+            floor = band[0].vruntime
+            for t in band:
+                if t.vruntime < floor:
+                    floor = t.vruntime
+            if cur is not None and cur.vruntime < floor:
+                floor = cur.vruntime
+        elif cur is not None:
+            floor = cur.vruntime
+        else:
+            return
+        if floor > self.min_vruntime:
             self.min_vruntime = floor

@@ -219,8 +219,11 @@ class Task:
         Task._next_tid[0] += 1
         self.name = name
         self.policy = policy
+        #: ``policy`` is fixed at spawn, so its class test is a plain
+        #: attribute read on the per-event paths.
+        self.is_idle_policy = policy == Policy.IDLE
         if weight is None:
-            weight = SCHED_IDLE_WEIGHT if policy == Policy.IDLE else GUEST_NICE0_WEIGHT
+            weight = SCHED_IDLE_WEIGHT if self.is_idle_policy else GUEST_NICE0_WEIGHT
         self.weight = weight
         self.group = group
         self.allowed = frozenset(allowed) if allowed is not None else None
@@ -262,10 +265,6 @@ class Task:
         self.stats = TaskStats()
 
     # ------------------------------------------------------------------
-    @property
-    def is_idle_policy(self) -> bool:
-        return self.policy == Policy.IDLE
-
     def effective_allowed(self) -> Optional[frozenset]:
         """Intersection of the task's own and its cgroup's CPU masks."""
         masks = []
@@ -281,8 +280,13 @@ class Task:
         return result
 
     def may_run_on(self, cpu_index: int) -> bool:
-        eff = self.effective_allowed()
-        return eff is None or cpu_index in eff
+        """``cpu_index`` is in :meth:`effective_allowed` (None: any CPU)."""
+        allowed = self.allowed
+        if allowed is not None and cpu_index not in allowed:
+            return False
+        group = self.group
+        return (group is None or group.allowed is None
+                or cpu_index in group.allowed)
 
     def util(self, now: int) -> float:
         """Current PELT utilization (peek; no state mutation)."""
@@ -403,7 +407,7 @@ class TaskApi:
     # --- introspection ---------------------------------------------------
     def now(self) -> int:
         """Guest sched_clock (wall nanoseconds)."""
-        return self._kernel.now()
+        return self._kernel.engine.now
 
     def cpu_index(self) -> int:
         """Index of the vCPU the task last ran on."""

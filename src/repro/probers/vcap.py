@@ -81,11 +81,12 @@ class _ProberBody(StatefulBody):
         self.chunk = base
 
     def send(self, value):
+        now = self.api.now()
         if self.end is None:
-            self.end = self.api.now() + self.window_ns
+            self.end = now + self.window_ns
         if self.win.stopped:
             raise StopIteration
-        remaining = self.end - self.api.now()
+        remaining = self.end - now
         if self.chunk <= remaining:
             step = self.chunk
         elif remaining > self.base:

@@ -11,8 +11,9 @@ may schedule more callbacks.  Higher layers (hypervisor, guest kernel) build
 their state machines on top of this primitive.
 
 Events live in a binary heap of ``(time, prio, seq, event)`` tuples, so
-ordering is decided by C-level integer comparisons instead of Python
-``__lt__`` calls.  Cancellation is lazy, but the engine counts
+ordering is decided by C-level integer comparisons.  ``seq`` is unique per
+engine, so no two keys tie and an :class:`Event` is never compared; it
+keeps only its ``time``.  Cancellation is lazy, but the engine counts
 cancelled-in-heap events and compacts when they dominate, so ``run_until``
 does not churn through millions of dead entries.  ``pending()`` is O(1),
 maintained on push/pop/cancel.
@@ -84,15 +85,11 @@ class Event:
     surfaces.
     """
 
-    __slots__ = ("time", "prio", "seq", "callback", "args", "cancelled",
-                 "_engine")
+    __slots__ = ("time", "callback", "args", "cancelled", "_engine")
 
-    def __init__(self, time: int, prio: int, seq: int,
-                 callback: Callable[..., None], args: tuple,
+    def __init__(self, time: int, callback: Callable[..., None], args: tuple,
                  engine: Optional["Engine"] = None):
         self.time = time
-        self.prio = prio
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -114,10 +111,6 @@ class Event:
     def active(self) -> bool:
         """True while the event is still pending and not cancelled."""
         return not self.cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        return ((self.time, self.prio, self.seq)
-                < (other.time, other.prio, other.seq))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -191,7 +184,7 @@ class Engine:
                 f"cannot schedule event at {time} before current time {self.now}"
             )
         self._seq = seq = self._seq + 1
-        ev = Event(time, prio, seq, callback, args, self)
+        ev = Event(time, callback, args, self)
         self._push((time, prio, seq, ev))
         Engine.total_pushes += 1
         return ev

@@ -1,11 +1,14 @@
 """Unit and property tests for PELT utilization tracking."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.guest.pelt import PELT_PERIOD_NS, PELT_Y, Pelt, UTIL_SCALE
+from repro.guest import pelt as pelt_mod
+from repro.guest.pelt import (PELT_MAX_SUM, PELT_PERIOD_NS, PELT_Y, Pelt,
+                              UTIL_SCALE)
 from repro.sim import MSEC, SEC
 
 
@@ -116,3 +119,55 @@ class TestPeltProperties:
         u = p.util_avg
         p.update(10 * MSEC - delta, True)  # time went backwards: ignore
         assert p.util_avg == u
+
+
+def _reference_step(total: float, delta: int, running: bool) -> float:
+    """One PELT charge written out from the reference decay formula."""
+    decay = PELT_Y ** (delta / PELT_PERIOD_NS)
+    if running:
+        return total * decay + (1.0 - decay) * PELT_MAX_SUM
+    return total * decay
+
+
+class TestDecayMemo:
+    """The memo keyed by integer ns delta returns the formula's exact
+    float: ``update``/``peek`` compare with ``==``, never ``approx``."""
+
+    def _replay(self, steps):
+        p = Pelt()
+        t = 0
+        total = 0.0
+        for delta, running in steps:
+            t += delta
+            peeked = p.peek(t, running)
+            p.update(t, running)
+            total = _reference_step(total, delta, running)
+            util = total / PELT_MAX_SUM * UTIL_SCALE
+            assert p._sum == total
+            assert p.util_avg == util
+            assert peeked == util
+
+    @given(st.lists(st.tuples(st.integers(1, 3 * PELT_PERIOD_NS),
+                              st.booleans()),
+                    min_size=1, max_size=100))
+    @settings(max_examples=100, deadline=None)
+    def test_update_and_peek_equal_reference_formula(self, steps):
+        self._replay(steps)
+
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_memo_clears_partway_and_stays_exact(self, seed, running):
+        deltas = random.Random(seed).sample(range(1, 10 * SEC), 300)
+        pelt_mod._DECAY_CACHE.clear()
+        self._replay([(d, running) for d in deltas])
+        # More distinct deltas than the memo holds: it cleared on the way.
+        assert len(pelt_mod._DECAY_CACHE) < len(deltas)
+
+    @given(st.integers(1, 10 * SEC))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_hit_returns_the_miss_value(self, delta):
+        pelt_mod._DECAY_CACHE.pop(delta, None)
+        a, b = Pelt(), Pelt()
+        a.update(delta, True)      # miss: computes and stores
+        b.update(delta, True)      # hit
+        assert a._sum == b._sum == _reference_step(0.0, delta, True)

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Perf guard: fail CI when the event budget regresses.
 
-Runs a small pinned set of fast experiments and compares their
-``events_fired`` against the checked-in baseline
-(``tools/perf_baseline.json``).  The simulator is deterministic — fired
-counts are exact and platform-independent — so a count above baseline
-means a real regression in the engine or the simulated kernels, not
-noise.  The tolerance absorbs small intentional drifts; bigger deliberate
-changes should refresh the baseline with ``--write`` in the same commit.
+Runs a small pinned set of fast experiments and compares their engine
+counters — ``events_fired``, ``pushes`` and ``cancels`` — against the
+checked-in baseline (``tools/perf_baseline.json``).  The simulator is
+deterministic — the counts are exact and platform-independent — so a
+count above baseline means a real regression in the engine or the
+simulated kernels, not noise.  Pushes and cancels are budgeted beside
+fired events because arm/cancel churn (say, a completion event that is
+re-armed at an unchanged instant instead of reused) leaves the fired
+count flat.  The tolerance absorbs small intentional drifts; bigger
+deliberate changes should refresh the baseline with ``--write`` in the
+same commit.
 
 One prefix-migrated experiment (``SNAP_PINNED``) is additionally
 measured with warm-start forking on *and* off (INTERNALS §15).  Both
-modes carry their own fired budget — the fork budget guards the prefix
+modes carry their own budgets — the fork budget guards the prefix
 sharing itself (a regression here means units stopped forking and went
 back to rebuilding), and ``fork < cold`` is asserted outright since the
 whole point of forking is to not re-fire shared-prefix events.
@@ -41,8 +45,12 @@ from repro.sim.engine import Engine
 
 BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "perf_baseline.json")
-#: Allowed events_fired growth over baseline before the guard fails.
+#: Allowed growth of any budgeted counter over baseline before the guard
+#: fails.
 TOLERANCE_PCT = 10.0
+#: Budgeted counters: baseline field -> ``Engine.counters()`` key.
+COUNTERS = {"events_fired": "fired", "pushes": "pushes",
+            "cancels": "cancels"}
 #: Pinned fast experiments: one host-churn-bound, one spin-bound.
 PINNED = ("fig2", "fig4")
 #: Prefix-migrated experiment measured under snapshot fork AND cold mode.
@@ -56,9 +64,11 @@ def measure(exp_id: str, snapshot: bool = True) -> dict:
     saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
     os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
     try:
-        fired0 = Engine.total_events_fired
+        before = Engine.counters()
         run_experiment(exp_id, fast=True)
-        return {"events_fired": Engine.total_events_fired - fired0}
+        after = Engine.counters()
+        return {field: after[key] - before[key]
+                for field, key in COUNTERS.items()}
     finally:
         if saved_snap is None:
             os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)
@@ -109,26 +119,26 @@ def main(argv=None) -> int:
         baseline = json.load(fh)
     tolerance = baseline.get("tolerance_pct", TOLERANCE_PCT)
 
-    def judge(exp_id: str, label: str, fired: int, base: int) -> None:
-        delta = 100.0 * (fired - base) / base
-        verdict = "ok"
-        if delta > tolerance:
-            verdict = f"REGRESSED (> +{tolerance:.0f}%)"
-            failures.append(f"{exp_id}:{label}")
-        elif delta < -tolerance:
-            verdict = "improved (consider --write)"
-        print(f"{exp_id:8s} {label:5s} fired={fired:>12,d} "
-              f"baseline={base:>12,d} {delta:+6.2f}%  [{verdict}]")
+    def judge(exp_id: str, label: str, row: dict, base_row: dict) -> None:
+        for field in COUNTERS:
+            value, base = row[field], base_row[field]
+            delta = 100.0 * (value - base) / base
+            verdict = "ok"
+            if delta > tolerance:
+                verdict = f"REGRESSED (> +{tolerance:.0f}%)"
+                failures.append(f"{exp_id}:{label}:{field}" if label
+                                else f"{exp_id}:{field}")
+            elif delta < -tolerance:
+                verdict = "improved (consider --write)"
+            print(f"{exp_id:8s} {label:5s} {field:>12s}={value:>12,d} "
+                  f"baseline={base:>12,d} {delta:+6.2f}%  [{verdict}]")
 
     for exp_id, row in measured.items():
-        base = baseline["experiments"][exp_id]["events_fired"]
-        judge(exp_id, "fired", row["events_fired"], base)
+        judge(exp_id, "", row, baseline["experiments"][exp_id])
     for exp_id, per_mode in snap_measured.items():
         for mode in SNAP_MODES:
-            row = per_mode[mode]
-            base = baseline["snapshot_experiments"][exp_id][mode][
-                "events_fired"]
-            judge(exp_id, mode, row["events_fired"], base)
+            judge(exp_id, mode, per_mode[mode],
+                  baseline["snapshot_experiments"][exp_id][mode])
     if failures:
         print(f"event budget regressed: {failures}")
         return 1
