@@ -7,22 +7,26 @@ Usage::
     vsched-repro run fig2,fig14 [--fast]
     vsched-repro run all [--fast] [--jobs N] [--cache] [--out results.txt]
 
-``--jobs N`` fans work out over N worker processes through the flat
-work-unit scheduler: every experiment decomposes into independent scenario
-units, one pool runs all units longest-first, and tables stream back in
-presentation order — so ``run all --jobs N`` parallelizes *inside* the
-heavy experiments, not just across them.  ``--cache`` layers the
-content-addressed result cache underneath: a rerun on an unchanged tree
-recomputes nothing.  Parallel and warm-cache runs render byte-identically
-to serial ones — see ``docs/INTERNALS.md`` §8–§9.
+Every run goes through the flat work-unit scheduler
+(:func:`repro.experiments.parallel.run_units`): every experiment
+decomposes into independent scenario units and tables stream back in
+presentation order.  Without ``--jobs`` the units run in-process;
+``--jobs N`` runs them over N worker processes, longest-first, so ``run
+all --jobs N`` parallelizes *inside* the heavy experiments, not just
+across them.  ``--cache`` layers the content-addressed result cache
+underneath: a rerun on an unchanged tree recomputes nothing.  Parallel
+and warm-cache runs render byte-identically to serial ones — see
+``docs/INTERNALS.md`` §8–§9.
 
-Campaigns are supervised (``docs/INTERNALS.md`` §10): ``--max-retries``
-bounds retries of transient unit failures (worker crash, deadline expiry,
-``TransientUnitError``), ``--unit-timeout`` overrides the derived per-unit
-deadline, and ``--keep-going`` streams every healthy table past failed
-units, prints a structured end-of-run failure report, and exits non-zero.
-Ctrl-C tears the pool down and reports how far the campaign got; cached
-results survive either way.
+Failure handling is the same at any worker count (``docs/INTERNALS.md``
+§10): a failed unit aborts the campaign with a report of the experiments
+that completed, and ``--keep-going`` instead streams every healthy table
+past failed units, prints a structured end-of-run failure report, and
+exits non-zero.  ``--max-retries`` bounds retries of transient unit
+failures (``TransientUnitError``; in pooled campaigns also worker crashes
+and deadline expiry), and ``--unit-timeout`` overrides a pooled unit's
+derived deadline.  Ctrl-C tears the pool down and reports how far the
+campaign got; cached results survive either way.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
 from repro.experiments import parallel, supervisor
@@ -41,25 +44,12 @@ from repro.experiments.cache import (
     cache_enabled_by_env,
     default_cache_dir,
 )
-from repro.experiments.common import (
-    EXPERIMENTS,
-    check_experiment,
-    run_experiment,
-)
+from repro.experiments.common import EXPERIMENTS
 
 #: Order in which `run all` executes (paper order).
 ALL_ORDER = ["fig2", "fig3", "fig4", "fig10a", "fig10b", "tab2", "fig11",
              "fig12", "fig13", "fig14", "tab3", "fig15", "tab4", "fig16",
              "fig17", "fig18", "fig19", "fig20", "fig21", "figA1"]
-
-
-def wallclock() -> float:
-    """Real host time, for progress lines only.
-
-    The single sanctioned wall-clock read in src/repro: nothing that feeds
-    a table, a cache key, or the simulation may depend on it.
-    """
-    return time.time()  # vschedlint: disable=wall-clock -- display-only elapsed-time stamps; never reaches results
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -145,8 +135,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the same mode; snapstore.execute_unit consults it per unit.
         os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if args.snapshot else "0"
 
-    supervised = (args.keep_going or args.max_retries is not None
-                  or args.unit_timeout is not None)
     out_fh = open(args.out, "a" if args.append else "w") if args.out else None
     failures: List[str] = []
     completed: List[str] = []
@@ -154,11 +142,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     interrupted: Optional[parallel.CampaignInterrupted] = None
     aborted: Optional[BaseException] = None
     try:
-        if jobs > 1 or cache is not None or supervised:
-            failures = _run_flat(ids, args, jobs, out_fh, cache,
-                                 completed, failed_units)
-        else:
-            failures = _run_serial(ids, args, jobs, out_fh)
+        failures = _run_flat(ids, args, jobs, out_fh, cache, completed,
+                             failed_units)
     except parallel.CampaignInterrupted as exc:
         interrupted = exc
     except KeyboardInterrupt:
@@ -205,34 +190,10 @@ def _print_failure_report(failed_units: List[parallel.UnitFailure]) -> None:
           flush=True)
 
 
-def _run_serial(ids: List[str], args, jobs: int, out_fh) -> List[str]:
-    """In-process loop; scenario sweeps may still fan out with --jobs."""
-    parallel.set_default_jobs(jobs)
-    failures = []
-    for exp_id in ids:
-        started = wallclock()
-        print(f"--- running {exp_id} "
-              f"({'fast' if args.fast else 'full'}) ---", flush=True)
-        table = run_experiment(exp_id, fast=args.fast)
-        rendered = table.render()
-        print(rendered, flush=True)
-        if out_fh:
-            out_fh.write(rendered + "\n\n")
-            out_fh.flush()
-        if not args.no_check:
-            try:
-                check_experiment(exp_id, table)
-                print(f"[shape check OK, {wallclock() - started:.0f}s]\n")
-            except AssertionError as exc:
-                failures.append(exp_id)
-                print(f"[SHAPE CHECK FAILED: {exc}]\n")
-    return failures
-
-
 def _run_flat(ids: List[str], args, jobs: int, out_fh, cache,
               completed: List[str],
               failed_units: List[parallel.UnitFailure]) -> List[str]:
-    """Supervised flat work-unit scheduler, streamed in paper order.
+    """Stream the flat work-unit scheduler's tables in paper order.
 
     Appends to ``completed``/``failed_units`` as results land so the
     caller can report progress even when the campaign aborts mid-stream.

@@ -1,24 +1,18 @@
 """Parallel experiment campaigns: the flat work-unit scheduler.
 
-PR 1 had two rigid fan-out layers — whole experiments across a pool, or one
-experiment's scenario sweep — so ``run all --jobs N`` collapsed to the wall
-time of the slowest *whole experiment* (fig17, ~45 s fast) because nested
-fan-out silently degraded inside daemonic pool workers.  This module now
-schedules a **single flat queue of work units** instead:
+:func:`run_units` is the one way a campaign runs, at any worker count:
 
 1. every experiment is decomposed into independent scenario evaluations
    (:class:`~repro.experiments.units.WorkUnit`) via its ``scenarios(fast)``
    hook, or wrapped whole as a single unit when not yet migrated;
-2. one persistent pool of **non-daemonic** worker processes executes all
-   units from all experiments, dispatched longest-``cost_hint``-first
-   (greedy LPT), so the critical path is the slowest single *scenario*;
+2. with ``jobs > 1`` one pool of **non-daemonic** worker processes
+   executes all units from all experiments, dispatched longest-
+   ``cost_hint``-first (greedy LPT), so the critical path is the slowest
+   single *scenario*; with ``jobs <= 1`` the same units run in-process,
+   in presentation order;
 3. results are keyed by unit index and each experiment's table is
    ``assemble``\\ d in the parent, in deterministic presentation order, the
    moment its last unit lands — callers stream tables in paper order.
-
-Workers are plain ``Process`` objects (not ``Pool`` daemons) fed by a task
-queue; each pins its own in-worker default to one job so legacy
-``run_scenarios`` callers inside a unit can never nest another pool.
 
 A :class:`~repro.experiments.cache.ResultCache` can be layered underneath:
 unit keys are content addresses of ``(code, config, seed, fast)``, hits are
@@ -26,9 +20,9 @@ satisfied in the parent before anything is dispatched, and misses are
 stored as they complete — a warm ``run all`` re-runs only units whose key
 changed.
 
-Execution is **supervised** (:mod:`repro.experiments.supervisor`): the
-parent owns a per-worker dispatch record, so dead workers are detected and
-their in-flight unit requeued, hung units are killed at a per-unit
+Pooled execution is **supervised** (:mod:`repro.experiments.supervisor`):
+the parent owns a per-worker dispatch record, so dead workers are detected
+and their in-flight unit requeued, hung units are killed at a per-unit
 deadline, transient failures retry with deterministic backoff, and
 ``keep_going=True`` turns a permanently-failed unit into a
 :class:`CampaignResult` failure panel instead of aborting the campaign.
@@ -48,7 +42,6 @@ module-level (picklable) and must return picklable data (floats / dicts /
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import sys
 import time
@@ -73,41 +66,24 @@ from repro.experiments.units import (
     supports_units,
 )
 
-__all__ = ["run_units", "run_campaign", "run_scenarios", "decompose",
-           "set_default_jobs", "default_jobs", "last_campaign_stats",
+__all__ = ["run_units", "decompose", "default_jobs", "last_campaign_stats",
            "CampaignResult", "UnitFailure", "CampaignInterrupted",
            "JOBS_ENV_VAR"]
 
 #: Environment variable consulted for the default worker count.
 JOBS_ENV_VAR = "VSCHED_REPRO_JOBS"
 
-_default_jobs: Optional[int] = None
-
-#: Approximate fast-mode serial wall seconds per experiment (from the PR 1
-#: BENCH report) — cost hints for experiments not yet decomposed, so the
-#: LPT dispatch order stays sensible even for whole-experiment units.
+#: Approximate fast-mode serial wall seconds of the experiments that still
+#: run as one whole unit, so the LPT dispatch order stays sensible for
+#: them; decomposed units carry their own ``cost_hint``.
 WHOLE_EXPERIMENT_COST: Dict[str, float] = {
-    "fig2": 1.7, "fig3": 0.1, "fig4": 6.7, "fig10a": 0.4, "fig10b": 0.1,
-    "tab2": 0.2, "fig11": 9.3, "fig12": 5.6, "fig13": 2.0, "fig14": 14.9,
-    "tab3": 3.8, "fig15": 9.9, "tab4": 2.9, "fig16": 27.9, "fig17": 45.0,
-    "fig18": 21.1, "fig19": 29.6, "fig20": 7.6, "fig21": 4.4,
+    "fig3": 0.1, "fig10a": 0.4, "fig10b": 0.1, "tab2": 0.2, "fig12": 5.6,
+    "tab3": 3.8, "tab4": 2.9, "fig21": 4.4,
 }
 
 
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the process-wide default for ``run_scenarios(jobs=None)``.
-
-    The CLI calls this with ``--jobs`` so experiments fan their scenario
-    sweeps out without threading a parameter through every ``run()``.
-    """
-    global _default_jobs
-    _default_jobs = None if jobs is None else max(1, int(jobs))
-
-
 def default_jobs() -> int:
-    """Resolve the default worker count (explicit > $VSCHED_REPRO_JOBS > 1)."""
-    if _default_jobs is not None:
-        return _default_jobs
+    """Resolve the default worker count ($VSCHED_REPRO_JOBS, else 1)."""
     env = os.environ.get(JOBS_ENV_VAR)
     if env:
         try:
@@ -118,65 +94,6 @@ def default_jobs() -> int:
                   file=sys.stderr)
             return 1
     return 1
-
-
-def _in_pool_worker() -> bool:
-    """True when already inside a multiprocessing pool worker."""
-    return mp.current_process().daemon
-
-
-def _pool_context():
-    """Prefer fork (cheap, POSIX) and fall back to spawn."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _execute_prefixed(func: Callable, config: tuple, prefix, fast: bool):
-    """Picklable wrapper running one prefixed unit via the snapshot store.
-
-    Module-level so :func:`run_scenarios` can ship prefixed units to pool
-    workers exactly like plain ones; each worker process warms its own
-    store on first use.
-    """
-    from repro.experiments.snapstore import execute_unit
-    return execute_unit(func, config, prefix, fast)
-
-
-def unit_body_config(units: Sequence["WorkUnit"], fast: bool
-                     ) -> Tuple[Callable, List[tuple]]:
-    """Normalize a same-``func`` run of units to a (func, configs) pair.
-
-    Units without a prefix pass through untouched (the exact PR 2 path);
-    prefixed units are rewritten to :func:`_execute_prefixed` calls so
-    every execution route — plain loop, pool, supervised campaign — goes
-    through the snapshot store with identical semantics.
-    """
-    first = units[0]
-    if first.prefix is None:
-        return first.func, [u.config for u in units]
-    return _execute_prefixed, [(u.func, u.config, u.prefix, fast)
-                               for u in units]
-
-
-def run_scenarios(func: Callable, configs: Sequence[tuple],
-                  jobs: Optional[int] = None) -> List:
-    """Run ``func(*config)`` for every config; return results in order.
-
-    ``func`` must be a module-level callable whose randomness comes only
-    from seeds encoded in the config (the determinism contract above).
-    ``jobs=None`` uses :func:`default_jobs`; ``jobs<=1``, a single config,
-    or being already inside a pool worker all run serially in-process —
-    the exact code path a plain loop would take.
-    """
-    configs = list(configs)
-    if jobs is None:
-        jobs = default_jobs()
-    jobs = min(max(1, jobs), len(configs)) if configs else 1
-    if jobs <= 1 or _in_pool_worker():
-        return [func(*cfg) for cfg in configs]
-    with _pool_context().Pool(processes=jobs) as pool:
-        # chunksize=1: scenarios are coarse (seconds each); favour balance.
-        return pool.starmap(func, configs, chunksize=1)
 
 
 # ----------------------------------------------------------------------
@@ -352,8 +269,8 @@ def _finish_experiment(exp_id: str, states: List[_UnitState],
         counters=_sum_counters(states))
 
 
-#: Stats of the most recent supervised campaign in this process (None
-#: until one runs); tools/bench.py reports them in the BENCH json.
+#: Stats of the most recent campaign in this process (None until one
+#: runs); vbench reports its retry/requeue/respawn counts.
 _last_stats: Optional[SupervisorStats] = None
 
 
@@ -418,7 +335,7 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     stats = SupervisorStats()
     _last_stats = stats
 
-    if jobs <= 1 or _in_pool_worker():
+    if jobs <= 1:
         yield from _run_units_serial(plans, fast, check, cache, keep_going,
                                      retry)
         return
@@ -497,7 +414,7 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
                                for k, v in Engine.counters().items()
                                if k != "fired"}
                 st.counters.update(
-                    {k: round(v - snap0[k], 3)
+                    {k: v - snap0[k]
                      for k, v in snapshot_counters().items()})
                 st.attempts += 1
                 if st.error is None:
@@ -518,20 +435,3 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
         yield _finish_experiment(exp_id, states, assemble, fast, check,
                                  keep_going)
 
-
-# ----------------------------------------------------------------------
-# Campaign-level compatibility wrapper
-# ----------------------------------------------------------------------
-def run_campaign(exp_ids: Sequence[str], fast: bool = False,
-                 check: bool = True, jobs: Optional[int] = None,
-                 cache=None, **kwargs) -> Iterator[CampaignResult]:
-    """Run experiments (optionally in parallel); yield ordered results.
-
-    Retained API from PR 1; now a thin wrapper over the supervised flat
-    scheduler, so a campaign parallelizes *inside* migrated experiments
-    instead of only across them.  Tables render byte-identically either
-    way.  ``kwargs`` pass through to :func:`run_units` (``keep_going``,
-    ``max_retries``, ``unit_timeout``, ``max_respawns``).
-    """
-    yield from run_units(exp_ids, fast=fast, check=check, jobs=jobs,
-                         cache=cache, **kwargs)

@@ -99,22 +99,17 @@ def build_cold(prefix: PrefixSpec) -> Dict[str, Any]:
 class SnapshotStore:
     """In-process map from prefix key to frozen world, with accounting.
 
-    ``saved_seconds`` estimates the prefix wall time forking avoided: on
-    every hit it credits the measured build cost of that prefix (what a
-    cold rebuild would have spent).  Fork cost itself is not subtracted —
-    it shows up in the unit's own wall time, keeping the two numbers
-    independently meaningful in the BENCH report.
+    ``build_seconds`` is the wall time spent building and freezing
+    prefixes on misses; fork cost shows up in each unit's own wall time.
     """
 
     def __init__(self) -> None:
         self._snaps: Dict[str, WorldSnapshot] = {}
-        self._build_cost: Dict[str, float] = {}
         self.hits = 0
         self.misses = 0
         self.forks = 0
         self.cold_builds = 0
         self.build_seconds = 0.0
-        self.saved_seconds = 0.0
 
     def acquire(self, prefix: PrefixSpec, fast: bool,
                 fingerprint: Optional[str] = None) -> WorldSnapshot:
@@ -123,16 +118,13 @@ class SnapshotStore:
         snap = self._snaps.get(key)
         if snap is not None:
             self.hits += 1
-            self.saved_seconds += self._build_cost[key]
             return snap
         self.misses += 1
         started = time.perf_counter()
         roots = build_cold(prefix)
         snap = WorldSnapshot(roots["engine"], roots)
-        cost = time.perf_counter() - started
         self._snaps[key] = snap
-        self._build_cost[key] = cost
-        self.build_seconds += cost
+        self.build_seconds += time.perf_counter() - started
         return snap
 
     def fork(self, prefix: PrefixSpec, fast: bool,
@@ -161,20 +153,19 @@ def reset_process_store() -> None:
     _process_store = None
 
 
-def snapshot_counters() -> Dict[str, float]:
+def snapshot_counters() -> Dict[str, int]:
     """Cumulative per-process snapshot accounting, for unit stat deltas.
 
     Reported through the same channel as the engine counter deltas, so
-    pooled workers ship them back inside each unit outcome and
-    ``tools/bench.py`` can sum hit/miss/saved-seconds per experiment.
+    pooled workers ship them back inside each unit outcome and a
+    campaign's ``counters`` sum hit/miss/fork counts per experiment.
     """
     s = _process_store
     if s is None:
         return {"snap_hits": 0, "snap_misses": 0, "snap_forks": 0,
-                "snap_cold_builds": 0, "snap_saved_s": 0.0}
+                "snap_cold_builds": 0}
     return {"snap_hits": s.hits, "snap_misses": s.misses,
-            "snap_forks": s.forks, "snap_cold_builds": s.cold_builds,
-            "snap_saved_s": round(s.saved_seconds, 3)}
+            "snap_forks": s.forks, "snap_cold_builds": s.cold_builds}
 
 
 def execute_unit(func: Callable, config: Tuple,

@@ -52,7 +52,7 @@ import pickle
 import time
 import traceback
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.chaos import ChaosPlan
@@ -149,7 +149,7 @@ class RetryPolicy:
 
 @dataclass
 class SupervisorStats:
-    """Counters for one supervised campaign (reported by tools/bench.py)."""
+    """Counters for one campaign (:func:`parallel.last_campaign_stats`)."""
 
     retries: int = 0    # re-dispatches after any transient failure
     requeues: int = 0   # in-flight units reclaimed from dead/killed workers
@@ -157,9 +157,6 @@ class SupervisorStats:
     kills: int = 0      # workers SIGKILLed by the supervisor (deadlines)
     crashes: int = 0    # workers that died on their own (crash/OOM/SIGKILL)
     respawns: int = 0   # replacement workers spawned
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
 
 
 @dataclass
@@ -183,6 +180,12 @@ def unit_tag(unit: WorkUnit) -> str:
     return f"{unit.exp_id}/{unit.label}|{unit.seed}"
 
 
+def _pool_context():
+    """Prefer fork (cheap, POSIX) and fall back to spawn."""
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else "spawn")
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -190,22 +193,17 @@ def _worker_main(worker_id: int, task_r, result_w,
                  chaos: Optional[ChaosPlan], fast: bool = False) -> None:
     """Worker loop: serve one unit per parent assignment until None/EOF.
 
-    Pins the in-worker jobs default to 1 (inherited module state could
-    otherwise make a legacy ``run_scenarios`` call inside a unit open a
-    nested pool).  Chaos, when configured, is injected before the unit
-    body runs, seeded on ``(tag, attempt)``.  Both pipes are private to
-    this worker: the parent is the only writer of ``task_r`` and the only
-    reader of ``result_w``, so neither needs a lock.
+    Chaos, when configured, is injected before the unit body runs, seeded
+    on ``(tag, attempt)``.  Both pipes are private to this worker: the
+    parent is the only writer of ``task_r`` and the only reader of
+    ``result_w``, so neither needs a lock.
 
     Units carrying a snapshot prefix run through this worker's own
     in-process :class:`~repro.experiments.snapstore.SnapshotStore` — the
     first such unit builds and freezes the prefix world, later ones fork
     it.  The store's counter deltas ride back inside the engine-counter
-    dict so the parent can aggregate hit/miss/saved-seconds per
-    experiment.
+    dict so the parent can aggregate hit/miss/fork counts per experiment.
     """
-    from repro.experiments.parallel import set_default_jobs
-    set_default_jobs(1)
     from repro.experiments.snapstore import execute_unit, snapshot_counters
     from repro.sim.engine import Engine
     while True:
@@ -236,7 +234,7 @@ def _worker_main(worker_id: int, task_r, result_w,
         counters = {k: v - counters0[k]
                     for k, v in Engine.counters().items()
                     if k != "fired"}
-        counters.update({k: round(v - snap0[k], 3)
+        counters.update({k: v - snap0[k]
                          for k, v in snapshot_counters().items()})
         try:
             result_w.send((worker_id, idx, attempt, result, error, tb,
@@ -284,7 +282,6 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     and the respawn budget is finite.  On Ctrl-C the pool is torn down and
     :class:`CampaignInterrupted` raised.
     """
-    from repro.experiments.parallel import _pool_context
     retry = retry or RetryPolicy()
     deadline = deadline or DeadlinePolicy.from_env()
     stats = stats if stats is not None else SupervisorStats()

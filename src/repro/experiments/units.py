@@ -16,7 +16,7 @@ An experiment module opts in by exposing two functions::
 
 ``assemble`` receives one result per unit, in ``scenarios`` order, and must
 build the table purely from those results — no additional simulation.  The
-module's ``run(fast=)`` stays as a thin serial wrapper
+module's ``run(fast=)`` stays as a thin in-process wrapper
 (:func:`execute_serial`) so direct callers and the benchmark suite are
 untouched.
 
@@ -128,29 +128,11 @@ def get_assemble(mod, exp_id: str) -> Optional[Callable]:
 def execute_serial(units: Sequence[WorkUnit], fast: bool = False) -> List:
     """Run units in order, in-process, returning one result per unit.
 
-    This is what the thin ``run(fast=)`` wrappers call.  Contiguous runs of
-    units sharing a ``func`` are routed through
-    :func:`repro.experiments.parallel.run_scenarios`, so a process-wide
-    ``--jobs`` default (PR 1 behaviour) still fans the sweep out for direct
-    callers; with the default of one job this is exactly a plain loop.
-
-    Units carrying a prefix route through the snapshot store
-    (:func:`repro.experiments.snapstore.execute_unit`) — via a picklable
-    wrapper, so prefixed sweeps still fan out (each pool worker grows its
-    own store).  ``fast`` feeds the prefix store key; experiments that
-    declare prefixes pass their mode through.
+    This is what the thin ``run(fast=)`` wrappers call.  Each unit runs
+    through :func:`repro.experiments.snapstore.execute_unit`, so units
+    carrying a prefix fork it from this process's snapshot store.
+    ``fast`` feeds the prefix store key; experiments that declare
+    prefixes pass their mode through.
     """
-    from repro.experiments.parallel import run_scenarios, unit_body_config
-
-    units = list(units)
-    results: List = []
-    i = 0
-    while i < len(units):
-        j = i
-        while (j < len(units) and units[j].func is units[i].func
-               and (units[j].prefix is None) == (units[i].prefix is None)):
-            j += 1
-        func, configs = unit_body_config(units[i:j], fast)
-        results.extend(run_scenarios(func, configs))
-        i = j
-    return results
+    from repro.experiments.snapstore import execute_unit
+    return [execute_unit(u.func, u.config, u.prefix, fast) for u in units]

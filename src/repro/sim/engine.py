@@ -28,10 +28,6 @@ Compaction filters dead entries and re-heapifies the survivors; since the
 ``(time, prio, seq)`` key is unique per event, the pop order after
 compaction is identical to the order before it — event ordering semantics
 are preserved.
-
-A callback attribution profiler (:attr:`Engine.profiling`) keeps
-per-callsite fired/cancelled counters when enabled and costs one local
-truth test per event when off.
 """
 
 from __future__ import annotations
@@ -104,8 +100,6 @@ class Event:
         if eng is not None:
             self._engine = None
             eng._note_cancelled()
-            if Engine.profiling:
-                Engine._profile_bump(self.callback, 1)
 
     @property
     def active(self) -> bool:
@@ -129,8 +123,8 @@ class Engine:
     """
 
     #: Process-wide count of events fired across all engines (perf metric;
-    #: read by tools/bench.py to report events/sec).  A "fire" is a live
-    #: dispatch — cancelled entries never count.
+    #: campaigns report per-unit deltas).  A "fire" is a live dispatch —
+    #: cancelled entries never count.
     total_events_fired: int = 0
     #: Process-wide count of ``call_at``/``call_in`` arms.
     total_pushes: int = 0
@@ -140,11 +134,6 @@ class Engine:
     #: the heap (dead pops + compaction sweeps).  Over a fully drained run
     #: it converges to ``total_cancels``.
     total_dead_drops: int = 0
-    #: Callback-attribution profiler switch.  When True, per-callsite
-    #: fired/cancelled counters accumulate in :attr:`profile_data`.
-    profiling: bool = False
-    #: qualname -> [fired, cancelled]
-    profile_data: Dict[str, List[int]] = {}
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -210,8 +199,8 @@ class Engine:
     def counters(cls) -> Dict[str, int]:
         """Snapshot of the process-wide engine counters.
 
-        Callers measure a scenario by differencing two snapshots
-        (``tools/bench.py``, the campaign supervisor's per-unit stats).
+        Callers measure a scenario by differencing two snapshots (the
+        campaign's per-unit stats, ``tools/perf_guard.py``).
         """
         return {
             "pushes": cls.total_pushes,
@@ -219,36 +208,6 @@ class Engine:
             "fired": cls.total_events_fired,
             "dead_drops": cls.total_dead_drops,
         }
-
-    # ------------------------------------------------------------------
-    # Callback-attribution profiler
-    # ------------------------------------------------------------------
-    @classmethod
-    def _profile_bump(cls, callback: Callable[..., None], slot: int) -> None:
-        name = getattr(callback, "__qualname__", repr(callback))
-        row = cls.profile_data.get(name)
-        if row is None:
-            row = cls.profile_data[name] = [0, 0]
-        row[slot] += 1
-
-    @classmethod
-    def profile_reset(cls) -> None:
-        cls.profile_data = {}
-
-    @classmethod
-    def profile_table(cls, top: int = 15) -> str:
-        """Render the hot-callback table (sorted by fired, descending).
-
-        The key is total (name breaks fired-count ties), so the table does
-        not depend on the order in which callbacks first registered.
-        """
-        rows = sorted(cls.profile_data.items(),
-                      key=lambda kv: (-kv[1][0], kv[0]))[:top]
-        width = max([len(name) for name, _ in rows] + [8])
-        lines = [f"{'callback':<{width}} {'fired':>12} {'cancelled':>12}"]
-        for name, (fired, cancelled) in rows:
-            lines.append(f"{name:<{width}} {fired:>12,d} {cancelled:>12,d}")
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Execution
@@ -266,8 +225,6 @@ class Engine:
         heap = self._heap
         pop = heappop
         fired = 0
-        profiling = Engine.profiling
-        bump = Engine._profile_bump
         try:
             while heap and not self._stopped:
                 if max_events is not None and fired >= max_events:
@@ -285,8 +242,6 @@ class Engine:
                 self.now = entry[0]
                 ev.callback(*ev.args)
                 fired += 1
-                if profiling:
-                    bump(ev.callback, 0)
         finally:
             self._running = False
             self.events_fired += fired

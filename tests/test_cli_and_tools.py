@@ -98,6 +98,19 @@ def test_cli_abort_still_prints_cache_summary_and_completed(
     assert "experiments completed before abort: figgood" in out
 
 
+def test_cli_default_run_aborts_like_pooled_run(monkeypatch, capsys):
+    # No --jobs/--cache/--keep-going: the in-process campaign streams
+    # units (the registered modules have no run()) and a failing unit
+    # ends in the same abort report as a pooled campaign.
+    _register(monkeypatch, "figgood", [_ok_unit, _ok_unit])
+    _register(monkeypatch, "figbadx", [_bad_unit])
+    rc = main(["run", "figgood,figbadx", "--fast"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "campaign aborted" in out
+    assert "experiments completed before abort: figgood" in out
+
+
 def test_cli_interrupt_prints_progress_summary(monkeypatch, capsys):
     def fake_run_units(*args, **kwargs):
         raise parallel.CampaignInterrupted(3, 10)

@@ -9,38 +9,12 @@ warm-cache campaign must render byte-identically to a serial one.
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.common import run_experiment
-from repro.experiments.fig02_vcpu_latency import _one_run
 
 
 def test_fig2_fast_is_reproducible():
     first = run_experiment("fig2", fast=True).render()
     second = run_experiment("fig2", fast=True).render()
     assert first == second
-
-
-def test_fig2_parallel_matches_serial():
-    serial = run_experiment("fig2", fast=True).render()
-    parallel.set_default_jobs(2)
-    try:
-        fanned = run_experiment("fig2", fast=True).render()
-    finally:
-        parallel.set_default_jobs(None)
-    assert fanned == serial
-
-
-def test_run_scenarios_preserves_input_order():
-    configs = [("img-dnn", 4, False, 8, 40), ("img-dnn", 8, False, 8, 40),
-               ("silo", 4, True, 8, 40)]
-    serial = [_one_run(*cfg) for cfg in configs]
-    fanned = parallel.run_scenarios(_one_run, configs, jobs=2)
-    assert fanned == serial
-
-
-def test_run_scenarios_serial_paths():
-    assert parallel.run_scenarios(lambda: 7, [()], jobs=4) == [7]
-    assert parallel.run_scenarios(lambda a, b: a + b,
-                                  [(1, 2), (3, 4)], jobs=1) == [3, 7]
-    assert parallel.run_scenarios(lambda x: x, [], jobs=3) == []
 
 
 def test_flat_scheduler_matches_serial():

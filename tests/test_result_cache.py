@@ -13,11 +13,12 @@ import pytest
 
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache, code_fingerprint, unit_key
-from repro.experiments.common import EXPERIMENTS, Table
+from repro.experiments.common import EXPERIMENTS, Table, load_experiment
 from repro.experiments.units import (
     WorkUnit,
     check_config_is_data,
     execute_serial,
+    supports_units,
 )
 
 
@@ -229,6 +230,11 @@ class TestDecompose:
         sentinel = Table("fig12", "t", ["a"])
         assert assemble(True, [sentinel]) is sentinel
 
+    def test_whole_unit_costs_cover_exactly_unmigrated(self):
+        whole = {exp_id for exp_id in EXPERIMENTS
+                 if not supports_units(load_experiment(exp_id), exp_id)}
+        assert set(parallel.WHOLE_EXPERIMENT_COST) == whole
+
     def test_migrated_experiments_decompose(self):
         for exp_id, n_min in (("fig2", 24), ("fig4", 18), ("fig11", 4),
                               ("fig13", 6), ("fig14", 20), ("fig15", 24),
@@ -248,13 +254,11 @@ class TestDecompose:
 class TestDefaultJobsEnv:
     def test_malformed_env_warns_and_falls_back(self, monkeypatch, capsys):
         monkeypatch.setenv(parallel.JOBS_ENV_VAR, "many")
-        parallel.set_default_jobs(None)
         assert parallel.default_jobs() == 1
         err = capsys.readouterr().err
         assert "malformed" in err and "many" in err
 
     def test_valid_env_still_parses(self, monkeypatch, capsys):
         monkeypatch.setenv(parallel.JOBS_ENV_VAR, "3")
-        parallel.set_default_jobs(None)
         assert parallel.default_jobs() == 3
         assert capsys.readouterr().err == ""

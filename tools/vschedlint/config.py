@@ -128,10 +128,10 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset({
 # ---------------------------------------------------------------------------
 # vschedlint lints three trees with different contracts.  ``src/repro`` is
 # the simulator: every family applies.  ``tools/`` is host-side dev
-# tooling: it may read real clocks (bench measures wall time) but must
-# still be deterministic where it feeds A/B comparisons.  ``tests/`` may
-# read clocks and poke internals (white-box tests are the point), but
-# unseeded randomness would make failures unreproducible.
+# tooling: it may read real clocks (make_experiments_md.py stamps wall
+# time) but must still be deterministic where it feeds A/B comparisons.
+# ``tests/`` may read clocks and poke internals (white-box tests are the
+# point), but unseeded randomness would make failures unreproducible.
 #
 # Families: "layering", "determinism", "snapshot", "cachekeys", "leakage".  Flags soften individual determinism rules per tree.
 TREE_POLICIES = {
@@ -143,7 +143,7 @@ TREE_POLICIES = {
     },
     "tools": {
         "families": frozenset({"determinism"}),
-        # bench/abdiff measure real elapsed time on purpose
+        # make_experiments_md.py stamps real elapsed time on purpose
         "allow_wallclock": True,
         "allow_identity": True,
         # explicit-seed RNG constructors (random.Random(0)) are fine;
@@ -273,10 +273,9 @@ PROCESS_STATE_BLESSED = {
                              "the tree cannot change mid-run",
     },
     "repro.experiments.parallel": {
-        "_default_jobs": "parent-process orchestration knob (worker "
-                         "count); never read inside a unit body",
-        "_last_stats": "parent-process bench telemetry, written after "
-                       "units complete; never read inside a unit body",
+        "_last_stats": "parent-process campaign telemetry, written "
+                       "after units complete; never read inside a unit "
+                       "body",
     },
     "repro.guest.pelt": {
         "_DECAY_CACHE": "memo table of y^p decay powers — a pure "
@@ -299,8 +298,5 @@ PROCESS_STATE_BLESSED = {
         "Engine.total_pushes": "process-wide telemetry (deltas)",
         "Engine.total_cancels": "process-wide telemetry (deltas)",
         "Engine.total_dead_drops": "process-wide telemetry (deltas)",
-        "Engine.profile_data": "opt-in profiling table, rendered for "
-                               "humans by profile_table(); no result "
-                               "reads it",
     },
 }

@@ -67,8 +67,8 @@ def check_clocks_and_rng(module, findings: List[Finding]) -> None:
             findings.append(Finding(
                 "wall-clock", module.path, node.lineno, node.col_offset,
                 f"{root}.{attr}() reads the wall clock; simulated time is "
-                f"engine.now, and display-only timing belongs behind an "
-                f"experiments-layer wallclock() helper",
+                f"engine.now, and the experiments layer measures host "
+                f"elapsed time with time.perf_counter()",
                 symbol=sym, modname=module.modname))
         elif ((root, attr) in config.MONOTONIC_FORBIDDEN
               and layer not in config.MONOTONIC_EXEMPT_LAYERS):
