@@ -51,6 +51,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.experiments.chaos import ChaosPlan
+from repro.experiments.common import Table
 from repro.experiments.supervisor import (
     CampaignInterrupted,
     DeadlinePolicy,
@@ -179,6 +180,9 @@ class CampaignResult:
     unit_stats: List[dict] = field(default_factory=list)
     #: Summed engine counter deltas across units (see _UnitState.counters).
     counters: Dict[str, int] = field(default_factory=dict)
+    #: The assembled table at full precision (``rendered`` rounds floats);
+    #: None for a failure panel.
+    table: Optional[Table] = None
 
     @property
     def ok(self) -> bool:
@@ -266,7 +270,7 @@ def _finish_experiment(exp_id: str, states: List[_UnitState],
         check_error=check_error, n_units=len(states),
         cache_hits=sum(1 for st in states if st.cached),
         retries=retries, unit_stats=_unit_stats(states),
-        counters=_sum_counters(states))
+        counters=_sum_counters(states), table=table)
 
 
 #: Stats of the most recent campaign in this process (None until one

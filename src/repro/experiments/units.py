@@ -17,8 +17,7 @@ An experiment module opts in by exposing two functions::
 ``assemble`` receives one result per unit, in ``scenarios`` order, and must
 build the table purely from those results — no additional simulation.  The
 module's ``run(fast=)`` stays as a thin in-process wrapper
-(:func:`execute_serial`) so direct callers and the benchmark suite are
-untouched.
+(:func:`execute_serial`) so direct callers and tests are untouched.
 
 Unit configs must be **data only** (strings, numbers, bools, tuples):
 ``repr(config)`` feeds the cache key, so anything with an identity-based

@@ -19,8 +19,8 @@ Per-sample errors are dimensionless: capacity error as a fraction of a
 nominal core (``|est − gt|/1024``), latency error normalized by the true
 latency plus one tick (``|est − gt|/(gt + 1 ms)``) so the dedicated case
 (gt 0) neither divides by zero nor drowns the metric.  The aggregate
-:class:`DegradationReport` is what figure family ``figA1`` tabulates and
-what the CI adversarial smoke job parses.
+:class:`DegradationReport` is what figure family ``figA1`` tabulates; it
+round-trips through JSON (``to_json``/``from_json``).
 """
 
 from __future__ import annotations

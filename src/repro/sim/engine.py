@@ -200,7 +200,7 @@ class Engine:
         """Snapshot of the process-wide engine counters.
 
         Callers measure a scenario by differencing two snapshots (the
-        campaign's per-unit stats, ``tools/perf_guard.py``).
+        campaign's per-unit stats, which ``tools/perf_guard.py`` reads).
         """
         return {
             "pushes": cls.total_pushes,

@@ -1,5 +1,7 @@
 """CLI and tooling smoke tests (fast paths only)."""
 
+import importlib.util
+import pathlib
 import subprocess
 import sys
 import types
@@ -7,7 +9,7 @@ import types
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.cli import main
+from repro.experiments.cli import ALL_ORDER, main
 from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.units import WorkUnit
 
@@ -139,3 +141,32 @@ def test_cli_retry_flags_are_plumbed(monkeypatch, capsys):
     assert seen["max_retries"] == 4
     assert seen["unit_timeout"] == 90.0
     assert seen["keep_going"] is False
+
+
+# ----------------------------------------------------------------------
+# tools/make_experiments_md.py (tools/ is not a package: load by path)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def experiments_md():
+    path = (pathlib.Path(__file__).resolve().parents[1] / "tools"
+            / "make_experiments_md.py")
+    spec = importlib.util.spec_from_file_location("make_experiments_md", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_experiments_md_claims_cover_catalogue(experiments_md):
+    assert set(experiments_md.PAPER_CLAIMS) == set(ALL_ORDER)
+
+
+def test_experiments_md_regenerates_byte_identically(experiments_md,
+                                                     tmp_path):
+    outs = [tmp_path / "a.md", tmp_path / "b.md"]
+    for out in outs:
+        assert experiments_md.main(
+            ["--only", "fig3,fig10b", "--out", str(out)]) == 0
+    text = outs[0].read_text()
+    assert outs[1].read_text() == text
+    assert text.count("shape checks PASSED") == 2
+    assert "wall" not in text

@@ -25,6 +25,15 @@ def test_flat_scheduler_matches_serial():
     assert pooled.n_units > 1  # fig2 really decomposed
 
 
+def test_pooled_table_matches_serial_at_full_precision():
+    """``CampaignResult.table`` is the assembled table itself, so a pooled
+    run matches a plain run() cell for cell, not only after rounding."""
+    serial = run_experiment("fig2", fast=True)
+    pooled, = parallel.run_units(["fig2"], fast=True, check=False, jobs=2)
+    assert pooled.table.columns == serial.columns
+    assert pooled.table.rows == serial.rows
+
+
 def test_warm_cache_renders_identically(tmp_path):
     """Serial, pooled and warm-cache runs are byte-identical; the warm
     rerun of an unchanged tree is 100% unit cache hits."""

@@ -5,7 +5,8 @@ Runs each experiment twice in one process, with warm-start prefix forking
 on (``VSCHED_REPRO_SNAPSHOT=1``, the reference) and off (every prefix
 rebuilt cold through the same builder code, INTERNALS §15), and asserts
 the two result tables are **byte-identical**.  Any divergence is a
-correctness bug, not noise.
+correctness bug, not noise.  Both runs go through ``run_units``, and
+the comparison reads the full-precision ``CampaignResult.table``.
 
 Also reports the events fired per mode, so the share of work that forking
 saves is visible next to the identity verdict.
@@ -30,8 +31,7 @@ if __package__ is None or __package__ == "":
         sys.path.insert(0, _src)
 
 from repro.experiments.cli import ALL_ORDER
-from repro.experiments.common import run_experiment
-from repro.sim.engine import Engine
+from repro.experiments.parallel import run_units
 
 #: Snapshot modes in run order; the first is the reference.
 MODES = (("fork", True), ("cold", False))
@@ -50,9 +50,9 @@ def table_bytes(table) -> str:
 
 def run_once(exp_id: str, fast: bool, snapshot: bool):
     os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
-    fired0 = Engine.total_events_fired
-    table = run_experiment(exp_id, fast=fast)
-    return table_bytes(table), Engine.total_events_fired - fired0
+    # In-process, so both modes use this process's snapshot store.
+    res, = run_units([exp_id], fast=fast, check=False, jobs=1)
+    return table_bytes(res.table), res.events_fired
 
 
 def _diff_blobs(label: str, ref: str, got: str) -> None:

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table/figure.
 
-Runs every experiment (fast mode by default; --full for the paper-scale
-campaign), records the rendered tables and whether the qualitative shape
-assertions held, and writes the comparison document.
+Runs every experiment through ``run_units`` (fast mode by default; --full
+for the paper-scale campaign; ``$VSCHED_REPRO_JOBS`` workers, else one),
+records the rendered tables and whether the qualitative shape assertions
+held, and writes the comparison document.  The output depends on the
+simulation only, so two runs write identical bytes.
 
 Usage:  python tools/make_experiments_md.py [--full] [--only fig2,fig3]
 """
@@ -12,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.experiments.cli import ALL_ORDER
-from repro.experiments.common import check_experiment, run_experiment
+from repro.experiments.parallel import run_units
 
 #: What the paper reports, per artifact, for the side-by-side summary.
 PAPER_CLAIMS = {
@@ -60,17 +61,26 @@ PAPER_CLAIMS = {
              "CPS baseline",
     "fig21": "0.7% average degradation on a dedicated VM; latency "
              "workloads can even improve (probing keeps cores warm)",
+    "figA1": "not a paper figure: this repository's robustness extension. "
+             "Its check asserts that at the top intensity the hardened "
+             "probers' combined capacity+activity error is strictly below "
+             "the naive probers' under every antagonist class, that "
+             "hardening costs at most 1.0 error point with no antagonist, "
+             "and that the hardened path rejected samples under "
+             "probe_poisoner",
 }
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Every table and figure of the vSched paper (EuroSys '25), regenerated on
-this repository's simulated substrate.  Absolute numbers are **not**
-expected to match the paper (its testbed is an HPE DL580 running patched
-Linux; ours is a discrete-event simulator) — the comparison below is about
-*shape*: who wins, by roughly what factor, and where the crossovers are.
-Each experiment carries programmatic shape assertions (`check_*` in
-`src/repro/experiments/`), run automatically by `pytest benchmarks/`.
+this repository's simulated substrate, plus one robustness extension of
+this repository's own (figA1).  Absolute numbers are **not** expected to
+match the paper (its testbed is an HPE DL580 running patched Linux; ours
+is a discrete-event simulator) — the comparison below is about *shape*:
+who wins, by roughly what factor, and where the crossovers are.  Each
+experiment carries programmatic shape assertions (`check_*` in
+`src/repro/experiments/`), run by
+`python -m repro.experiments run all --fast`, which CI runs on every push.
 
 Regenerate this file:
 
@@ -100,34 +110,27 @@ Known, deliberate deviations of this substrate (details in DESIGN.md):
 """
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--full", action="store_true")
     parser.add_argument("--only", default=None)
     parser.add_argument("--out", default="EXPERIMENTS.md")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     fast = not args.full
     ids = args.only.split(",") if args.only else ALL_ORDER
 
     sections = []
-    for exp_id in ids:
-        started = time.time()
-        print(f"running {exp_id}...", flush=True)
-        table = run_experiment(exp_id, fast=fast)
-        try:
-            check_experiment(exp_id, table)
-            verdict = "shape checks PASSED"
-        except AssertionError as exc:
-            verdict = f"shape checks FAILED: {exc}"
-        elapsed = time.time() - started
+    for res in run_units(ids, fast=fast, check=True):
+        verdict = ("shape checks PASSED" if res.check_error is None
+                   else f"shape checks FAILED: {res.check_error}")
         sections.append(
-            f"## {exp_id}\n\n"
-            f"**Paper:** {PAPER_CLAIMS[exp_id]}\n\n"
-            f"**Measured** ({elapsed:.0f}s wall):\n\n"
-            f"```\n{table.render()}\n```\n\n"
+            f"## {res.exp_id}\n\n"
+            f"**Paper:** {PAPER_CLAIMS[res.exp_id]}\n\n"
+            f"**Measured:**\n\n"
+            f"```\n{res.rendered}\n```\n\n"
             f"**Verdict:** {verdict}\n\n---\n"
         )
-        print(f"  {verdict} ({elapsed:.0f}s)", flush=True)
+        print(f"{res.exp_id}: {verdict}", flush=True)
 
     mode = "full (paper-scale)" if args.full else "fast (shrunken workloads)"
     with open(args.out, "w") as fh:

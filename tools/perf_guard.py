@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Perf guard: fail CI when the event budget regresses.
 
-Runs a small pinned set of fast experiments and compares their engine
-counters — ``events_fired``, ``pushes`` and ``cancels`` — against the
-checked-in baseline (``tools/perf_baseline.json``).  The simulator is
+Runs a small pinned set of fast experiments (in-process, through
+``run_units``) and compares their engine counters — ``events_fired``,
+``pushes`` and ``cancels`` — against the checked-in baseline
+(``tools/perf_baseline.json``).  The simulator is
 deterministic — the counts are exact and platform-independent — so a
 count above baseline means a real regression in the engine or the
 simulated kernels, not noise.  Pushes and cancels are budgeted beside
@@ -40,17 +41,15 @@ if __package__ is None or __package__ == "":
     if _src not in sys.path:
         sys.path.insert(0, _src)
 
-from repro.experiments.common import run_experiment
-from repro.sim.engine import Engine
+from repro.experiments.parallel import run_units
 
 BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "perf_baseline.json")
 #: Allowed growth of any budgeted counter over baseline before the guard
 #: fails.
 TOLERANCE_PCT = 10.0
-#: Budgeted counters: baseline field -> ``Engine.counters()`` key.
-COUNTERS = {"events_fired": "fired", "pushes": "pushes",
-            "cancels": "cancels"}
+#: Budgeted counters (baseline fields).
+COUNTERS = ("events_fired", "pushes", "cancels")
 #: Pinned fast experiments: one host-churn-bound, one spin-bound.
 PINNED = ("fig2", "fig4")
 #: Prefix-migrated experiment measured under snapshot fork AND cold mode.
@@ -64,11 +63,12 @@ def measure(exp_id: str, snapshot: bool = True) -> dict:
     saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
     os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
     try:
-        before = Engine.counters()
-        run_experiment(exp_id, fast=True)
-        after = Engine.counters()
-        return {field: after[key] - before[key]
-                for field, key in COUNTERS.items()}
+        # In-process: each worker process owns its snapshot store, so a
+        # pooled fig14 would rebuild prefixes that one process builds once.
+        res, = run_units([exp_id], fast=True, check=False, jobs=1)
+        return {"events_fired": res.events_fired,
+                "pushes": res.counters["pushes"],
+                "cancels": res.counters["cancels"]}
     finally:
         if saved_snap is None:
             os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)

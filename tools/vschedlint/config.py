@@ -128,8 +128,8 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset({
 # ---------------------------------------------------------------------------
 # vschedlint lints three trees with different contracts.  ``src/repro`` is
 # the simulator: every family applies.  ``tools/`` is host-side dev
-# tooling: it may read real clocks (make_experiments_md.py stamps wall
-# time) but must still be deterministic where it feeds A/B comparisons.
+# tooling: it reads no real clock and must stay deterministic, because its
+# output feeds A/B comparisons and the regenerated EXPERIMENTS.md.
 # ``tests/`` may read clocks and poke internals (white-box tests are the
 # point), but unseeded randomness would make failures unreproducible.
 #
@@ -143,8 +143,7 @@ TREE_POLICIES = {
     },
     "tools": {
         "families": frozenset({"determinism"}),
-        # make_experiments_md.py stamps real elapsed time on purpose
-        "allow_wallclock": True,
+        "allow_wallclock": False,
         "allow_identity": True,
         # explicit-seed RNG constructors (random.Random(0)) are fine;
         # drawing from the process-global stream still is not
