@@ -20,8 +20,8 @@ safe: last writer wins with an identical value.  A corrupt or unreadable
 entry counts as a miss and is recomputed.
 
 The cache directory defaults to ``.vsched-cache`` (override with
-``--cache-dir`` or ``$VSCHED_REPRO_CACHE_DIR``); caching itself is opt-in
-(``--cache`` or ``$VSCHED_REPRO_CACHE=1``).
+``--cache-dir``); caching itself is opt-in (``--cache`` on the CLI, a
+``ResultCache`` passed as ``run_units(..., cache=)``).
 """
 
 from __future__ import annotations
@@ -35,20 +35,9 @@ from typing import Any, Optional, Tuple
 
 from repro.experiments.units import WorkUnit
 
-#: Environment variables consulted by the CLI / tools.
-CACHE_ENV_VAR = "VSCHED_REPRO_CACHE"
-CACHE_DIR_ENV_VAR = "VSCHED_REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".vsched-cache"
 
 _fingerprint_memo: Optional[str] = None
-
-
-def default_cache_dir() -> str:
-    return os.environ.get(CACHE_DIR_ENV_VAR) or DEFAULT_CACHE_DIR
-
-
-def cache_enabled_by_env() -> bool:
-    return os.environ.get(CACHE_ENV_VAR, "") not in ("", "0", "false", "no")
 
 
 def code_fingerprint(root: Optional[str] = None) -> str:
@@ -117,7 +106,7 @@ class ResultCache:
     """
 
     def __init__(self, path: Optional[str] = None):
-        self.path = path or default_cache_dir()
+        self.path = path or DEFAULT_CACHE_DIR
         os.makedirs(self.path, exist_ok=True)
         self.hits = 0
         self.misses = 0

@@ -3,10 +3,11 @@
 The supervisor (:mod:`repro.experiments.supervisor`) is only trustworthy
 if its recovery paths are exercised, so this module lets a campaign
 probabilistically inject the three fault classes the supervisor must
-survive, *inside* the worker processes, gated by an environment variable::
+survive, *inside* the worker processes, from a spec passed to
+``run_units(..., chaos=ChaosPlan.parse(spec))`` or on the CLI::
 
-    VSCHED_REPRO_CHAOS=crash:0.2,hang:0.1,flaky:0.5 \
-        vsched-repro run all --fast --jobs 4 --keep-going --max-retries 2
+    vsched-repro run all --fast --jobs 4 --keep-going --max-retries 2 \
+        --chaos crash:0.2,hang:0.1,flaky:0.5
 
 Modes (each ``mode:probability``, comma-separated):
 
@@ -41,9 +42,6 @@ from typing import Optional
 
 from repro.experiments.units import TransientUnitError
 
-#: Environment variable holding the chaos spec (empty/unset = chaos off).
-CHAOS_ENV_VAR = "VSCHED_REPRO_CHAOS"
-
 #: Exit code used by injected crashes, distinguishable from real faults.
 CHAOS_CRASH_EXIT_CODE = 87
 
@@ -74,36 +72,23 @@ class ChaosPlan:
                 value = float(raw)
             except ValueError:
                 raise ValueError(
-                    f"malformed {CHAOS_ENV_VAR} token {token!r}: "
+                    f"malformed chaos spec token {token!r}: "
                     f"expected <mode>:<probability> or hang_s=<seconds>")
             if name == "hang_s":
                 if value <= 0:
-                    raise ValueError(f"{CHAOS_ENV_VAR}: hang_s must be > 0, "
+                    raise ValueError(f"chaos spec: hang_s must be > 0, "
                                      f"got {value}")
             elif name in _MODES:
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(
-                        f"{CHAOS_ENV_VAR}: probability for {name!r} must be "
+                        f"chaos spec: probability for {name!r} must be "
                         f"in [0, 1], got {value}")
             else:
                 raise ValueError(
-                    f"{CHAOS_ENV_VAR}: unknown mode {name!r} "
+                    f"chaos spec: unknown mode {name!r} "
                     f"(known: {', '.join(_MODES)}, hang_s)")
             values[name] = value
         return cls(**values)
-
-    @classmethod
-    def from_env(cls) -> Optional["ChaosPlan"]:
-        """The plan from ``$VSCHED_REPRO_CHAOS``, or None when unset."""
-        spec = os.environ.get(CHAOS_ENV_VAR, "").strip()
-        if not spec:
-            return None
-        plan = cls.parse(spec)
-        return plan if plan.enabled else None
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.crash or self.hang or self.flaky)
 
     # ------------------------------------------------------------------
     def decide(self, tag: str, attempt: int) -> Optional[str]:

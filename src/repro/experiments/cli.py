@@ -27,29 +27,34 @@ failures (``TransientUnitError``; in pooled campaigns also worker crashes
 and deadline expiry), and ``--unit-timeout`` overrides a pooled unit's
 derived deadline.  Ctrl-C tears the pool down and reports how far the
 campaign got; cached results survive either way.
+
+Every setting is a flag handed to ``run_units`` as an argument; the CLI
+reads no environment variable and writes none.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
-from repro.experiments import parallel, supervisor
-from repro.experiments.cache import (
-    CACHE_DIR_ENV_VAR,
-    CACHE_ENV_VAR,
-    ResultCache,
-    cache_enabled_by_env,
-    default_cache_dir,
-)
+from repro.experiments import parallel
+from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.experiments.chaos import ChaosPlan
 from repro.experiments.common import EXPERIMENTS
 
 #: Order in which `run all` executes (paper order).
 ALL_ORDER = ["fig2", "fig3", "fig4", "fig10a", "fig10b", "tab2", "fig11",
              "fig12", "fig13", "fig14", "tab3", "fig15", "tab4", "fig16",
              "fig17", "fig18", "fig19", "fig20", "fig21", "figA1"]
+
+
+def _chaos_spec(spec: str) -> ChaosPlan:
+    """``--chaos`` type: a bad spec exits 2 with the parser's reason."""
+    try:
+        return ChaosPlan.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -68,9 +73,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="shrunken workloads (seconds instead of minutes)")
     runp.add_argument("--no-check", action="store_true",
                       help="skip the qualitative shape assertions")
-    runp.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="worker processes (default 1, or "
-                           f"${parallel.JOBS_ENV_VAR})")
+    runp.add_argument("--jobs", type=int, default=1, metavar="N",
+                      help="worker processes (default 1: in-process)")
     runp.add_argument("--keep-going", action="store_true",
                       help="do not abort the campaign on a failed unit: "
                            "stream every healthy table, report failures at "
@@ -82,29 +86,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     runp.add_argument("--unit-timeout", type=float, default=None,
                       metavar="S",
                       help="per-unit deadline in seconds, overriding the "
-                           "cost-derived one (default: cost_hint-based, or "
-                           f"${supervisor.UNIT_TIMEOUT_ENV_VAR})")
-    cachep = runp.add_mutually_exclusive_group()
-    cachep.add_argument("--cache", dest="cache", action="store_true",
-                        default=None,
-                        help="reuse cached work-unit results and store new "
-                             f"ones (default off, or ${CACHE_ENV_VAR}=1)")
-    cachep.add_argument("--no-cache", dest="cache", action="store_false",
-                        help="force caching off even if the environment "
-                             "enables it")
-    runp.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="result cache directory (default "
-                           f"{default_cache_dir()!r}, or "
-                           f"${CACHE_DIR_ENV_VAR})")
-    snapp = runp.add_mutually_exclusive_group()
-    snapp.add_argument("--snapshot", dest="snapshot", action="store_true",
-                       default=None,
-                       help="warm-start scenarios by forking frozen prefix "
-                            "worlds (default on, or $VSCHED_REPRO_SNAPSHOT)")
-    snapp.add_argument("--no-snapshot", dest="snapshot",
-                       action="store_false",
-                       help="rebuild every scenario prefix cold (the A/B "
-                            "baseline for the byte-identity contract)")
+                           "cost-derived one (default: cost_hint-based)")
+    runp.add_argument("--cache", action="store_true",
+                      help="reuse cached work-unit results and store new "
+                           "ones (default off)")
+    runp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
+                      help="result cache directory (default %(default)r)")
+    runp.add_argument("--no-snapshot", dest="snapshot", action="store_false",
+                      help="rebuild every scenario prefix cold instead of "
+                           "forking a frozen one (the A/B baseline for the "
+                           "byte-identity contract)")
+    runp.add_argument("--chaos", type=_chaos_spec, default=None,
+                      metavar="SPEC",
+                      help="inject faults into pool workers, e.g. "
+                           "crash:0.2,hang:0.1,flaky:0.5[,hang_s=30] "
+                           "(exercises the supervisor's recovery paths)")
     runp.add_argument("--out", default=None,
                       help="also write rendered tables to this file "
                            "(truncated unless --append)")
@@ -117,7 +113,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{exp_id:8s} -> {EXPERIMENTS[exp_id]}")
         return 0
 
-    jobs = args.jobs if args.jobs is not None else parallel.default_jobs()
     if args.experiment == "all":
         ids = ALL_ORDER
     else:
@@ -127,13 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise KeyError(f"unknown experiment {exp_id!r}; "
                            f"known: {sorted(EXPERIMENTS)}")
 
-    cache_on = args.cache if args.cache is not None else cache_enabled_by_env()
-    cache = ResultCache(args.cache_dir) if cache_on else None
-
-    if args.snapshot is not None:
-        # Exported as an env var so pool workers (fork or spawn) inherit
-        # the same mode; snapstore.execute_unit consults it per unit.
-        os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if args.snapshot else "0"
+    cache = ResultCache(args.cache_dir) if args.cache else None
 
     out_fh = open(args.out, "a" if args.append else "w") if args.out else None
     failures: List[str] = []
@@ -142,7 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     interrupted: Optional[parallel.CampaignInterrupted] = None
     aborted: Optional[BaseException] = None
     try:
-        failures = _run_flat(ids, args, jobs, out_fh, cache, completed,
+        failures = _run_flat(ids, args, out_fh, cache, completed,
                              failed_units)
     except parallel.CampaignInterrupted as exc:
         interrupted = exc
@@ -190,7 +179,7 @@ def _print_failure_report(failed_units: List[parallel.UnitFailure]) -> None:
           flush=True)
 
 
-def _run_flat(ids: List[str], args, jobs: int, out_fh, cache,
+def _run_flat(ids: List[str], args, out_fh, cache,
               completed: List[str],
               failed_units: List[parallel.UnitFailure]) -> List[str]:
     """Stream the flat work-unit scheduler's tables in paper order.
@@ -200,10 +189,11 @@ def _run_flat(ids: List[str], args, jobs: int, out_fh, cache,
     """
     failures = []
     for res in parallel.run_units(ids, fast=args.fast,
-                                  check=not args.no_check, jobs=jobs,
+                                  check=not args.no_check, jobs=args.jobs,
                                   cache=cache, keep_going=args.keep_going,
                                   max_retries=args.max_retries,
-                                  unit_timeout=args.unit_timeout):
+                                  unit_timeout=args.unit_timeout,
+                                  snapshot=args.snapshot, chaos=args.chaos):
         print(f"--- running {res.exp_id} "
               f"({'fast' if args.fast else 'full'}) ---", flush=True)
         print(res.rendered, flush=True)

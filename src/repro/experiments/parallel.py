@@ -43,7 +43,6 @@ module-level (picklable) and must return picklable data (floats / dicts /
 from __future__ import annotations
 
 import os
-import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -67,12 +66,8 @@ from repro.experiments.units import (
     supports_units,
 )
 
-__all__ = ["run_units", "decompose", "default_jobs", "last_campaign_stats",
-           "CampaignResult", "UnitFailure", "CampaignInterrupted",
-           "JOBS_ENV_VAR"]
-
-#: Environment variable consulted for the default worker count.
-JOBS_ENV_VAR = "VSCHED_REPRO_JOBS"
+__all__ = ["run_units", "decompose", "last_campaign_stats",
+           "CampaignResult", "UnitFailure", "CampaignInterrupted"]
 
 #: Approximate fast-mode serial wall seconds of the experiments that still
 #: run as one whole unit, so the LPT dispatch order stays sensible for
@@ -81,20 +76,6 @@ WHOLE_EXPERIMENT_COST: Dict[str, float] = {
     "fig3": 0.1, "fig10a": 0.4, "fig10b": 0.1, "tab2": 0.2, "fig12": 5.6,
     "tab3": 3.8, "tab4": 2.9, "fig21": 4.4,
 }
-
-
-def default_jobs() -> int:
-    """Resolve the default worker count ($VSCHED_REPRO_JOBS, else 1)."""
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring malformed {JOBS_ENV_VAR}={env!r} "
-                  f"(expected an integer); defaulting to 1 worker",
-                  file=sys.stderr)
-            return 1
-    return 1
 
 
 # ----------------------------------------------------------------------
@@ -283,18 +264,21 @@ def last_campaign_stats() -> Optional[SupervisorStats]:
 
 
 def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
-              jobs: Optional[int] = None, cache=None,
+              jobs: int = 1, cache=None,
               keep_going: bool = False,
               max_retries: Optional[int] = None,
               unit_timeout: Optional[float] = None,
               max_respawns: Optional[int] = None,
+              snapshot: Optional[bool] = None,
+              chaos: Optional[ChaosPlan] = None,
               ) -> Iterator[CampaignResult]:
     """Flat-schedule every unit of every experiment; stream ordered results.
 
     Yields one :class:`CampaignResult` per experiment in ``exp_ids`` order,
-    each as soon as its last unit completes.  ``cache`` is an optional
-    :class:`repro.experiments.cache.ResultCache`; hits skip execution
-    entirely and misses are stored on completion.
+    each as soon as its last unit completes.  ``jobs > 1`` runs the units
+    on that many pool workers; otherwise they run in-process.  ``cache`` is
+    an optional :class:`repro.experiments.cache.ResultCache`; hits skip
+    execution entirely and misses are stored on completion.
 
     Execution is supervised: transient failures (worker death, deadline
     expiry, :class:`TransientUnitError`) retry up to ``max_retries``
@@ -304,17 +288,21 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     (its ``failed_units`` carry the per-unit error, attempts and worker
     fate) instead of a raised ``RuntimeError`` — healthy experiments still
     stream and successes still populate the cache.  Ctrl-C tears the pool
-    down and raises :class:`CampaignInterrupted`.  Chaos injection
-    (``$VSCHED_REPRO_CHAOS``, pooled runs only) is parsed here so a
-    malformed spec fails fast in the parent.
+    down and raises :class:`CampaignInterrupted`.  ``chaos`` injects
+    faults into pool workers only (serial runs ignore it).
+
+    ``snapshot`` picks warm-start prefix forking (True) or cold prefix
+    rebuilds (False); pool workers receive it as an argument.  When it is
+    None, ``$VSCHED_REPRO_SNAPSHOT`` decides (``0`` is cold, anything
+    else forks) — the one environment variable the package reads, kept
+    for harnesses that drive ``run_units`` in a child process.
     """
     ids = list(exp_ids)
-    if jobs is None:
-        jobs = default_jobs()
+    if snapshot is None:
+        snapshot = os.environ.get("VSCHED_REPRO_SNAPSHOT", "1") != "0"
     retry = RetryPolicy() if max_retries is None \
         else RetryPolicy(max_retries=max_retries)
-    deadline = DeadlinePolicy.from_env(override_s=unit_timeout)
-    chaos = ChaosPlan.from_env()
+    deadline = DeadlinePolicy(override_s=unit_timeout)
     plans: List[Tuple[str, List[_UnitState], Callable]] = []
     for exp_id in ids:
         units, assemble = decompose(exp_id, fast)
@@ -341,7 +329,7 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
 
     if jobs <= 1:
         yield from _run_units_serial(plans, fast, check, cache, keep_going,
-                                     retry)
+                                     retry, snapshot)
         return
 
     # Longest-first greedy dispatch: the supervisor assigns one unit at a
@@ -350,7 +338,8 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     pending.sort(key=lambda st: -st.unit.cost_hint)
     outcomes = supervise([st.unit for st in pending], jobs, fast=fast,
                          retry=retry, deadline=deadline, chaos=chaos,
-                         stats=stats, max_respawns=max_respawns)
+                         stats=stats, max_respawns=max_respawns,
+                         snapshot=snapshot)
     next_yield = 0
     try:
         for pos, out in outcomes:
@@ -381,6 +370,7 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
 def _run_units_serial(plans, fast: bool, check: bool, cache,
                       keep_going: bool = False,
                       retry: Optional[RetryPolicy] = None,
+                      snapshot: bool = True,
                       ) -> Iterator[CampaignResult]:
     """In-process scheduler path (jobs<=1): same semantics, no pool.
 
@@ -407,7 +397,7 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
                 retryable = False
                 try:
                     st.result = execute_unit(st.unit.func, st.unit.config,
-                                             st.unit.prefix, fast)
+                                             st.unit.prefix, fast, snapshot)
                 except Exception as exc:  # noqa: BLE001 - same as pooled
                     st.error = f"{type(exc).__name__}: {exc}"
                     st.tb = traceback.format_exc()

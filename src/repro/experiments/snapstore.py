@@ -20,9 +20,10 @@ each campaign worker process grows its own store, which is why sharing
 a prefix across many units of the same experiment pays off even under
 the pooled scheduler.
 
-``$VSCHED_REPRO_SNAPSHOT=0`` (or ``--no-snapshot``) disables forking:
-every unit then rebuilds its prefix cold through the *same* builder
-function, which is the A/B baseline for the identity contract.
+``snapshot=False`` (``run_units(..., snapshot=False)``, ``--no-snapshot``
+on the CLI) disables forking: every unit then rebuilds its prefix cold
+through the *same* builder function, which is the A/B baseline for the
+identity contract.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import snapshot_default
 from repro.sim.snapshot import WorldSnapshot
 
 __all__ = ["PrefixSpec", "SnapshotStore", "execute_unit", "process_store",
@@ -169,19 +169,20 @@ def snapshot_counters() -> Dict[str, int]:
 
 
 def execute_unit(func: Callable, config: Tuple,
-                 prefix: Optional[PrefixSpec], fast: bool) -> Any:
+                 prefix: Optional[PrefixSpec], fast: bool,
+                 snapshot: bool = True) -> Any:
     """Run one work-unit body, warm-starting from its prefix if it has one.
 
-    With a prefix and snapshots enabled, the unit function is called as
+    With a prefix and ``snapshot`` on, the unit function is called as
     ``func(roots, *config)`` on a private fork of the frozen prefix
-    world.  With snapshots disabled the prefix is rebuilt cold — through
+    world.  With ``snapshot`` off the prefix is rebuilt cold — through
     the identical builder code — before the same call.  Without a
     prefix this is exactly ``func(*config)``.
     """
     if prefix is None:
         return func(*config)
     store = process_store()
-    if snapshot_default():
+    if snapshot:
         roots = store.fork(prefix, fast)
     else:
         store.cold_builds += 1

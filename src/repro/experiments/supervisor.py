@@ -47,7 +47,6 @@ from __future__ import annotations
 import heapq
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
-import os
 import pickle
 import time
 import traceback
@@ -57,9 +56,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.chaos import ChaosPlan
 from repro.experiments.units import TransientUnitError, WorkUnit
-
-#: Environment variable overriding the derived per-unit deadline (seconds).
-UNIT_TIMEOUT_ENV_VAR = "VSCHED_REPRO_UNIT_TIMEOUT"
 
 #: Full (non-fast) scenarios run roughly this much longer than their
 #: fast-mode ``cost_hint`` seconds; deadlines scale accordingly.
@@ -83,8 +79,8 @@ class CampaignInterrupted(KeyboardInterrupt):
 class DeadlinePolicy:
     """Derives each unit's wall-clock deadline.
 
-    Precedence: ``override_s`` (CLI ``--unit-timeout`` /
-    ``$VSCHED_REPRO_UNIT_TIMEOUT``) > ``unit.timeout_s`` >
+    Precedence: ``override_s`` (``run_units(..., unit_timeout=)``, CLI
+    ``--unit-timeout``) > ``unit.timeout_s`` >
     ``clamp(cost_hint × multiplier, floor_s, ceil_s)``.  Full-mode
     scenarios scale the derived (not overridden) value by
     :data:`FULL_MODE_SCALE` because ``cost_hint`` is in fast-mode seconds.
@@ -94,20 +90,6 @@ class DeadlinePolicy:
     floor_s: float = 30.0
     ceil_s: float = 1800.0
     override_s: Optional[float] = None
-
-    @classmethod
-    def from_env(cls, override_s: Optional[float] = None,
-                 **kwargs) -> "DeadlinePolicy":
-        if override_s is None:
-            env = os.environ.get(UNIT_TIMEOUT_ENV_VAR)
-            if env:
-                try:
-                    override_s = float(env)
-                except ValueError:
-                    raise ValueError(
-                        f"malformed {UNIT_TIMEOUT_ENV_VAR}={env!r} "
-                        f"(expected seconds)")
-        return cls(override_s=override_s, **kwargs)
 
     def timeout_for(self, unit: WorkUnit, fast: bool) -> float:
         if self.override_s is not None:
@@ -190,7 +172,8 @@ def _pool_context():
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_main(worker_id: int, task_r, result_w,
-                 chaos: Optional[ChaosPlan], fast: bool = False) -> None:
+                 chaos: Optional[ChaosPlan], fast: bool = False,
+                 snapshot: bool = True) -> None:
     """Worker loop: serve one unit per parent assignment until None/EOF.
 
     Chaos, when configured, is injected before the unit body runs, seeded
@@ -199,10 +182,12 @@ def _worker_main(worker_id: int, task_r, result_w,
     ``result_w``, so neither needs a lock.
 
     Units carrying a snapshot prefix run through this worker's own
-    in-process :class:`~repro.experiments.snapstore.SnapshotStore` — the
-    first such unit builds and freezes the prefix world, later ones fork
-    it.  The store's counter deltas ride back inside the engine-counter
-    dict so the parent can aggregate hit/miss/fork counts per experiment.
+    in-process :class:`~repro.experiments.snapstore.SnapshotStore` — with
+    ``snapshot`` on, the first such unit builds and freezes the prefix
+    world and later ones fork it; with it off, every unit rebuilds the
+    prefix cold.  The store's counter deltas ride back inside the
+    engine-counter dict so the parent can aggregate hit/miss/fork counts
+    per experiment.
     """
     from repro.experiments.snapstore import execute_unit, snapshot_counters
     from repro.sim.engine import Engine
@@ -224,7 +209,7 @@ def _worker_main(worker_id: int, task_r, result_w,
         try:
             if chaos is not None:
                 chaos.maybe_inject(tag, attempt)
-            result = execute_unit(func, config, prefix, fast)
+            result = execute_unit(func, config, prefix, fast, snapshot)
             pickle.dumps(result)  # unpicklable? fail with a real traceback
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             result = None
@@ -272,6 +257,7 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
               chaos: Optional[ChaosPlan] = None,
               stats: Optional[SupervisorStats] = None,
               max_respawns: Optional[int] = None,
+              snapshot: bool = True,
               ) -> Iterator[Tuple[int, UnitOutcome]]:
     """Run ``units`` on ``jobs`` supervised workers; yield ``(idx, outcome)``.
 
@@ -280,10 +266,11 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     one terminal outcome, even under worker crashes, hangs, and injected
     chaos — the loop converges because each unit's attempts are bounded
     and the respawn budget is finite.  On Ctrl-C the pool is torn down and
-    :class:`CampaignInterrupted` raised.
+    :class:`CampaignInterrupted` raised.  ``fast``, ``chaos`` and the
+    ``snapshot`` mode are handed to every worker as arguments.
     """
     retry = retry or RetryPolicy()
-    deadline = deadline or DeadlinePolicy.from_env()
+    deadline = deadline or DeadlinePolicy()
     stats = stats if stats is not None else SupervisorStats()
     if max_respawns is None:
         max_respawns = max(16, 8 * jobs)
@@ -303,7 +290,8 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
         task_r, task_w = ctx.Pipe(duplex=False)
         result_r, result_w = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_worker_main,
-                           args=(wid, task_r, result_w, chaos, fast),
+                           args=(wid, task_r, result_w, chaos, fast,
+                                 snapshot),
                            daemon=False, name=f"vsched-unit-{wid}")
         proc.start()
         # Close the child's ends in the parent so a dead child shows as

@@ -33,7 +33,6 @@ are preserved.
 from __future__ import annotations
 
 import copy
-import os
 from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -58,19 +57,6 @@ def ns_to_ms(t: int) -> float:
 def ns_to_sec(t: int) -> float:
     """Convert engine nanoseconds to floating-point seconds."""
     return t / SEC
-
-
-def snapshot_default() -> bool:
-    """Process-wide default for warm-start snapshot forking (on by default).
-
-    ``VSCHED_REPRO_SNAPSHOT=0`` disables the prefix snapshot store
-    (:mod:`repro.experiments.snapstore`): prefix/diverge scenarios then
-    rebuild their warm-up from scratch through the *same* code path, which
-    is what the A/B harness (``tools/abdiff.py``) flips to assert that
-    forked and cold runs produce byte-identical tables.  Read lazily at
-    each decision site so tests can toggle it in-process.
-    """
-    return os.environ.get("VSCHED_REPRO_SNAPSHOT", "1") != "0"
 
 
 class Event:

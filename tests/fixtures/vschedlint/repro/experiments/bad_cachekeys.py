@@ -1,13 +1,14 @@
 """Hidden result inputs and fingerprint gaps in a work-unit body.
 
 Expected on a standalone lint: fingerprint-gap x1 (scipy is neither
-stdlib nor pinned), hidden-env-input x2 (module-level read plus one in
-the unit-reachable body), hidden-file-input x2 (``open()`` in the body,
-``.read_text()`` in a helper the body calls).  The orchestration-only
-``_worker_count`` read stays quiet: it is not reachable from any work
-unit.  Linted together with the ``repro/__init__.py`` fixture (a full
-scan) the unresolvable ``repro.experiments.missing_tables`` import adds
-one more fingerprint-gap.
+stdlib nor pinned), hidden-env-input x3 (the module-level read, the one
+in the unit body, and the one in ``_worker_count``: outside
+``parallel.run_units`` every environment read fires, reachable from a
+unit or not), hidden-file-input x2 (``open()`` in the body,
+``.read_text()`` in a helper the body calls).  Linted together with the
+``repro/__init__.py`` fixture (a full scan) the unresolvable
+``repro.experiments.missing_tables`` import adds one more
+fingerprint-gap.
 """
 
 import os
@@ -38,5 +39,6 @@ def scenarios(fast):
 
 
 def _worker_count():
-    # Host-side concurrency knob: never feeds a result value.
+    # A host-side knob, but read from the environment: flagged all the
+    # same (settings are arguments).
     return int(os.getenv("REPRO_JOBS", "4"))

@@ -1,11 +1,8 @@
 """Cache-key-sound experiment module: zero findings expected.
 
-Every input of the unit body flows through ``(config, seed)``; the only
-environment read sits in CLI orchestration no work unit can reach, which
-the experiments-layer scoping deliberately leaves alone.
+Every input of the unit body flows through ``(config, seed)``, and the
+worker count is an argument, not an environment read.
 """
-
-import os
 
 
 def _scenario(mode, fast):
@@ -19,5 +16,5 @@ def scenarios(fast):
             for mode in ("cfs", "vsched")]
 
 
-def _worker_count():
-    return int(os.getenv("REPRO_JOBS", "4"))
+def _worker_count(jobs=4):
+    return int(jobs)

@@ -13,7 +13,7 @@ import types
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.chaos import CHAOS_ENV_VAR, ChaosPlan
+from repro.experiments.chaos import ChaosPlan
 from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.units import TransientUnitError, WorkUnit
 
@@ -67,20 +67,6 @@ class TestParse:
         with pytest.raises(ValueError, match="malformed"):
             ChaosPlan.parse("crash:lots")
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
-        assert ChaosPlan.from_env() is None
-        monkeypatch.setenv(CHAOS_ENV_VAR, "crash:0.0")
-        assert ChaosPlan.from_env() is None  # all-zero = disabled
-        monkeypatch.setenv(CHAOS_ENV_VAR, "crash:0.3")
-        assert ChaosPlan.from_env() == ChaosPlan(crash=0.3)
-
-    def test_malformed_env_fails_fast_in_parent(self, monkeypatch,
-                                                fake_experiment):
-        monkeypatch.setenv(CHAOS_ENV_VAR, "explode:0.5")
-        with pytest.raises(ValueError, match="unknown mode"):
-            list(parallel.run_units(["figc"], fast=True, jobs=2))
-
 
 class TestDecide:
     def test_decisions_are_deterministic(self):
@@ -111,12 +97,11 @@ class TestChaosCampaigns:
     """Drive each chaos mode through a 2-worker campaign."""
 
     def test_flaky_campaign_recovers_and_matches_serial(
-            self, monkeypatch, fake_experiment):
-        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+            self, fake_experiment):
         clean, = parallel.run_units(["figc"], fast=True, jobs=1)
-        monkeypatch.setenv(CHAOS_ENV_VAR, "flaky:1.0")
         chaotic, = parallel.run_units(["figc"], fast=True, jobs=2,
-                                      max_retries=2)
+                                      max_retries=2,
+                                      chaos=ChaosPlan.parse("flaky:1.0"))
         assert chaotic.ok
         assert chaotic.rendered == clean.rendered
         # flaky:1.0 fails every unit exactly once.
@@ -124,12 +109,11 @@ class TestChaosCampaigns:
         assert chaotic.retries == len(chaotic.unit_stats)
 
     def test_crash_campaign_recovers_and_matches_serial(
-            self, monkeypatch, fake_experiment):
-        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+            self, fake_experiment):
         clean, = parallel.run_units(["figc"], fast=True, jobs=1)
-        monkeypatch.setenv(CHAOS_ENV_VAR, "crash:0.4")
         chaotic, = parallel.run_units(["figc"], fast=True, jobs=2,
-                                      max_retries=5, keep_going=True)
+                                      max_retries=5, keep_going=True,
+                                      chaos=ChaosPlan.parse("crash:0.4"))
         assert chaotic.ok, chaotic.rendered
         assert chaotic.rendered == clean.rendered
         stats = parallel.last_campaign_stats()
@@ -139,14 +123,12 @@ class TestChaosCampaigns:
         assert stats.respawns >= 1
 
     def test_hang_campaign_deadline_kills_then_recovers(
-            self, monkeypatch, fake_experiment):
-        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+            self, fake_experiment):
         clean, = parallel.run_units(["figc"], fast=True, jobs=1)
-        monkeypatch.setenv(CHAOS_ENV_VAR, "hang:0.5,hang_s=120")
         started = time.monotonic()
-        chaotic, = parallel.run_units(["figc"], fast=True, jobs=2,
-                                      unit_timeout=1.0, max_retries=5,
-                                      keep_going=True)
+        chaotic, = parallel.run_units(
+            ["figc"], fast=True, jobs=2, unit_timeout=1.0, max_retries=5,
+            keep_going=True, chaos=ChaosPlan.parse("hang:0.5,hang_s=120"))
         assert time.monotonic() - started < 60
         assert chaotic.ok, chaotic.rendered
         assert chaotic.rendered == clean.rendered
@@ -155,10 +137,10 @@ class TestChaosCampaigns:
         assert stats.kills >= 1
 
     def test_hopeless_crash_campaign_fails_with_report(
-            self, monkeypatch, fake_experiment):
-        monkeypatch.setenv(CHAOS_ENV_VAR, "crash:1.0")
+            self, fake_experiment):
         res, = parallel.run_units(["figc"], fast=True, jobs=2,
-                                  max_retries=1, keep_going=True)
+                                  max_retries=1, keep_going=True,
+                                  chaos=ChaosPlan.parse("crash:1.0"))
         assert not res.ok
         assert len(res.failed_units) == len(_units())
         for fu in res.failed_units:
@@ -166,10 +148,9 @@ class TestChaosCampaigns:
             assert fu.attempts == 2
             assert "gave up" in fu.fate
 
-    def test_serial_campaign_ignores_chaos(self, monkeypatch,
-                                           fake_experiment):
+    def test_serial_campaign_ignores_chaos(self, fake_experiment):
         # crash:1.0 in-process would kill pytest itself; the serial path
         # must not inject.
-        monkeypatch.setenv(CHAOS_ENV_VAR, "crash:1.0")
-        res, = parallel.run_units(["figc"], fast=True, jobs=1)
+        res, = parallel.run_units(["figc"], fast=True, jobs=1,
+                                  chaos=ChaosPlan.parse("crash:1.0"))
         assert res.ok

@@ -1,6 +1,7 @@
 """CLI and tooling smoke tests (fast paths only)."""
 
 import importlib.util
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import types
 import pytest
 
 from repro.experiments import parallel
+from repro.experiments.chaos import ChaosPlan
 from repro.experiments.cli import ALL_ORDER, main
 from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.units import WorkUnit
@@ -126,6 +128,7 @@ def test_cli_interrupt_prints_progress_summary(monkeypatch, capsys):
 
 
 def test_cli_retry_flags_are_plumbed(monkeypatch, capsys):
+    monkeypatch.delenv("VSCHED_REPRO_SNAPSHOT", raising=False)
     seen = {}
     real_run_units = parallel.run_units
 
@@ -136,11 +139,28 @@ def test_cli_retry_flags_are_plumbed(monkeypatch, capsys):
     monkeypatch.setattr(parallel, "run_units", spy)
     _register(monkeypatch, "figgood", [_ok_unit, _ok_unit])
     rc = main(["run", "figgood", "--fast", "--jobs", "2",
-               "--max-retries", "4", "--unit-timeout", "90"])
+               "--max-retries", "4", "--unit-timeout", "90",
+               "--no-snapshot", "--chaos", "flaky:1.0"])
     assert rc == 0
     assert seen["max_retries"] == 4
     assert seen["unit_timeout"] == 90.0
     assert seen["keep_going"] is False
+    assert seen["snapshot"] is False
+    assert seen["chaos"] == ChaosPlan(flaky=1.0)
+    # Settings are arguments: the mode did not leak into the process.
+    assert "VSCHED_REPRO_SNAPSHOT" not in os.environ
+
+
+def test_cli_malformed_chaos_exits_before_running(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(parallel, "run_units",
+                        lambda *a, **kw: calls.append(a) or iter(()))
+    with pytest.raises(SystemExit) as info:
+        main(["run", "fig3", "--fast", "--jobs", "2",
+              "--chaos", "explode:0.5"])
+    assert info.value.code == 2
+    assert "unknown mode" in capsys.readouterr().err
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -249,16 +249,3 @@ class TestDecompose:
         for exp_id in ("fig16", "fig17", "fig18", "fig19"):
             units, _assemble = parallel.decompose(exp_id, True)
             assert len(units) >= 2, exp_id
-
-
-class TestDefaultJobsEnv:
-    def test_malformed_env_warns_and_falls_back(self, monkeypatch, capsys):
-        monkeypatch.setenv(parallel.JOBS_ENV_VAR, "many")
-        assert parallel.default_jobs() == 1
-        err = capsys.readouterr().err
-        assert "malformed" in err and "many" in err
-
-    def test_valid_env_still_parses(self, monkeypatch, capsys):
-        monkeypatch.setenv(parallel.JOBS_ENV_VAR, "3")
-        assert parallel.default_jobs() == 3
-        assert capsys.readouterr().err == ""

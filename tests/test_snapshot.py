@@ -12,16 +12,23 @@ tested here against its cold-path twin:
 * store layer — :class:`SnapshotStore` keys on
   (code fingerprint, prefix, fast), hits after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
-  off.
+  off;
+* campaign layer — ``run_units`` hands its ``snapshot`` argument to pool
+  workers, and falls back to ``$VSCHED_REPRO_SNAPSHOT`` only when the
+  argument is omitted.
 """
 
 from __future__ import annotations
 
 import copy
+import sys
+import types
 
 import pytest
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
+from repro.experiments import parallel
+from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.snapstore import (
     PrefixSpec,
     SnapshotStore,
@@ -30,6 +37,7 @@ from repro.experiments.snapstore import (
     process_store,
     reset_process_store,
 )
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import MSEC, SEC, Engine
 from repro.sim.rng import make_rng, rng_signature
 from repro.sim.snapshot import SnapshotError, WorldSnapshot, guard_world
@@ -240,20 +248,70 @@ class TestExecuteUnit:
     def test_prefixless_unit_is_plain_call(self):
         assert execute_unit(int, ("7",), None, True) == 7
 
-    def test_on_and_off_paths_agree(self, monkeypatch):
-        monkeypatch.setenv("VSCHED_REPRO_SNAPSHOT", "1")
-        forked = [execute_unit(_ticker_unit, (h,), _SPEC, True)
+    def test_on_and_off_paths_agree(self):
+        forked = [execute_unit(_ticker_unit, (h,), _SPEC, True,
+                               snapshot=True)
                   for h in (2_000, 3_000)]
         on_store = process_store()
         assert (on_store.hits, on_store.misses) == (1, 1)
         assert on_store.cold_builds == 0
 
         reset_process_store()
-        monkeypatch.setenv("VSCHED_REPRO_SNAPSHOT", "0")
-        cold = [execute_unit(_ticker_unit, (h,), _SPEC, True)
+        cold = [execute_unit(_ticker_unit, (h,), _SPEC, True,
+                             snapshot=False)
                 for h in (2_000, 3_000)]
         off_store = process_store()
         assert off_store.cold_builds == 2
         assert (off_store.hits, off_store.misses, off_store.forks) == \
             (0, 0, 0)
         assert forked == cold == [(2_000, 20), (3_000, 30)]
+
+
+# ----------------------------------------------------------------------
+# Campaign layer: run_units hands the mode to every worker.
+# ----------------------------------------------------------------------
+def _ticker_assemble(fast, results):
+    table = Table("figsnap", "ticker", ["now", "count"])
+    for now, count in results:
+        table.add(now, count)
+    return table
+
+
+@pytest.fixture
+def ticker_experiment(monkeypatch):
+    """A two-unit experiment whose units share the ticker prefix."""
+    units = [WorkUnit(exp_id="figsnap", label=f"h{h}", func=_ticker_unit,
+                      config=(h,), seed=f"figsnap-{h}", prefix=_SPEC)
+             for h in (2_000, 3_000)]
+    mod = types.ModuleType("_vsched_fake_snapshot")
+    mod.scenarios = lambda fast: list(units)
+    mod.assemble = _ticker_assemble
+    mod.check = lambda table: None
+    monkeypatch.setitem(sys.modules, "_vsched_fake_snapshot", mod)
+    monkeypatch.setitem(EXPERIMENTS, "figsnap", "_vsched_fake_snapshot")
+    reset_process_store()
+    yield
+    reset_process_store()
+
+
+class TestCampaignSnapshotMode:
+    def test_pooled_workers_receive_the_mode(self, ticker_experiment):
+        forked, = parallel.run_units(["figsnap"], fast=True, jobs=2,
+                                     snapshot=True)
+        cold, = parallel.run_units(["figsnap"], fast=True, jobs=2,
+                                   snapshot=False)
+        assert cold.counters["snap_cold_builds"] == 2
+        assert cold.counters["snap_forks"] == 0
+        assert cold.rendered == forked.rendered
+
+    def test_environment_is_the_default_only(self, monkeypatch,
+                                             ticker_experiment):
+        monkeypatch.setenv("VSCHED_REPRO_SNAPSHOT", "0")
+        res, = parallel.run_units(["figsnap"], fast=True, jobs=1)
+        assert res.counters["snap_cold_builds"] == 2
+        assert res.counters["snap_forks"] == 0
+        # An explicit argument wins over the environment.
+        res, = parallel.run_units(["figsnap"], fast=True, jobs=1,
+                                  snapshot=True)
+        assert res.counters["snap_cold_builds"] == 0
+        assert res.counters["snap_forks"] == 2

@@ -24,7 +24,6 @@ from repro.experiments.supervisor import (
     CampaignInterrupted,
     DeadlinePolicy,
     RetryPolicy,
-    UNIT_TIMEOUT_ENV_VAR,
 )
 from repro.experiments.units import TransientUnitError, WorkUnit
 
@@ -216,13 +215,6 @@ class TestDeadlines:
         over = DeadlinePolicy(multiplier=10.0, floor_s=5.0, ceil_s=100.0,
                               override_s=7.0)
         assert over.timeout_for(explicit, fast=True) == 7.0
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(UNIT_TIMEOUT_ENV_VAR, "12.5")
-        assert DeadlinePolicy.from_env().override_s == 12.5
-        monkeypatch.setenv(UNIT_TIMEOUT_ENV_VAR, "soon")
-        with pytest.raises(ValueError, match="malformed"):
-            DeadlinePolicy.from_env()
 
 
 # ----------------------------------------------------------------------

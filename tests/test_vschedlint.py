@@ -103,7 +103,7 @@ class TestCacheKeyRules:
         # Partial scan: the unresolvable repro import is NOT a gap (every
         # sibling would be); the third-party gap and hidden inputs are.
         got = rules_of(lint_fixture("experiments/bad_cachekeys.py"))
-        assert got == {"fingerprint-gap": 1, "hidden-env-input": 2,
+        assert got == {"fingerprint-gap": 1, "hidden-env-input": 3,
                        "hidden-file-input": 2}
 
     def test_bad_cachekeys_full_scan(self):
@@ -112,11 +112,10 @@ class TestCacheKeyRules:
             str(FIXTURES / "__init__.py"),
             str(FIXTURES / "experiments" / "bad_cachekeys.py")])
         got = rules_of(findings)
-        assert got == {"fingerprint-gap": 2, "hidden-env-input": 2,
+        assert got == {"fingerprint-gap": 2, "hidden-env-input": 3,
                        "hidden-file-input": 2}
 
-    def test_orchestration_reads_out_of_scope(self):
-        # The env read in ``_worker_count`` is not unit-reachable: quiet.
+    def test_clean_cachekeys_fixture(self):
         assert lint_fixture("experiments/clean_cachekeys.py") == []
 
 

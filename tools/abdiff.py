@@ -2,10 +2,10 @@
 """A/B determinism harness: snapshot forking on vs off.
 
 Runs each experiment twice in one process, with warm-start prefix forking
-on (``VSCHED_REPRO_SNAPSHOT=1``, the reference) and off (every prefix
-rebuilt cold through the same builder code, INTERNALS §15), and asserts
-the two result tables are **byte-identical**.  Any divergence is a
-correctness bug, not noise.  Both runs go through ``run_units``, and
+on (``run_units(..., snapshot=True)``, the reference) and off (every
+prefix rebuilt cold through the same builder code, INTERNALS §15), and
+asserts the two result tables are **byte-identical**.  Any divergence is
+a correctness bug, not noise.  Both runs go through ``run_units``, and
 the comparison reads the full-precision ``CampaignResult.table``.
 
 Also reports the events fired per mode, so the share of work that forking
@@ -49,9 +49,9 @@ def table_bytes(table) -> str:
 
 
 def run_once(exp_id: str, fast: bool, snapshot: bool):
-    os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
     # In-process, so both modes use this process's snapshot store.
-    res, = run_units([exp_id], fast=fast, check=False, jobs=1)
+    res, = run_units([exp_id], fast=fast, check=False, jobs=1,
+                     snapshot=snapshot)
     return table_bytes(res.table), res.events_fired
 
 
@@ -76,32 +76,25 @@ def main(argv=None) -> int:
     ids = (args.experiments.split(",") if args.experiments else ALL_ORDER)
     ids = [i.strip() for i in ids if i.strip()]
 
-    saved_snapshot = os.environ.get("VSCHED_REPRO_SNAPSHOT")
     diverged = []
     totals = {label: 0 for label, _ in MODES}
-    try:
-        for exp_id in ids:
-            ref_blob = None
-            for label, snapshot in MODES:
-                blob, fired = run_once(exp_id, args.fast, snapshot)
-                totals[label] += fired
-                if ref_blob is None:
-                    ref_blob = blob
-                    status = "reference"
-                elif blob == ref_blob:
-                    status = "identical"
-                else:
-                    status = "DIVERGED(table)"
-                    diverged.append(f"{exp_id}:{label}")
-                print(f"{exp_id:8s} {label:5s} fired={fired:>12,d}  "
-                      f"[{status}]", flush=True)
-                if blob != ref_blob:
-                    _diff_blobs(label, ref_blob, blob)
-    finally:
-        if saved_snapshot is None:
-            os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)
-        else:
-            os.environ["VSCHED_REPRO_SNAPSHOT"] = saved_snapshot
+    for exp_id in ids:
+        ref_blob = None
+        for label, snapshot in MODES:
+            blob, fired = run_once(exp_id, args.fast, snapshot)
+            totals[label] += fired
+            if ref_blob is None:
+                ref_blob = blob
+                status = "reference"
+            elif blob == ref_blob:
+                status = "identical"
+            else:
+                status = "DIVERGED(table)"
+                diverged.append(f"{exp_id}:{label}")
+            print(f"{exp_id:8s} {label:5s} fired={fired:>12,d}  "
+                  f"[{status}]", flush=True)
+            if blob != ref_blob:
+                _diff_blobs(label, ref_blob, blob)
 
     for label, _ in MODES:
         print(f"total    {label:5s} fired={totals[label]:>12,d}")

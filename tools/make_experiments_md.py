@@ -2,12 +2,13 @@
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table/figure.
 
 Runs every experiment through ``run_units`` (fast mode by default; --full
-for the paper-scale campaign; ``$VSCHED_REPRO_JOBS`` workers, else one),
+for the paper-scale campaign; ``--jobs N`` workers, default one),
 records the rendered tables and whether the qualitative shape assertions
 held, and writes the comparison document.  The output depends on the
-simulation only, so two runs write identical bytes.
+simulation only, so two runs write identical bytes at any worker count.
 
-Usage:  python tools/make_experiments_md.py [--full] [--only fig2,fig3]
+Usage:  python tools/make_experiments_md.py [--full] [--jobs N]
+                                            [--only fig2,fig3]
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ Known, deliberate deviations of this substrate (details in DESIGN.md):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--full", action="store_true")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes (default 1: in-process)")
     parser.add_argument("--only", default=None)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     args = parser.parse_args(argv)
@@ -120,7 +123,7 @@ def main(argv=None) -> int:
     ids = args.only.split(",") if args.only else ALL_ORDER
 
     sections = []
-    for res in run_units(ids, fast=fast, check=True):
+    for res in run_units(ids, fast=fast, check=True, jobs=args.jobs):
         verdict = ("shape checks PASSED" if res.check_error is None
                    else f"shape checks FAILED: {res.check_error}")
         sections.append(

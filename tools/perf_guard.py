@@ -60,20 +60,13 @@ SNAP_MODES = ("fork", "cold")
 
 
 def measure(exp_id: str, snapshot: bool = True) -> dict:
-    saved_snap = os.environ.get("VSCHED_REPRO_SNAPSHOT")
-    os.environ["VSCHED_REPRO_SNAPSHOT"] = "1" if snapshot else "0"
-    try:
-        # In-process: each worker process owns its snapshot store, so a
-        # pooled fig14 would rebuild prefixes that one process builds once.
-        res, = run_units([exp_id], fast=True, check=False, jobs=1)
-        return {"events_fired": res.events_fired,
-                "pushes": res.counters["pushes"],
-                "cancels": res.counters["cancels"]}
-    finally:
-        if saved_snap is None:
-            os.environ.pop("VSCHED_REPRO_SNAPSHOT", None)
-        else:
-            os.environ["VSCHED_REPRO_SNAPSHOT"] = saved_snap
+    # In-process: each worker process owns its snapshot store, so a
+    # pooled fig14 would rebuild prefixes that one process builds once.
+    res, = run_units([exp_id], fast=True, check=False, jobs=1,
+                     snapshot=snapshot)
+    return {"events_fired": res.events_fired,
+            "pushes": res.counters["pushes"],
+            "cancels": res.counters["cancels"]}
 
 
 def main(argv=None) -> int:

@@ -13,15 +13,16 @@ The content-addressed result cache (INTERNALS §9) and the snapshot store
   read inside result-producing code is an input that two identical keys
   can disagree on — **VSL502** (environment) and **VSL503** (files).
 
-Scope: hidden-input rules fire everywhere in ``src/repro`` *except* the
-experiments layer's orchestration (CLI flags, supervisor deadlines, job
-counts — host-side concerns that never touch a result value).  Inside the
-experiments layer they fire exactly for functions reachable from a
-work-unit body or prefix builder on the conservative call graph: that is
-the code a warm pooled worker runs per unit.  Intentional reads carry a
-reasoned blessing in ``config.HIDDEN_INPUT_BLESSED`` (the engine's three
-mode knobs, whose cross-setting byte-identity is CI-enforced, and the
-cache's own fingerprint/entry machinery).
+VSL502 needs no scope: settings are arguments, so any ``os.environ`` /
+``os.getenv`` read or write in ``src/repro`` outside
+``config.ENV_READ_SITE`` (``parallel.run_units``, which no unit body can
+reach) fires.  VSL503 fires everywhere in ``src/repro`` *except* the
+experiments layer's orchestration; inside the experiments layer it fires
+exactly for functions reachable from a work-unit body or prefix builder
+on the conservative call graph (the code a warm pooled worker runs per
+unit).  Intentional file reads carry a reasoned blessing in
+``config.HIDDEN_INPUT_BLESSED`` (the cache's own fingerprint/entry
+machinery).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _check_fingerprint_coverage(index: ProjectIndex, rec: FileRecord,
 
 
 def _in_scope(rec: FileRecord, func: str, unit_reach: Set[str]) -> bool:
-    """Hidden-input scope: all sim layers; experiments only when the
+    """Hidden-file-input scope: all sim layers; experiments only when the
     enclosing function is unit-reachable (module-level reads in an
     experiments module run at import time in every worker, so they are
     in scope too)."""
@@ -106,14 +107,13 @@ def _check_hidden_inputs(rec: FileRecord, unit_reach: Set[str],
                          findings: List[Finding]) -> None:
     for read in rec.env_reads:
         func = read["func"]
-        if not _in_scope(rec, func, unit_reach) or _blessed(rec, func):
+        if (rec.modname, func) == config.ENV_READ_SITE:
             continue
         findings.append(Finding(
             "hidden-env-input", rec.path, read["line"], read["col"],
-            f"{read['what']} read in result-producing code: the "
-            f"environment is an input the unit cache key never sees — "
-            f"fold it into the key or bless it in "
-            f"config.HIDDEN_INPUT_BLESSED with a reason",
+            f"{read['what']} outside {'.'.join(config.ENV_READ_SITE)}: "
+            f"the environment is an input the unit cache key never sees "
+            f"— pass the setting as an argument instead",
             symbol=func, modname=rec.modname))
     for read in rec.file_reads:
         func = read["func"]

@@ -221,19 +221,18 @@ MUTATOR_METHODS = frozenset({
 #: does.
 FINGERPRINTED_THIRD_PARTY = frozenset({"numpy", "np"})
 
-#: Hidden-input blessings: ``modname -> {function qualname -> reason}``.
-#: A blessed function may read the environment or the filesystem even
-#: where the rules would otherwise flag a hidden result input.  Every
-#: entry must say *why the read cannot make two equal cache keys map to
-#: different results*.
+#: The one function in ``src/repro`` that may touch the environment:
+#: ``(modname, function qualname)``.  ``run_units`` reads
+#: ``$VSCHED_REPRO_SNAPSHOT`` as its default snapshot mode, a mode knob
+#: whose fork-vs-cold byte-identity is CI-enforced (tools/abdiff.py).
+#: Every other setting arrives as an argument.
+ENV_READ_SITE = ("repro.experiments.parallel", "run_units")
+
+#: File-read blessings: ``modname -> {function qualname -> reason}``.
+#: A blessed function may read the filesystem even where the rules would
+#: otherwise flag a hidden result input.  Every entry must say *why the
+#: read cannot make two equal cache keys map to different results*.
 HIDDEN_INPUT_BLESSED = {
-    "repro.sim.engine": {
-        # The process-mode knob changes how results are *computed*, never
-        # what they are: the snapshot-identity CI job proves
-        # byte-identical tables with forking on and off.
-        "snapshot_default": "mode knob; fork-vs-cold byte-identity is "
-                            "CI-enforced (tools/abdiff.py)",
-    },
     "repro.experiments.cache": {
         # The fingerprint is the cache key's code input itself; reading
         # the tree to compute it is the mechanism, not a hidden input.
@@ -244,12 +243,6 @@ HIDDEN_INPUT_BLESSED = {
         # key, so the read cannot alias two different inputs.
         "ResultCache.lookup": "reads its own content-addressed entries",
         "ResultCache.store": "writes its own content-addressed entries",
-    },
-    "repro.experiments.parallel": {
-        # $VSCHED_REPRO_JOBS decides how many units run at once, never
-        # what any unit computes; unit bodies receive data, not workers.
-        "default_jobs": "worker-count knob; concurrency only, results "
-                        "are per-unit pure functions regardless",
     },
 }
 

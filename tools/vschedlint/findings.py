@@ -47,8 +47,8 @@ RULES: Dict[str, tuple] = {
                         "import outside the result cache's code "
                         "fingerprint"),
     "hidden-env-input": ("VSL502", "cachekeys",
-                         "environment read in result-producing code not "
-                         "folded into unit keys"),
+                         "environment read or write outside the one "
+                         "allowed site (parallel.run_units)"),
     "hidden-file-input": ("VSL503", "cachekeys",
                           "file read in result-producing code not folded "
                           "into unit keys"),

@@ -479,13 +479,11 @@ class _Extractor(ast.NodeVisitor):
                     "kind": ctor, "line": node.lineno,
                     "func_summary": self._summarize(func_arg)})
 
-        # hidden inputs: environment
+        # hidden inputs: environment (uses of os.environ itself are
+        # noted by visit_Attribute)
         dotted = _dotted(fn) or ""
-        if (dotted in ("os.getenv", "os.environ.get", "environ.get",
-                       "getenv")):
-            self.rec.env_reads.append({"func": qual, "what": dotted,
-                                       "line": node.lineno,
-                                       "col": node.col_offset})
+        if dotted in ("os.getenv", "getenv", "environ.get"):
+            self._note_env(dotted, node)
 
         # hidden inputs: file content
         if isinstance(fn, ast.Name) and fn.id == "open":
@@ -504,16 +502,23 @@ class _Extractor(ast.NodeVisitor):
                                         "col": node.col_offset})
         self.generic_visit(node)
 
-    def visit_Subscript(self, node):
-        # os.environ["X"] reads (stores are caught as state writes... no:
-        # environ stores are env *mutations*; both are hidden inputs).
-        if (_dotted(node.value) in ("os.environ", "environ")
-                and isinstance(node.ctx, (ast.Load, ast.Store))):
-            self.rec.env_reads.append({
-                "func": self._qual(),
-                "what": (_dotted(node.value) or "os.environ") + "[...]",
-                "line": node.lineno, "col": node.col_offset})
+    def visit_Attribute(self, node):
+        # Every use of os.environ is an environment input or mutation:
+        # reads, writes, pop(), membership tests, copies.
+        if _dotted(node) == "os.environ":
+            self._note_env("os.environ", node)
         self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        # ``from os import environ``: environ["X"] reads and writes.
+        if _dotted(node.value) == "environ":
+            self._note_env("environ[...]", node)
+        self.generic_visit(node)
+
+    def _note_env(self, what: str, node) -> None:
+        self.rec.env_reads.append({"func": self._qual(), "what": what,
+                                   "line": node.lineno,
+                                   "col": node.col_offset})
 
 
 def _walk_own(fn: ast.AST):
