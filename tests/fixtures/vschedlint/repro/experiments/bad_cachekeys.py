@@ -4,9 +4,9 @@ Expected on a standalone lint: fingerprint-gap x1 (scipy is neither
 stdlib nor pinned), hidden-env-input x3 (the module-level read, the one
 in the unit body, and the one in ``_worker_count``: outside
 ``parallel.run_units`` every environment read fires, reachable from a
-unit or not), hidden-file-input x2 (``open()`` in the body,
-``.read_text()`` in a helper the body calls).  Linted together with the
-``repro/__init__.py`` fixture (a full scan) the unresolvable
+unit or not), hidden-file-input x2 (``open()`` in the body and
+``.read_text()`` in a helper: any file read fires).  Linted together
+with the ``repro/__init__.py`` fixture (a full scan) the unresolvable
 ``repro.experiments.missing_tables`` import adds one more
 fingerprint-gap.
 """

@@ -25,16 +25,14 @@ see being *almost* violated:
   simulation time may leak between units sharing a warm pooled worker
   (VSL6xx).
 
-v1 checked one file at a time; v2 builds a whole-program project index
-(with an on-disk incremental cache) so the last three families can reason
+One pass parses every file and runs the per-file rules; the last three
+families run over a project index of ``src/repro`` so they can reason
 across modules.  See ``docs/INTERNALS.md`` §12 and §16 for the rule
 catalogue, the suppression syntax (``# vschedlint: disable=<rule> --
-<reason>``), blessing registries, and baseline semantics.
+<reason>``) and the blessing registries.
 """
 
 from vschedlint.checker import lint_paths
 from vschedlint.findings import Finding, RULES
 
-__version__ = "2.0.0"
-
-__all__ = ["lint_paths", "Finding", "RULES", "__version__"]
+__all__ = ["lint_paths", "Finding", "RULES"]

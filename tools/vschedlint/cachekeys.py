@@ -13,25 +13,20 @@ The content-addressed result cache (INTERNALS §9) and the snapshot store
   read inside result-producing code is an input that two identical keys
   can disagree on — **VSL502** (environment) and **VSL503** (files).
 
-VSL502 needs no scope: settings are arguments, so any ``os.environ`` /
-``os.getenv`` read or write in ``src/repro`` outside
+Neither rule has a scope.  Settings are arguments, so any
+``os.environ`` / ``os.getenv`` read or write in ``src/repro`` outside
 ``config.ENV_READ_SITE`` (``parallel.run_units``, which no unit body can
-reach) fires.  VSL503 fires everywhere in ``src/repro`` *except* the
-experiments layer's orchestration; inside the experiments layer it fires
-exactly for functions reachable from a work-unit body or prefix builder
-on the conservative call graph (the code a warm pooled worker runs per
-unit).  Intentional file reads carry a reasoned blessing in
-``config.HIDDEN_INPUT_BLESSED`` (the cache's own fingerprint/entry
-machinery).
+reach) fires.  Every file read in ``src/repro`` fires unless
+``config.HIDDEN_INPUT_BLESSED`` names its function with a reason (the
+cache's own fingerprint and entry reads, the CLI's report file).
 """
 
 from __future__ import annotations
 
 import sys
-from typing import List, Set
+from typing import List
 
 from vschedlint import config
-from vschedlint.callgraph import CallGraph, node_id, unit_root_nodes
 from vschedlint.findings import Finding
 from vschedlint.index import FileRecord, ProjectIndex
 
@@ -41,39 +36,35 @@ _STDLIB = set(getattr(sys, "stdlib_module_names", ())) | {
 }
 
 
-def check_cachekeys(index: ProjectIndex, graph: CallGraph,
-                    findings: List[Finding]) -> None:
-    unit_reach = graph.reachable_from(unit_root_nodes(index))
+def check_cachekeys(index: ProjectIndex, findings: List[Finding]) -> None:
     # Closure coverage is only meaningful when the whole package was
     # scanned; on partial scans (one file, one subpackage) every sibling
     # import would be a false gap.
     full_scan = "repro" in index.by_mod
-    for rec in index.repro_records():
+    for rec in index.records:
         _check_fingerprint_coverage(index, rec, full_scan, findings)
-        _check_hidden_inputs(rec, unit_reach, findings)
+        _check_hidden_inputs(rec, findings)
 
 
 def _check_fingerprint_coverage(index: ProjectIndex, rec: FileRecord,
                                 full_scan: bool,
                                 findings: List[Finding]) -> None:
-    for target, name, line, col in rec.imports:
+    for target, name, line, col, symbol in rec.imports:
         root = target.split(".")[0]
         if root == "repro":
             if not full_scan:
                 continue
+            # ``from repro.x import y`` is covered when repro.x (y is a
+            # symbol of it) or repro.x.y (y is a submodule) is indexed.
             full = f"{target}.{name}" if name else target
             if target in index.by_mod or full in index.by_mod:
-                continue
-            # ``from repro.x import y`` where y is a symbol of repro.x:
-            # covered as long as repro.x itself is indexed.
-            if name is not None and target in index.by_mod:
                 continue
             findings.append(Finding(
                 "fingerprint-gap", rec.path, line, col,
                 f"import of {target!r} resolves outside the scanned "
                 f"package tree — the result cache's code fingerprint "
                 f"cannot cover it",
-                symbol=rec.symbol_at(line), modname=rec.modname))
+                symbol=symbol, modname=rec.modname))
         elif (root not in _STDLIB
               and root not in config.FINGERPRINTED_THIRD_PARTY
               and root != "vschedlint"):
@@ -83,28 +74,10 @@ def _check_fingerprint_coverage(index: ProjectIndex, rec: FileRecord,
                 f"result cache's code fingerprint nor pinned in "
                 f"config.FINGERPRINTED_THIRD_PARTY — a version change "
                 f"would silently serve stale cached results",
-                symbol=rec.symbol_at(line), modname=rec.modname))
+                symbol=symbol, modname=rec.modname))
 
 
-def _in_scope(rec: FileRecord, func: str, unit_reach: Set[str]) -> bool:
-    """Hidden-file-input scope: all sim layers; experiments only when the
-    enclosing function is unit-reachable (module-level reads in an
-    experiments module run at import time in every worker, so they are
-    in scope too)."""
-    if rec.layer != "experiments":
-        return True
-    if not func:
-        return True
-    return node_id(rec, func) in unit_reach
-
-
-def _blessed(rec: FileRecord, func: str) -> bool:
-    blessed = config.HIDDEN_INPUT_BLESSED.get(rec.modname, ())
-    return func in blessed
-
-
-def _check_hidden_inputs(rec: FileRecord, unit_reach: Set[str],
-                         findings: List[Finding]) -> None:
+def _check_hidden_inputs(rec: FileRecord, findings: List[Finding]) -> None:
     for read in rec.env_reads:
         func = read["func"]
         if (rec.modname, func) == config.ENV_READ_SITE:
@@ -115,9 +88,10 @@ def _check_hidden_inputs(rec: FileRecord, unit_reach: Set[str],
             f"the environment is an input the unit cache key never sees "
             f"— pass the setting as an argument instead",
             symbol=func, modname=rec.modname))
+    blessed = config.HIDDEN_INPUT_BLESSED.get(rec.modname, {})
     for read in rec.file_reads:
         func = read["func"]
-        if not _in_scope(rec, func, unit_reach) or _blessed(rec, func):
+        if func in blessed:
             continue
         findings.append(Finding(
             "hidden-file-input", rec.path, read["line"], read["col"],

@@ -1,14 +1,13 @@
-"""Module discovery, the per-file rule pipeline, and the whole-program pass.
+"""Module discovery and the one lint pass.
 
-The run has two stages.  Stage one is per-file: parse, run the AST rules
-(VSL1xx–2xx, policy-gated per tree), scan suppressions, and distill the
-file into a cacheable :class:`~vschedlint.index.FileRecord`; a file whose
-SHA-256 matches the on-disk index cache skips all of that.  Stage two is
-whole-program: a :class:`~vschedlint.index.ProjectIndex` over all records
-feeds the snapshot-safety, cache-key, and leakage families (VSL4xx–6xx).
-Suppressions apply *after* both stages, so one ``# vschedlint: disable``
-comment can silence either kind — and an unused suppression is only
-reported once the whole-program rules have had their chance to use it.
+The pass parses every file and runs the per-file AST rules (VSL1xx–2xx,
+policy-gated per tree) and the suppression scan.  Each ``src/repro`` file
+is also distilled into a :class:`~vschedlint.index.FileRecord`, and a
+:class:`~vschedlint.index.ProjectIndex` over those records feeds the
+snapshot-safety, cache-key, and leakage families (VSL4xx–6xx).
+Suppressions apply last, so one ``# vschedlint: disable`` comment can
+silence either kind — and an unused suppression is only reported once the
+whole-program rules have had their chance to use it.
 """
 
 from __future__ import annotations
@@ -16,26 +15,23 @@ from __future__ import annotations
 import ast
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from vschedlint import (cachekeys, config, determinism, index, layering,
                         leakage, snapshot_safety)
-from vschedlint.callgraph import CallGraph
-from vschedlint.findings import Finding, finalize_fingerprints
-from vschedlint.index import FileRecord, IndexCache, ProjectIndex
-from vschedlint.suppressions import (Suppression, apply_suppressions,
-                                     scan_suppressions)
+from vschedlint.findings import Finding
+from vschedlint.suppressions import apply_suppressions, scan_suppressions
 
 
 class Module:
     """One parsed source file plus the indexes the rules share."""
 
     def __init__(self, path: Path, display_path: str, modname: str,
-                 tree_kind: str, source: Optional[str] = None):
+                 tree_kind: str):
         self.path = display_path
         self.modname = modname
         self.tree_kind = tree_kind       # "repro" | "tools" | "tests"
-        self.source = path.read_text() if source is None else source
+        self.source = path.read_text()
         self.lines = self.source.splitlines()
         self.tree = ast.parse(self.source, filename=display_path)
         parts = modname.split(".")
@@ -49,15 +45,13 @@ class Module:
         self._index_functions()
 
     def _index_functions(self) -> None:
-        """Build (def node, qualname) pairs and a line -> def-lines map."""
-        self._functions: List[Tuple[ast.AST, str]] = []
+        """Build the sorted (start, end, def line, qualname) spans."""
         spans: List[Tuple[int, int, int, str]] = []
 
         def walk(node, prefix):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qual = f"{prefix}{child.name}"
-                    self._functions.append((child, qual))
                     spans.append((child.lineno, child.end_lineno or
                                   child.lineno, child.lineno, qual))
                     walk(child, qual + ".")
@@ -68,9 +62,6 @@ class Module:
 
         walk(self.tree, "")
         self.spans = sorted(spans)
-
-    def functions(self):
-        return list(self._functions)
 
     def symbol_at(self, line: int) -> str:
         """Qualname of the innermost function containing ``line``."""
@@ -103,8 +94,6 @@ def classify(path: Path) -> Optional[Tuple[str, str]]:
             mod = parts[idx:]
             if mod[-1] == "__init__":
                 mod = mod[:-1]
-            if anchor == "repro":
-                return ".".join(mod), tree
             return ".".join(mod), tree
     return None
 
@@ -145,90 +134,45 @@ def _per_file_rules(module: Module) -> List[Finding]:
     return findings
 
 
-def build_record(path: Path, display_path: str,
-                 source: str) -> Optional[FileRecord]:
-    """Parse one file, run per-file rules, distill to a record."""
-    classified = classify(path)
-    if classified is None:
-        return None
-    modname, tree = classified
-    try:
-        module = Module(path, display_path, modname, tree, source=source)
-    except SyntaxError as exc:
-        rec = FileRecord(path=display_path, modname=modname, tree=tree,
-                         layer=None, sha=index.sha256_text(source))
-        rec.findings = [index._finding_to_json(Finding(
-            "layer-unknown", display_path, exc.lineno or 1, 0,
-            f"cannot parse: {exc.msg}", modname=modname))]
-        return rec
-
-    findings = _per_file_rules(module)
-    suppressions = scan_suppressions(module.lines, display_path, findings)
-    return index.extract(module, findings, suppressions)
-
-
-def collect_records(paths: Iterable[str],
-                    cache: Optional[IndexCache] = None) -> List[FileRecord]:
-    cache = cache or IndexCache(None)
-    records: List[FileRecord] = []
-    for path, display in discover(paths):
-        source = path.read_text()
-        sha = index.sha256_text(source)
-        rec = cache.get(display, sha)
-        if rec is None:
-            rec = build_record(path, display, source)
-            if rec is not None:
-                cache.put(rec)
-        if rec is not None:
-            records.append(rec)
-    cache.prune(p for p in list(cache._entries)
-                if Path(p).exists())
-    cache.save()
-    return records
-
-
-def lint_records(records: List[FileRecord],
-                 changed: Optional[Set[str]] = None) -> List[Finding]:
-    """Whole-program pass + suppression application over records."""
-    project = ProjectIndex(records)
-    whole_program: List[Finding] = []
-    repro_records = project.repro_records()
-    if repro_records:
-        graph = CallGraph(project)
-        snapshot_safety.check_snapshot_safety(project, graph,
-                                              whole_program)
-        cachekeys.check_cachekeys(project, graph, whole_program)
-        leakage.check_leakage(project, whole_program)
-
-    by_path: Dict[str, List[Finding]] = defaultdict(list)
-    for rec in records:
-        by_path[rec.path].extend(index.finding_from_json(d)
-                                 for d in rec.findings)
-    for f in whole_program:
-        by_path[f.path].append(f)
-
+def lint_paths(paths: Iterable[str]) -> List[Finding]:
+    """Lint files and directories; returns the findings, sorted."""
+    files: List[Tuple[Module, List[Finding], Dict]] = []
+    records: List[index.FileRecord] = []
     findings: List[Finding] = []
-    for rec in records:
-        file_findings = by_path[rec.path]
-        sups = {int(ln): Suppression(int(ln), d["rules"], d["reason"])
-                for ln, d in rec.suppressions.items()}
-        def_line_map = {f.line: rec.def_lines_of(f.line)
-                        for f in file_findings}
-        findings.extend(apply_suppressions(file_findings, sups,
-                                           def_line_map, rec.path))
+    for path, display in discover(paths):
+        classified = classify(path)
+        if classified is None:
+            continue
+        modname, tree = classified
+        try:
+            module = Module(path, display, modname, tree)
+        except SyntaxError as exc:
+            findings.append(Finding(
+                "layer-unknown", display, exc.lineno or 1, 0,
+                f"cannot parse: {exc.msg}", modname=modname))
+            if tree == "repro":   # still a module the fingerprint covers
+                records.append(index.FileRecord(display, modname, None))
+            continue
+        file_findings = _per_file_rules(module)
+        suppressions = scan_suppressions(module.lines, display,
+                                         file_findings)
+        files.append((module, file_findings, suppressions))
+        if tree == "repro":
+            records.append(index.extract(module))
 
-    if changed is not None:
-        # ``changed`` holds resolved absolute paths (git speaks
-        # repo-root-relative; the CLI may be pointed anywhere).
-        findings = [f for f in findings
-                    if str(Path(f.path).resolve()) in changed]
+    whole_program: Dict[str, List[Finding]] = defaultdict(list)
+    if records:
+        project = index.ProjectIndex(records)
+        found: List[Finding] = []
+        snapshot_safety.check_snapshot_safety(project, found)
+        cachekeys.check_cachekeys(project, found)
+        leakage.check_leakage(project, found)
+        for f in found:
+            whole_program[f.path].append(f)
+
+    for module, file_findings, suppressions in files:
+        findings.extend(apply_suppressions(
+            file_findings + whole_program[module.path], suppressions,
+            module.def_lines_of, module.path))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    finalize_fingerprints(findings)
     return findings
-
-
-def lint_paths(paths: Iterable[str],
-               cache: Optional[IndexCache] = None,
-               changed: Optional[Set[str]] = None) -> List[Finding]:
-    """Lint files/directories; returns findings with fingerprints set."""
-    return lint_records(collect_records(paths, cache), changed=changed)

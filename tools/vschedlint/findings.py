@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 #: rule slug -> (id, family, one-line description).  Slugs are what
 #: ``# vschedlint: disable=<slug>`` comments name.
@@ -64,18 +63,15 @@ RULES: Dict[str, tuple] = {
                         "malformed suppression (unknown rule or no reason)"),
     "unused-suppression": ("VSL002", "meta",
                            "suppression that matches no finding"),
-    "stale-baseline": ("VSL003", "meta",
-                       "baseline entry no longer matches any finding"),
 }
 
 #: Meta rules cannot themselves be suppressed (that way lies recursion).
-UNSUPPRESSABLE = frozenset({"bad-suppression", "unused-suppression",
-                            "stale-baseline"})
+UNSUPPRESSABLE = frozenset({"bad-suppression", "unused-suppression"})
 
 
 @dataclass
 class Finding:
-    """One violation, stable across unrelated edits via ``fingerprint``."""
+    """One violation of one rule at one source position."""
 
     rule: str                  # slug, key into RULES
     path: str                  # path as given on the command line
@@ -84,8 +80,6 @@ class Finding:
     message: str
     symbol: str = ""           # enclosing Class.func qualname, if any
     modname: str = ""          # dotted module name, e.g. repro.guest.cpu
-    fingerprint: str = ""      # filled by finalize_fingerprints()
-    baselined: bool = False
 
     @property
     def rule_id(self) -> str:
@@ -116,23 +110,5 @@ class Finding:
             "symbol": self.symbol,
             "module": self.modname,
             "message": self.message,
-            "fingerprint": self.fingerprint,
-            "baselined": self.baselined,
             "doc": self.doc_anchor,
         }
-
-
-def finalize_fingerprints(findings: List[Finding]) -> None:
-    """Assign line-number-independent fingerprints.
-
-    The identity of a finding is (module, rule, enclosing symbol, message)
-    plus an occurrence index among identical tuples, so a baseline survives
-    unrelated edits that only shift line numbers.
-    """
-    seen: Dict[tuple, int] = {}
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        key = (f.modname, f.rule, f.symbol, f.message)
-        idx = seen.get(key, 0)
-        seen[key] = idx + 1
-        raw = "\x1f".join((f.modname, f.rule, f.symbol, f.message, str(idx)))
-        f.fingerprint = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]

@@ -2,21 +2,16 @@
 
 Per-file rules (VSL1xx–2xx) see one AST at a time; the snapshot-safety,
 cache-key, and leakage families (VSL4xx–6xx) need to know what the *rest*
-of the tree does — where a callable handed to ``Engine.call_at`` is
-defined, which modules an experiment transitively imports, which functions
-a work unit can reach.  This module distills every linted file into a
-:class:`FileRecord`: a JSON-serializable summary of exactly the facts the
-whole-program rules consume (imports, the function/class registry with
-closure and default information, registration sites, hidden-input sites,
-module-state writes).  A :class:`ProjectIndex` is the collection of
-records plus the cross-module resolution helpers.
-
-Records are deliberately AST-free so they can be cached on disk
-(:class:`IndexCache`): the cache is keyed by each file's SHA-256 *and* a
-hash of the linter's own sources, so editing one simulator file re-parses
-one file, while editing the linter (or its config) invalidates everything.
-Whole-program rules always re-run — they are cheap once parsing is paid —
-so a cached record can still produce fresh cross-module findings.
+of ``src/repro`` does — where a callable handed to ``Engine.call_at`` is
+defined, which ``repro`` modules exist, which names are module state.
+This module distills every ``src/repro`` file into a :class:`FileRecord`:
+a summary of exactly the facts the whole-program rules consume (imports,
+the function/class registry with closure and default information,
+registration sites, hidden-input sites, module-state writes).  A
+:class:`ProjectIndex` is the collection of records plus the cross-module
+resolution helpers.  Files of the ``tools`` and ``tests`` trees get no
+record: their policies enable no whole-program family, and a helper
+defined there must not make a ``repro`` name ambiguous.
 
 Free-variable analysis uses :mod:`symtable` (the compiler's own symbol
 pass), so "closure" here means exactly what it means at runtime: a
@@ -28,25 +23,17 @@ not flagged.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import symtable
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from vschedlint import config
-from vschedlint.findings import Finding
-
-#: Bump when the record schema changes; cached records from another
-#: schema are discarded wholesale.
-RECORD_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
 # Expression summaries
 # ---------------------------------------------------------------------------
-# A tiny, serializable description of the expressions that matter to the
+# A tiny description of the expressions that matter to the
 # snapshot-safety rules: what was passed as a callback / argument at a
 # registration site.  ``form`` is one of:
 #
@@ -98,21 +85,11 @@ class FunctionInfo:
     """One function or method, as the whole-program rules see it."""
 
     qual: str                      # e.g. "VTop._begin" or "run_one"
-    line: int = 0
-    cls: Optional[str] = None      # innermost enclosing class name
-    free: List[str] = field(default_factory=list)   # closure cells
-    mutable_defaults: bool = False
-    has_yield: bool = False
-    decorators: List[str] = field(default_factory=list)
-    calls: List[List[str]] = field(default_factory=list)  # [kind, name]
-    returns: List[dict] = field(default_factory=list)     # expr summaries
-
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_json(cls, d: dict) -> "FunctionInfo":
-        return cls(**d)
+    free: List[str]                # closure cells
+    mutable_defaults: bool
+    has_yield: bool
+    decorators: List[str]
+    returns: List[dict]            # expr summaries
 
 
 @dataclass
@@ -121,14 +98,12 @@ class FileRecord:
 
     path: str
     modname: str
-    tree: str                      # "repro" | "tools" | "tests"
     layer: Optional[str]
-    sha: str
-    imports: List[List[Any]] = field(default_factory=list)
-    # [target_module, imported_name_or_None, lineno, col]
-    functions: Dict[str, dict] = field(default_factory=dict)
-    classes: Dict[str, dict] = field(default_factory=dict)
-    # class name -> {"line": int, "methods": [names]}
+    imports: List[Tuple[str, Optional[str], int, int, str]] = field(
+        default_factory=list)
+    # (target_module, imported_name_or_None, lineno, col, enclosing symbol)
+    functions: Dict[str, FunctionInfo] = field(default_factory=dict)
+    classes: Set[str] = field(default_factory=set)   # top-level class names
     module_mutables: Dict[str, int] = field(default_factory=dict)
     # module-level name bound to a mutable value -> lineno
     state_writes: List[dict] = field(default_factory=list)
@@ -139,46 +114,6 @@ class FileRecord:
     reg_sites: List[dict] = field(default_factory=list)
     # {"kind", "func", "line", "col", "callback": summary,
     #  "args": [summaries]}
-    root_sites: List[dict] = field(default_factory=list)
-    # WorkUnit/PrefixSpec construction: {"kind", "func_summary", "line"}
-    spans: List[List[Any]] = field(default_factory=list)
-    # [start, end, def_line, qual] — for suppression def-line scoping
-    suppressions: Dict[str, dict] = field(default_factory=dict)
-    # str(lineno) -> {"rules": [...], "reason": str}
-    findings: List[dict] = field(default_factory=list)
-    # serialized per-file findings (pre-suppression)
-
-    def function(self, qual: str) -> Optional[FunctionInfo]:
-        d = self.functions.get(qual)
-        return FunctionInfo.from_json(d) if d else None
-
-    def def_lines_of(self, line: int) -> List[int]:
-        hits = [(start, dl) for start, end, dl, _q in self.spans
-                if start <= line <= end]
-        return [dl for _, dl in sorted(hits, reverse=True)]
-
-    def symbol_at(self, line: int) -> str:
-        best = ""
-        for start, end, _dl, qual in sorted(self.spans):
-            if start <= line <= end:
-                best = qual
-        return best
-
-    def to_json(self) -> dict:
-        return {
-            "path": self.path, "modname": self.modname, "tree": self.tree,
-            "layer": self.layer, "sha": self.sha, "imports": self.imports,
-            "functions": self.functions, "classes": self.classes,
-            "module_mutables": self.module_mutables,
-            "state_writes": self.state_writes, "env_reads": self.env_reads,
-            "file_reads": self.file_reads, "reg_sites": self.reg_sites,
-            "root_sites": self.root_sites, "spans": self.spans,
-            "suppressions": self.suppressions, "findings": self.findings,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "FileRecord":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +212,7 @@ class _Extractor(ast.NodeVisitor):
 
     def _resolve_imported(self, name: str) -> Optional[str]:
         """Module that ``name`` was imported from, if any."""
-        for target_mod, imported, _ln, _col in self.rec.imports:
+        for target_mod, imported, *_ in self.rec.imports:
             if imported == name:
                 return target_mod
         return None
@@ -285,11 +220,8 @@ class _Extractor(ast.NodeVisitor):
     # -- scopes ------------------------------------------------------------
     def visit_ClassDef(self, node):
         self.class_stack.append(node.name)
-        methods = [n.name for n in node.body
-                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         if len(self.class_stack) == 1 and not self.func_stack:
-            self.rec.classes[node.name] = {"line": node.lineno,
-                                           "methods": methods}
+            self.rec.classes.add(node.name)
         self.generic_visit(node)
         self.class_stack.pop()
 
@@ -307,7 +239,6 @@ class _Extractor(ast.NodeVisitor):
             local.add(args.kwarg.arg)
         glob: set = set()
         has_yield = False
-        calls: List[List[str]] = []
         returns: List[dict] = []
         for sub in _walk_own(node):
             if isinstance(sub, ast.Global):
@@ -316,14 +247,6 @@ class _Extractor(ast.NodeVisitor):
                 has_yield = True
             elif isinstance(sub, ast.Return) and sub.value is not None:
                 returns.append(self._summarize(sub.value))
-            elif isinstance(sub, ast.Call):
-                fn = sub.func
-                if isinstance(fn, ast.Name):
-                    calls.append(["bare", fn.id])
-                elif isinstance(fn, ast.Attribute):
-                    kind = ("selfattr" if isinstance(fn.value, ast.Name)
-                            and fn.value.id in ("self", "cls") else "attr")
-                    calls.append([kind, fn.attr])
             elif isinstance(sub, ast.Assign):
                 for tgt in sub.targets:
                     if isinstance(tgt, ast.Name):
@@ -334,18 +257,11 @@ class _Extractor(ast.NodeVisitor):
 
         defaults = list(args.defaults) + [d for d in args.kw_defaults
                                           if d is not None]
-        info = FunctionInfo(
-            qual=qual, line=node.lineno,
-            cls=self.class_stack[-1] if self.class_stack else None,
-            free=self._frees_of(node),
+        self.rec.functions[qual] = FunctionInfo(
+            qual=qual, free=self._frees_of(node),
             mutable_defaults=any(_is_mutable_value(d) for d in defaults),
-            has_yield=has_yield,
-            decorators=_decorator_names(node),
-            calls=sorted({tuple(c) for c in calls} - {()},
-                         key=lambda c: (c[0], c[1])),
+            has_yield=has_yield, decorators=_decorator_names(node),
             returns=returns)
-        info.calls = [list(c) for c in info.calls]
-        self.rec.functions[qual] = info.to_json()
 
         self.func_stack.append(qual)
         self.local_names_stack.append(local - glob)
@@ -359,19 +275,20 @@ class _Extractor(ast.NodeVisitor):
 
     # -- imports -----------------------------------------------------------
     def visit_Import(self, node):
-        for a in node.names:
-            self.rec.imports.append([a.name, None, node.lineno,
-                                     node.col_offset])
-        self.generic_visit(node)
+        self._note_imports([(a.name, None) for a in node.names], node)
 
     def visit_ImportFrom(self, node):
         base = node.module or ""
         if node.level:
             parts = self.m.modname.split(".")[: -node.level]
             base = ".".join(parts + ([base] if base else []))
-        for a in node.names:
-            self.rec.imports.append([base, a.name, node.lineno,
-                                     node.col_offset])
+        self._note_imports([(base, a.name) for a in node.names], node)
+
+    def _note_imports(self, targets, node) -> None:
+        symbol = self.m.symbol_at(node.lineno)
+        for target, name in targets:
+            self.rec.imports.append((target, name, node.lineno,
+                                     node.col_offset, symbol))
         self.generic_visit(node)
 
     # -- state writes ------------------------------------------------------
@@ -463,22 +380,6 @@ class _Extractor(ast.NodeVisitor):
                 "args": [self._summarize(a)
                          for a in node.args[reg_idx + 1:]]})
 
-        # WorkUnit / PrefixSpec roots (for reachability)
-        ctor = fn.id if isinstance(fn, ast.Name) else (
-            fn.attr if isinstance(fn, ast.Attribute) else None)
-        if ctor in config.UNIT_ROOT_CTORS:
-            func_arg = None
-            pos = config.UNIT_ROOT_CTORS[ctor]
-            if len(node.args) > pos:
-                func_arg = node.args[pos]
-            for kw in node.keywords:
-                if kw.arg == "func":
-                    func_arg = kw.value
-            if func_arg is not None:
-                self.rec.root_sites.append({
-                    "kind": ctor, "line": node.lineno,
-                    "func_summary": self._summarize(func_arg)})
-
         # hidden inputs: environment (uses of os.environ itself are
         # noted by visit_Attribute)
         dotted = _dotted(fn) or ""
@@ -535,67 +436,28 @@ def _walk_own(fn: ast.AST):
 
 
 # ---------------------------------------------------------------------------
-# Record construction
+# Record construction and the project index
 # ---------------------------------------------------------------------------
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def extract(module, findings: List[Finding],
-            suppressions: Dict[int, Any]) -> FileRecord:
-    """Distill a parsed :class:`vschedlint.checker.Module` plus its
-    per-file findings into a cacheable record."""
-    rec = FileRecord(path=module.path, modname=module.modname,
-                     tree=module.tree_kind, layer=module.layer,
-                     sha=sha256_text(module.source))
+def extract(module) -> FileRecord:
+    """Distill a parsed :class:`vschedlint.checker.Module` into a record."""
+    rec = FileRecord(module.path, module.modname, module.layer)
     _Extractor(module, rec).visit(module.tree)
-    rec.spans = [[s, e, dl, q] for s, e, dl, q in module.spans]
-    rec.suppressions = {
-        str(ln): {"rules": sup.rules, "reason": sup.reason}
-        for ln, sup in suppressions.items()}
-    rec.findings = [_finding_to_json(f) for f in findings]
     return rec
 
 
-def _finding_to_json(f: Finding) -> dict:
-    return {"rule": f.rule, "path": f.path, "line": f.line, "col": f.col,
-            "message": f.message, "symbol": f.symbol, "modname": f.modname}
-
-
-def finding_from_json(d: dict) -> Finding:
-    return Finding(**d)
-
-
-# ---------------------------------------------------------------------------
-# The project index
-# ---------------------------------------------------------------------------
 class ProjectIndex:
     """All records of one run, with cross-module resolution helpers."""
 
     def __init__(self, records: List[FileRecord]):
         self.records = records
-        self.by_mod: Dict[str, FileRecord] = {}
-        for rec in records:
-            self.by_mod[rec.modname] = rec
+        self.by_mod: Dict[str, FileRecord] = {
+            rec.modname: rec for rec in records}
         # last-qual-component -> [(record, FunctionInfo)] across the tree
         self._by_short: Dict[str, List[Tuple[FileRecord, FunctionInfo]]] = {}
         for rec in records:
-            for qual, d in rec.functions.items():
-                info = FunctionInfo.from_json(d)
+            for qual, info in rec.functions.items():
                 short = qual.rsplit(".", 1)[-1]
                 self._by_short.setdefault(short, []).append((rec, info))
-
-    def repro_records(self) -> List[FileRecord]:
-        return [r for r in self.records if r.tree == "repro"]
-
-    def functions_named(self, short: str) -> List[Tuple[FileRecord,
-                                                        FunctionInfo]]:
-        return self._by_short.get(short, [])
-
-    def import_map(self, rec: FileRecord) -> Dict[str, str]:
-        """imported name -> source module, for ``from m import n``."""
-        return {name: mod for mod, name, _ln, _col in rec.imports
-                if name is not None}
 
     def resolve_function(self, rec: FileRecord, name: str,
                          context_qual: str = "") -> Optional[
@@ -609,20 +471,20 @@ class ProjectIndex:
         callers must treat that as "cannot prove unsafe".
         """
         if context_qual:
-            nested = rec.function(f"{context_qual}.{name}")
+            nested = rec.functions.get(f"{context_qual}.{name}")
             if nested is not None:
                 return rec, nested
-        direct = rec.function(name)
+        direct = rec.functions.get(name)
         if direct is not None:
             return rec, direct
-        src_mod = self.import_map(rec).get(name)
-        if src_mod is not None:
-            src = self.by_mod.get(src_mod)
-            if src is not None:
-                info = src.function(name)
-                if info is not None:
-                    return src, info
-            # ``from pkg import module`` — nothing to resolve further.
+        src_mod = {imported: target for target, imported, *_ in rec.imports
+                   if imported is not None}.get(name)
+        src = self.by_mod.get(src_mod)
+        if src is not None:
+            info = src.functions.get(name)
+            if info is not None:
+                return src, info
+        # ``from pkg import module`` — nothing to resolve further.
         return None
 
     def resolve_method(self, rec: FileRecord, attr: str,
@@ -638,112 +500,14 @@ class ProjectIndex:
         """
         ctx_cls = context_qual.split(".")[0] if "." in context_qual else None
         if ctx_cls and ctx_cls in rec.classes:
-            info = rec.function(f"{ctx_cls}.{attr}")
+            info = rec.functions.get(f"{ctx_cls}.{attr}")
             if info is not None:
                 return rec, info
-        local = [(rec, FunctionInfo.from_json(d))
-                 for q, d in rec.functions.items()
+        local = [(rec, info) for q, info in rec.functions.items()
                  if q.rsplit(".", 1)[-1] == attr]
         if len(local) == 1:
             return local[0]
-        everywhere = self.functions_named(attr)
+        everywhere = self._by_short.get(attr, [])
         if len(everywhere) == 1:
             return everywhere[0]
         return None
-
-    def transitive_imports(self, modname: str) -> set:
-        """All repro-tree modules reachable from ``modname`` via imports
-        (including import targets that are *not* in the index — callers
-        detect fingerprint gaps by checking membership)."""
-        seen: set = set()
-        stack = [modname]
-        while stack:
-            mod = stack.pop()
-            if mod in seen:
-                continue
-            seen.add(mod)
-            rec = self.by_mod.get(mod)
-            if rec is None:
-                continue
-            for target, name, _ln, _col in rec.imports:
-                if not target.startswith("repro"):
-                    continue
-                stack.append(target)
-                if name is not None and f"{target}.{name}" in self.by_mod:
-                    stack.append(f"{target}.{name}")
-        seen.discard(modname)
-        return seen
-
-
-# ---------------------------------------------------------------------------
-# The on-disk incremental cache
-# ---------------------------------------------------------------------------
-def tool_hash() -> str:
-    """Hash of the linter's own sources: any change invalidates records."""
-    here = Path(__file__).resolve().parent
-    h = hashlib.sha256()
-    for p in sorted(here.glob("*.py")) + sorted(here.glob("*.json")):
-        h.update(p.name.encode())
-        h.update(b"\0")
-        h.update(p.read_bytes())
-        h.update(b"\0")
-    h.update(str(RECORD_SCHEMA).encode())
-    return h.hexdigest()
-
-
-class IndexCache:
-    """Per-file record cache keyed by content SHA-256 + linter hash.
-
-    ``hits``/``misses`` count record reuse; a miss means the file was
-    (re)parsed this run.  The cache never affects findings — a corrupt or
-    stale file is simply ignored.
-    """
-
-    def __init__(self, path: Optional[Path]):
-        self.path = path
-        self.hits = 0
-        self.misses = 0
-        self._entries: Dict[str, dict] = {}
-        self._tool = tool_hash()
-        if path is not None and path.exists():
-            try:
-                data = json.loads(path.read_text())
-                if (data.get("schema") == RECORD_SCHEMA
-                        and data.get("tool") == self._tool):
-                    self._entries = data.get("files", {})
-            except (ValueError, OSError):
-                self._entries = {}
-
-    def get(self, display_path: str, sha: str) -> Optional[FileRecord]:
-        entry = self._entries.get(display_path)
-        if entry is not None and entry.get("sha") == sha:
-            try:
-                rec = FileRecord.from_json(entry["record"])
-            except (KeyError, TypeError):
-                self.misses += 1
-                return None
-            self.hits += 1
-            return rec
-        self.misses += 1
-        return None
-
-    def put(self, rec: FileRecord) -> None:
-        self._entries[rec.path] = {"sha": rec.sha, "record": rec.to_json()}
-
-    def prune(self, live_paths) -> None:
-        """Drop entries for files that no longer exist (rename, delete)."""
-        live = set(live_paths)
-        for path in list(self._entries):
-            if path not in live:
-                del self._entries[path]
-
-    def save(self) -> None:
-        if self.path is None:
-            return
-        payload = {"schema": RECORD_SCHEMA, "tool": self._tool,
-                   "files": self._entries}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(payload))
-        except OSError:
-            pass  # the cache is an accelerator, never a point of failure

@@ -7,7 +7,7 @@ Three checks:
   modules.
 * ``guest-isolation`` — guest-side layers may not import from
   ``repro.hypervisor`` at all (the paper's "no hypervisor changes"
-  boundary), except names in the explicit allowlist.
+  boundary).
 * ``guest-abi`` — in guest-side code, attribute access on hypervisor
   handles (``*.vcpu``, ``*.vm``, ``*.machine``) must stay inside the
   guest-visible ABI: steal time, halt/kick, activity transitions, and the
@@ -86,18 +86,15 @@ def check_imports(module, findings: List[Finding]) -> None:
             if guest_side and (target_mod == config.HOST_PACKAGE
                                or target_mod.startswith(
                                    config.HOST_PACKAGE + ".")):
-                allowed = config.GUEST_IMPORT_ALLOWLIST.get(target_mod, ())
-                if name is None or name not in allowed:
-                    what = f"{target_mod}.{name}" if name else target_mod
-                    findings.append(Finding(
-                        "guest-isolation", module.path, node.lineno,
-                        node.col_offset,
-                        f"guest-side layer {layer!r} imports host-side "
-                        f"{what}; the guest may only see the ABI allowlist "
-                        f"(steal time, halt/kick, activity, measurement "
-                        f"physics)",
-                        symbol=module.symbol_at(node.lineno),
-                        modname=module.modname))
+                findings.append(Finding(
+                    "guest-isolation", module.path, node.lineno,
+                    node.col_offset,
+                    f"guest-side layer {layer!r} imports host-side "
+                    f"{full}; the guest may only see the ABI allowlist "
+                    f"(steal time, halt/kick, activity, measurement "
+                    f"physics)",
+                    symbol=module.symbol_at(node.lineno),
+                    modname=module.modname))
 
 
 class _AbiVisitor(ast.NodeVisitor):

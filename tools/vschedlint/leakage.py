@@ -33,7 +33,7 @@ from vschedlint.index import FileRecord, ProjectIndex
 
 
 def check_leakage(index: ProjectIndex, findings: List[Finding]) -> None:
-    for rec in index.repro_records():
+    for rec in index.records:
         for write in rec.state_writes:
             _check_write(rec, write, findings)
 

@@ -1,4 +1,4 @@
-"""Text, JSON, SARIF, and JSON-lines reporters."""
+"""Text and JSON reporters."""
 
 from __future__ import annotations
 
@@ -6,94 +6,29 @@ import json
 from collections import Counter
 from typing import List
 
-from vschedlint.findings import RULES, Finding
+from vschedlint.findings import Finding
 
 
 def render_text(findings: List[Finding]) -> str:
-    lines = []
-    active = [f for f in findings if not f.baselined]
-    baselined = [f for f in findings if f.baselined]
-    for f in active:
-        lines.append(f.render())
-    if baselined:
-        lines.append(f"({len(baselined)} baselined finding(s) not shown; "
-                     f"run with --show-baselined to list them)")
-    if active:
-        by_family = Counter(f.family for f in active)
+    lines = [f.render() for f in findings]
+    if findings:
+        by_family = Counter(f.family for f in findings)
         summary = ", ".join(f"{n} {fam}" for fam, n in sorted(
             by_family.items()))
-        lines.append(f"{len(active)} finding(s): {summary}")
+        lines.append(f"{len(findings)} finding(s): {summary}")
     else:
         lines.append("clean: no findings")
     return "\n".join(lines)
 
 
-def render_text_full(findings: List[Finding]) -> str:
-    lines = [f.render() + ("  (baselined)" if f.baselined else "")
-             for f in findings]
-    active = sum(1 for f in findings if not f.baselined)
-    lines.append(f"{active} active finding(s), "
-                 f"{len(findings) - active} baselined")
-    return "\n".join(lines)
-
-
 def render_json(findings: List[Finding]) -> str:
-    active = [f for f in findings if not f.baselined]
     payload = {
-        "version": 1,
+        "version": 2,
         "counts": {
-            "active": len(active),
-            "baselined": len(findings) - len(active),
+            "active": len(findings),
             "by_family": dict(sorted(
-                Counter(f.family for f in active).items())),
+                Counter(f.family for f in findings).items())),
         },
         "findings": [f.to_json() for f in findings],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def render_jsonl(findings: List[Finding]) -> str:
-    """One finding per line — greppable, streamable, diffable."""
-    return "\n".join(json.dumps(f.to_json(), sort_keys=True)
-                     for f in findings)
-
-
-def render_sarif(findings: List[Finding]) -> str:
-    """SARIF 2.1.0 for code-scanning UIs; active findings only."""
-    from vschedlint import __version__
-
-    active = [f for f in findings if not f.baselined]
-    used_rules = sorted({f.rule for f in active},
-                        key=lambda slug: RULES[slug][0])
-    rules = [{
-        "id": RULES[slug][0],
-        "name": slug,
-        "shortDescription": {"text": RULES[slug][2]},
-        "helpUri": f"docs/INTERNALS.md#{RULES[slug][0].lower()}",
-        "properties": {"family": RULES[slug][1]},
-    } for slug in used_rules]
-    results = [{
-        "ruleId": f.rule_id,
-        "level": "error",
-        "message": {"text": f.message},
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {"uri": f.path},
-                "region": {"startLine": f.line,
-                           "startColumn": f.col + 1},
-            },
-        }],
-        "partialFingerprints": {"vschedlint/v1": f.fingerprint},
-    } for f in active]
-    payload = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {"name": "vschedlint",
-                                "version": __version__,
-                                "rules": rules}},
-            "results": results,
-        }],
     }
     return json.dumps(payload, indent=2)

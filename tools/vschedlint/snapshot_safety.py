@@ -30,37 +30,29 @@ silence the rules, mirroring the runtime escape hatches.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from vschedlint import config
-from vschedlint.callgraph import CallGraph, node_id, unit_root_nodes
 from vschedlint.findings import Finding
 from vschedlint.index import FileRecord, FunctionInfo, ProjectIndex
 
 
-def check_snapshot_safety(index: ProjectIndex, graph: CallGraph,
+def check_snapshot_safety(index: ProjectIndex,
                           findings: List[Finding]) -> None:
-    prefix_reach = _prefix_reachable(index, graph)
-    for rec in index.repro_records():
+    for rec in index.records:
         for site in rec.reg_sites:
-            _check_site(index, rec, site, prefix_reach, findings)
-
-
-def _prefix_reachable(index: ProjectIndex, graph: CallGraph) -> Set[str]:
-    """Nodes reachable from PrefixSpec builders and work-unit bodies —
-    code that demonstrably runs inside (or builds) snapshot-covered
-    worlds today.  Used to sharpen messages, never to skip a site."""
-    return graph.reachable_from(unit_root_nodes(index))
+            _check_callback(index, rec, site, site.get("callback") or {},
+                            findings, depth=0)
+            for arg in site.get("args", ()):
+                _check_arg(index, rec, site, arg, findings)
 
 
 def _flag(findings: List[Finding], rec: FileRecord, site: dict, rule: str,
-          detail: str, reachable: bool) -> None:
-    where = ("in a snapshot-covered scenario path"
-             if reachable else "a warm-start migration away from crashing")
+          detail: str) -> None:
     findings.append(Finding(
         rule, rec.path, site["line"], site["col"],
         f"{detail} registered via {site['kind']} — deepcopy would alias "
-        f"the original world ({where}; see guard_world, INTERNALS §15)",
+        "the original world (see guard_world, INTERNALS §15)",
         symbol=site["func"], modname=rec.modname))
 
 
@@ -81,24 +73,8 @@ def _resolve_callable(index: ProjectIndex, rec: FileRecord, summary: dict,
     return None
 
 
-def _check_site(index: ProjectIndex, rec: FileRecord, site: dict,
-                prefix_reach: Set[str], findings: List[Finding]) -> None:
-    reachable = _site_reachable(rec, site, prefix_reach)
-    _check_callback(index, rec, site, site.get("callback") or {},
-                    reachable, findings, depth=0)
-    for arg in site.get("args", ()):
-        _check_arg(index, rec, site, arg, reachable, findings)
-
-
-def _site_reachable(rec: FileRecord, site: dict,
-                    prefix_reach: Set[str]) -> bool:
-    return node_id(rec, site["func"]) in prefix_reach if site["func"] \
-        else False
-
-
 def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
-                    cb: dict, reachable: bool, findings: List[Finding],
-                    depth: int) -> None:
+                    cb: dict, findings: List[Finding], depth: int) -> None:
     if depth > 3:
         return
     form = cb.get("form")
@@ -106,7 +82,7 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
     if form == "lambda":
         if cb.get("free"):
             _flag(findings, rec, site, "snapshot-closure",
-                  f"lambda closing over {sorted(cb['free'])}", reachable)
+                  f"lambda closing over {sorted(cb['free'])}")
         return
 
     if form == "attr":
@@ -115,8 +91,7 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
         # methods are not.
         if cb.get("attr") in config.BOUND_BUILTIN_METHODS:
             _flag(findings, rec, site, "snapshot-bound-builtin",
-                  f"bound builtin candidate {cb.get('dotted', cb['attr'])!r}",
-                  reachable)
+                  f"bound builtin candidate {cb.get('dotted', cb['attr'])!r}")
             return
         hit = index.resolve_method(rec, cb["attr"],
                                    context_qual=site["func"])
@@ -124,8 +99,7 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
             if hit[1].mutable_defaults:
                 _flag(findings, rec, site, "snapshot-mutable-default",
                       f"method {hit[1].qual!r} has mutable default "
-                      f"arguments (shared between original and fork)",
-                      reachable)
+                      f"arguments (shared between original and fork)")
         return
 
     if form == "name":
@@ -137,11 +111,11 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
         if info.free:
             _flag(findings, rec, site, "snapshot-closure",
                   f"function {info.qual!r} ({src.modname}) closes over "
-                  f"{sorted(info.free)}", reachable)
+                  f"{sorted(info.free)}")
         if info.mutable_defaults:
             _flag(findings, rec, site, "snapshot-mutable-default",
                   f"function {info.qual!r} ({src.modname}) has mutable "
-                  f"default arguments", reachable)
+                  f"default arguments")
         return
 
     if form == "call":
@@ -152,8 +126,8 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
         if callee_name == "partial":
             args = cb.get("args") or []
             if args:
-                _check_callback(index, rec, site, args[0], reachable,
-                                findings, depth + 1)
+                _check_callback(index, rec, site, args[0], findings,
+                                depth + 1)
             return
         # factory call: whatever the factory returns is the callback.
         hit = _resolve_callable(index, rec, callee, site["func"])
@@ -164,25 +138,24 @@ def _check_callback(index: ProjectIndex, rec: FileRecord, site: dict,
             if ret.get("form") == "lambda" and ret.get("free"):
                 _flag(findings, rec, site, "snapshot-closure",
                       f"factory {info.qual!r} ({src.modname}) returns a "
-                      f"lambda closing over {sorted(ret['free'])}",
-                      reachable)
+                      f"lambda closing over {sorted(ret['free'])}")
             elif ret.get("form") == "name":
-                inner = src.function(f"{info.qual}.{ret['id']}")
+                inner = src.functions.get(f"{info.qual}.{ret['id']}")
                 if inner is not None and inner.free and not _is_vouched(
                         inner):
                     _flag(findings, rec, site, "snapshot-closure",
                           f"factory {info.qual!r} ({src.modname}) returns "
                           f"nested function {ret['id']!r} closing over "
-                          f"{sorted(inner.free)}", reachable)
+                          f"{sorted(inner.free)}")
 
 
 def _check_arg(index: ProjectIndex, rec: FileRecord, site: dict, arg: dict,
-               reachable: bool, findings: List[Finding]) -> None:
+               findings: List[Finding]) -> None:
     form = arg.get("form")
     if form == "genexp":
         _flag(findings, rec, site, "snapshot-generator",
               "generator expression passed as event argument (generators "
-              "cannot be deep-copied)", reachable)
+              "cannot be deep-copied)")
         return
     if form == "call":
         callee = arg.get("callee") or {}
@@ -191,5 +164,4 @@ def _check_arg(index: ProjectIndex, rec: FileRecord, site: dict, arg: dict,
                 hit[1]):
             _flag(findings, rec, site, "snapshot-generator",
                   f"argument is a live generator from {hit[1].qual!r} "
-                  f"({hit[0].modname}) (generators cannot be deep-copied)",
-                  reachable)
+                  f"({hit[0].modname}) (generators cannot be deep-copied)")

@@ -13,8 +13,8 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from vschedlint.findings import RULES, UNSUPPRESSABLE, Finding
 
@@ -86,11 +86,11 @@ def scan_suppressions(source_lines: List[str], path: str,
 
 def apply_suppressions(findings: List[Finding],
                        suppressions: Dict[int, Suppression],
-                       def_line_of: Dict[int, List[int]],
+                       def_lines_of: Callable[[int], List[int]],
                        path: str) -> List[Finding]:
     """Drop suppressed findings; report suppressions that did nothing.
 
-    ``def_line_of`` maps a source line to the ``def`` lines of its
+    ``def_lines_of`` maps a source line to the ``def`` lines of its
     enclosing functions, innermost first.
     """
     kept: List[Finding] = []
@@ -98,7 +98,7 @@ def apply_suppressions(findings: List[Finding],
         if f.rule in UNSUPPRESSABLE:
             kept.append(f)
             continue
-        candidates = [f.line] + def_line_of.get(f.line, [])
+        candidates = [f.line] + def_lines_of(f.line)
         hit = None
         for ln in candidates:
             sup = suppressions.get(ln)
