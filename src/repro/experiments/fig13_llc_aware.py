@@ -103,7 +103,7 @@ def assemble(fast: bool, results: List[Dict[str, float]]) -> Table:
 
 
 def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast)))
+    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

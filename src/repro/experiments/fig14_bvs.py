@@ -10,7 +10,7 @@ reduction in p95 tail latency.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
@@ -39,28 +39,33 @@ def build_bvs_env():
     return env
 
 
-def _prefix(bvs: bool, overrides_extra: Optional[dict] = None):
+def _prefix(bvs: bool):
     """Prefix builder: the warmed-up world shared by all five benchmarks.
 
     The benchmark, best-effort filler, and workload RNG only enter the
     picture *after* the 6 s prober warm-up, so the ten scenarios on each
-    side of the bvs switch all diverge from the same frozen world.  (The
-    workload context is created per scenario; constructing it draws
-    nothing, so building it after the warm-up is stream-identical to
-    building it before.)
+    side of the bvs switch (and tab3's two) all diverge from the same
+    frozen world.  (The workload context is created per scenario;
+    constructing it draws nothing, so building it after the warm-up is
+    stream-identical to building it before.)
     """
     env = build_bvs_env()
-    overrides = dict(NO_IVH_RWC if bvs else PROBERS_ONLY)
-    if overrides_extra:
-        overrides.update(overrides_extra)
-    vs = attach_scheduler(env, "vsched", overrides=overrides)
+    vs = attach_scheduler(env, "vsched",
+                          overrides=NO_IVH_RWC if bvs else PROBERS_ONLY)
     env.engine.run_until(env.engine.now + 6 * SEC)  # prober warm-up
     return {"engine": env.engine, "env": env, "vs": vs}
 
 
+#: The warm worlds on each side of the bvs switch; tab3 forks them too.
+PREFIXES = {bvs: PrefixSpec(key=f"fig14-{'bvs' if bvs else 'nobvs'}",
+                            func=_prefix, config=(bvs,))
+            for bvs in (False, True)}
+
+
 def _measure(roots: dict, bench: str, bvs: bool, best_effort: bool,
              n_requests: int) -> LatencyWorkload:
-    """Diverge body: run one tailbench config from the warm world."""
+    """Diverge body: run one tailbench config from the warm world (fig14's
+    units and tab3's)."""
     env, vs = roots["env"], roots["vs"]
     ctx = make_context(env, vs, seed=f"fig14-{bench}-{bvs}-{best_effort}")
     wl = LatencyWorkload(bench, workers=6, n_requests=n_requests)
@@ -72,13 +77,6 @@ def _measure(roots: dict, bench: str, bvs: bool, best_effort: bool,
     return wl
 
 
-def run_one(bench: str, bvs: bool, best_effort: bool, n_requests: int,
-            overrides_extra: Optional[dict] = None) -> LatencyWorkload:
-    """Cold one-shot runner (tab3 and direct callers)."""
-    return _measure(_prefix(bvs, overrides_extra), bench, bvs, best_effort,
-                    n_requests)
-
-
 def _scenario_p95(roots: dict, bench: str, bvs: bool, best_effort: bool,
                   n_requests: int) -> float:
     """Work-unit body: one config -> p95 (picklable)."""
@@ -88,9 +86,6 @@ def _scenario_p95(roots: dict, bench: str, bvs: bool, best_effort: bool,
 def scenarios(fast: bool) -> List[WorkUnit]:
     n_requests = 150 if fast else 400
     cost = 0.75 if fast else 2.0
-    prefixes = {bvs: PrefixSpec(key=f"fig14-{'bvs' if bvs else 'nobvs'}",
-                                func=_prefix, config=(bvs,))
-                for bvs in (False, True)}
     return [WorkUnit(exp_id="fig14",
                      label=f"{bench}-{'bvs' if bvs else 'nobvs'}-"
                            f"{'be' if best_effort else 'nobe'}",
@@ -98,7 +93,7 @@ def scenarios(fast: bool) -> List[WorkUnit]:
                      config=(bench, bvs, best_effort, n_requests),
                      cost_hint=cost,
                      seed=f"fig14-{bench}-{bvs}-{best_effort}",
-                     prefix=prefixes[bvs])
+                     prefix=PREFIXES[bvs])
             for best_effort in (False, True)
             for bench in BENCHMARKS
             for bvs in (False, True)]

@@ -9,10 +9,11 @@ harvests unused vCPUs, improving throughput up to 82% with few threads and
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
+from repro.experiments.snapstore import PrefixSpec
 from repro.experiments.units import WorkUnit, execute_serial
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import Pbzip2, build_parsec
@@ -41,12 +42,27 @@ def _make(bench: str, threads: int, scale: float):
     return build_parsec(bench, threads=threads, scale=scale)
 
 
-def _elapsed(bench: str, threads: int, ivh: bool, scale: float) -> int:
+def _prefix(ivh: bool):
+    """Prefix builder: the overcommitted VM after its 6 s warm-up, with
+    ivh on or off; every (benchmark, threads) cell on that side diverges
+    from it.  The workload context is created after the fork, which
+    draws nothing."""
     env = _build_env()
-    overrides = IVH_ONLY if ivh else NO_IVH
-    vs = attach_scheduler(env, "vsched", overrides=overrides)
-    ctx = make_context(env, vs, seed=f"fig15-{bench}-{threads}-{ivh}")
+    vs = attach_scheduler(env, "vsched", overrides=IVH_ONLY if ivh else NO_IVH)
     env.engine.run_until(env.engine.now + 6 * SEC)
+    return {"engine": env.engine, "env": env, "vs": vs}
+
+
+PREFIXES = {ivh: PrefixSpec(key=f"fig15-{'ivh' if ivh else 'noivh'}",
+                            func=_prefix, config=(ivh,))
+            for ivh in (False, True)}
+
+
+def _elapsed(roots: dict, bench: str, threads: int, ivh: bool,
+             scale: float) -> int:
+    """Work-unit body: one benchmark on a fork of the warm world."""
+    env, vs = roots["env"], roots["vs"]
+    ctx = make_context(env, vs, seed=f"fig15-{bench}-{threads}-{ivh}")
     wl = _make(bench, threads, scale)
     run_to_completion(env, [wl], ctx, timeout_ns=600 * SEC)
     return wl.elapsed_ns()
@@ -66,7 +82,8 @@ def scenarios(fast: bool) -> List[WorkUnit]:
                      f"{'ivh' if ivh else 'noivh'}",
                      func=_elapsed, config=(bench, threads, ivh, scale),
                      cost_hint=cost,
-                     seed=f"fig15-{bench}-{threads}-{ivh}")
+                     seed=f"fig15-{bench}-{threads}-{ivh}",
+                     prefix=PREFIXES[ivh])
             for bench in benchmarks
             for threads in threads_list
             for ivh in (False, True)]
@@ -92,7 +109,7 @@ def assemble(fast: bool, results: List[int]) -> Table:
 
 
 def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast)))
+    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

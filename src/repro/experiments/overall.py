@@ -14,8 +14,10 @@ to CFS (higher is better), matching the paper's normalized plots.
 Each ``(benchmark, mode)`` measurement is one work unit
 (:func:`overall_scenarios`), so fig18/fig19 decompose into ~30 independent
 scenario evaluations for the flat scheduler instead of one ~30 s monolith.
-The VM is named by string (``"rcvm"``/``"hpvm"``) so unit configs stay
-plain data — the cache key hashes ``repr(config)``.
+Every benchmark under one mode forks that mode's warmed-up VM
+(:func:`_prefix`), so each figure simulates three warm-ups, not thirty.
+The VM is named by string (``"rcvm"``/``"hpvm"``) so unit and prefix
+configs stay plain data — the cache key hashes ``repr(config)``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.cluster import (
     run_to_completion,
 )
 from repro.experiments.common import Table
+from repro.experiments.snapstore import PrefixSpec
 from repro.experiments.units import WorkUnit, execute_serial
 from repro.sim.engine import SEC
 from repro.workloads import (
@@ -54,16 +57,25 @@ def _bench_list(fast: bool) -> List[Tuple[str, str]]:
             + [("latency", n) for n in latency])
 
 
-def _measure_unit(exp_id: str, vm: str, name: str, mode: str, kind: str,
-                  threads: int, fast: bool) -> float:
-    """Work-unit body: one (benchmark, mode) run on one VM type."""
-    scale = 0.12 if fast else 0.3
-    n_requests = 150 if fast else 400
+def _prefix(vm: str, mode: str, fast: bool):
+    """Prefix builder: the VM under one mode after the prober warm-up
+    (6 s fast, 9 s full).  The workload context is created after the
+    fork, which draws nothing."""
     warmup_ns = (6 if fast else 9) * SEC
     env = VM_BUILDERS[vm]()
     vs = attach_scheduler(env, mode)
-    ctx = make_context(env, vs, seed=f"{exp_id}-{name}-{mode}")
     env.engine.run_until(env.engine.now + warmup_ns)
+    return {"engine": env.engine, "env": env, "vs": vs}
+
+
+def _measure_unit(roots: dict, exp_id: str, name: str, mode: str,
+                  kind: str, threads: int, fast: bool) -> float:
+    """Work-unit body: one (benchmark, mode) run on a fork of the warm
+    VM."""
+    scale = 0.12 if fast else 0.3
+    n_requests = 150 if fast else 400
+    env, vs = roots["env"], roots["vs"]
+    ctx = make_context(env, vs, seed=f"{exp_id}-{name}-{mode}")
     wl = build_workload(name, threads=threads, scale=scale,
                         n_requests=n_requests)
     run_to_completion(env, [wl], ctx, timeout_ns=900 * SEC)
@@ -75,10 +87,14 @@ def _measure_unit(exp_id: str, vm: str, name: str, mode: str, kind: str,
 def overall_scenarios(exp_id: str, vm: str, threads: int,
                       fast: bool) -> List[WorkUnit]:
     cost = 0.9 if fast else 6.0
+    prefixes = {mode: PrefixSpec(key=f"{vm}-{mode}", func=_prefix,
+                                 config=(vm, mode, fast))
+                for mode in MODES}
     return [
         WorkUnit(exp_id=exp_id, label=f"{name}-{mode}", func=_measure_unit,
-                 config=(exp_id, vm, name, mode, kind, threads, fast),
-                 cost_hint=cost, seed=f"{exp_id}-{name}-{mode}")
+                 config=(exp_id, name, mode, kind, threads, fast),
+                 cost_hint=cost, seed=f"{exp_id}-{name}-{mode}",
+                 prefix=prefixes[mode])
         for kind, name in _bench_list(fast)
         for mode in MODES
     ]
@@ -108,7 +124,8 @@ def overall_assemble(exp_id: str, title: str, fast: bool,
 
 def run_overall(exp_id: str, title: str, vm: str, threads: int,
                 fast: bool) -> Table:
-    results = execute_serial(overall_scenarios(exp_id, vm, threads, fast))
+    results = execute_serial(overall_scenarios(exp_id, vm, threads, fast),
+                             fast)
     return overall_assemble(exp_id, title, fast, results)
 
 

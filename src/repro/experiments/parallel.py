@@ -74,7 +74,6 @@ __all__ = ["run_units", "decompose", "last_campaign_stats",
 #: them; decomposed units carry their own ``cost_hint``.
 WHOLE_EXPERIMENT_COST: Dict[str, float] = {
     "fig3": 0.1, "fig10a": 0.4, "fig10b": 0.1, "tab2": 0.2, "fig12": 5.6,
-    "tab3": 3.8, "tab4": 2.9, "fig21": 4.4,
 }
 
 

@@ -10,6 +10,11 @@ divergence point, and freezes it as a
 same prefix forks the frozen image instead of rebuilding — byte-identical
 results (``tools/abdiff.py`` proves it) at a fraction of the wall time.
 
+A prefix goes where two or more units share a warm-up that costs
+several forks (INTERNALS §15): fig14, fig15, fig18, fig19, fig21, tab4,
+and tab3, whose bvs units fork fig14's worlds.  A cheap warm-up (fig12,
+fig13) is not worth a freeze plus a fork per unit.
+
 Keying follows the unit result cache
 (:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
 ``SHA-256(code fingerprint | prefix (key, config, seed) | fast)``, so

@@ -9,11 +9,24 @@ between no-bvs and full bvs.
 
 from __future__ import annotations
 
+from typing import List
+
+from repro.cluster import attach_scheduler, make_context, run_to_completion
 from repro.core.bvs import BiasedVCpuSelection
 from repro.experiments.common import Table
-from repro.experiments.fig14_bvs import run_one
-from repro.guest.kernel import VCpuHostState
-from repro.sim.engine import MSEC
+from repro.experiments.fig14_bvs import (NO_IVH_RWC, PREFIXES, _measure,
+                                         build_bvs_env)
+from repro.experiments.units import WorkUnit, execute_serial
+from repro.sim.engine import MSEC, SEC
+from repro.workloads import BestEffortFiller, LatencyWorkload
+
+#: Table rows in order: (scenario, config, best_effort, bvs), where bvs
+#: None is the state-blind strawman.
+ROWS = (("no best-effort", "no bvs", False, False),
+        ("no best-effort", "bvs", False, True),
+        ("with best-effort", "no bvs", True, False),
+        ("with best-effort", "bvs (no state check)", True, None),
+        ("with best-effort", "bvs", True, True))
 
 
 class _NoStateCheckBvs(BiasedVCpuSelection):
@@ -51,41 +64,16 @@ def _breakdown(wl) -> tuple:
             wl.p95_ns("e2e") / MSEC)
 
 
-def run(fast: bool = False) -> Table:
-    n_requests = 200 if fast else 500
-    table = Table(
-        exp_id="tab3",
-        title="Masstree p95 latency breakdown (ms)",
-        columns=["scenario", "config", "queue_ms", "service_ms", "e2e_ms"],
-        paper_expectation="bvs cuts queue time 44-70%; ignoring the vCPU "
-                          "state forfeits part of the gain under best-effort "
-                          "tasks",
-    )
-    for best_effort in (False, True):
-        scenario = "with best-effort" if best_effort else "no best-effort"
-        wl = run_one("masstree", False, best_effort, n_requests)
-        table.add(scenario, "no bvs", *_breakdown(wl))
-        if best_effort:
-            wl = run_one("masstree", True, best_effort, n_requests,
-                         overrides_extra=None)
-            # Swap in the no-state-check variant by monkey-free injection:
-            # run again with the strawman hook.
-            wl_ns = _run_no_state(best_effort, n_requests)
-            table.add(scenario, "bvs (no state check)", *_breakdown(wl_ns))
-            table.add(scenario, "bvs", *_breakdown(wl))
-        else:
-            wl = run_one("masstree", True, best_effort, n_requests)
-            table.add(scenario, "bvs", *_breakdown(wl))
-    return table
+def _fig14_breakdown(roots: dict, bvs: bool, best_effort: bool,
+                     n_requests: int) -> tuple:
+    """Work-unit body: Masstree on a fork of fig14's warm world."""
+    return _breakdown(_measure(roots, "masstree", bvs, best_effort,
+                               n_requests))
 
 
-def _run_no_state(best_effort: bool, n_requests: int):
-    from repro.cluster import make_context, run_to_completion
-    from repro.cluster.scenarios import attach_scheduler
-    from repro.experiments.fig14_bvs import NO_IVH_RWC, build_bvs_env
-    from repro.sim.engine import SEC
-    from repro.workloads import BestEffortFiller, LatencyWorkload
-
+def _no_state_breakdown(best_effort: bool, n_requests: int) -> tuple:
+    """Work-unit body: the strawman, cold.  Its hook is installed before
+    the warm-up, so no other unit shares its world."""
     env = build_bvs_env()
     vs = attach_scheduler(env, "vsched", overrides=NO_IVH_RWC)
     # Replace the installed bvs hook with the state-blind variant.
@@ -99,7 +87,45 @@ def _run_no_state(best_effort: bool, n_requests: int):
         workloads.append(BestEffortFiller())
     run_to_completion(env, workloads, ctx, wait_for=[wl],
                       timeout_ns=240 * SEC)
-    return wl
+    return _breakdown(wl)
+
+
+def scenarios(fast: bool) -> List[WorkUnit]:
+    n_requests = 200 if fast else 500
+    cost = 0.75 if fast else 2.0
+    units = []
+    for _scenario, _config, best_effort, bvs in ROWS:
+        be = "be" if best_effort else "nobe"
+        if bvs is None:
+            units.append(WorkUnit(
+                exp_id="tab3", label=f"{be}-nostate",
+                func=_no_state_breakdown, config=(best_effort, n_requests),
+                cost_hint=cost, seed=f"tab3-nostate-{best_effort}"))
+        else:
+            units.append(WorkUnit(
+                exp_id="tab3", label=f"{be}-{'bvs' if bvs else 'nobvs'}",
+                func=_fig14_breakdown, config=(bvs, best_effort, n_requests),
+                cost_hint=cost, seed=f"fig14-masstree-{bvs}-{best_effort}",
+                prefix=PREFIXES[bvs]))
+    return units
+
+
+def assemble(fast: bool, results: List[tuple]) -> Table:
+    table = Table(
+        exp_id="tab3",
+        title="Masstree p95 latency breakdown (ms)",
+        columns=["scenario", "config", "queue_ms", "service_ms", "e2e_ms"],
+        paper_expectation="bvs cuts queue time 44-70%; ignoring the vCPU "
+                          "state forfeits part of the gain under best-effort "
+                          "tasks",
+    )
+    for (scenario, config, _be, _bvs), breakdown in zip(ROWS, results):
+        table.add(scenario, config, *breakdown)
+    return table
+
+
+def run(fast: bool = False) -> Table:
+    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

@@ -124,14 +124,15 @@ def get_assemble(mod, exp_id: str) -> Optional[Callable]:
         getattr(mod, "assemble", None)
 
 
-def execute_serial(units: Sequence[WorkUnit], fast: bool = False) -> List:
+def execute_serial(units: Sequence[WorkUnit], fast: bool) -> List:
     """Run units in order, in-process, returning one result per unit.
 
     This is what the thin ``run(fast=)`` wrappers call.  Each unit runs
     through :func:`repro.experiments.snapstore.execute_unit`, so units
     carrying a prefix fork it from this process's snapshot store.
-    ``fast`` feeds the prefix store key; experiments that declare
-    prefixes pass their mode through.
+    ``fast`` feeds the prefix store key, so it is required: a wrapper
+    that dropped its mode would file fast prefixes under the full-mode
+    key and build every shared world a second time.
     """
     from repro.experiments.snapstore import execute_unit
     return [execute_unit(u.func, u.config, u.prefix, fast) for u in units]

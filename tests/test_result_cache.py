@@ -8,12 +8,14 @@ unit failures.
 
 import sys
 import types
+from collections import Counter
 
 import pytest
 
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache, code_fingerprint, unit_key
 from repro.experiments.common import EXPERIMENTS, Table, load_experiment
+from repro.experiments.snapstore import prefix_store_key
 from repro.experiments.units import (
     WorkUnit,
     check_config_is_data,
@@ -171,7 +173,7 @@ def fake_experiment(monkeypatch):
     mod.scenarios = _fake_scenarios
     mod.assemble = _fake_assemble
     mod.run = lambda fast=False: _fake_assemble(
-        fast, execute_serial(_fake_scenarios(fast)))
+        fast, execute_serial(_fake_scenarios(fast), fast))
     mod.check = lambda table: None
     monkeypatch.setitem(sys.modules, "_vsched_fake_exp", mod)
     monkeypatch.setitem(EXPERIMENTS, "figx", "_vsched_fake_exp")
@@ -239,10 +241,41 @@ class TestDecompose:
         for exp_id, n_min in (("fig2", 24), ("fig4", 18), ("fig11", 4),
                               ("fig13", 6), ("fig14", 20), ("fig15", 24),
                               ("fig16", 2), ("fig17", 2), ("fig18", 30),
-                              ("fig19", 30), ("fig20", 12)):
+                              ("fig19", 30), ("fig20", 12), ("fig21", 12),
+                              ("tab3", 5), ("tab4", 6)):
             units, _assemble = parallel.decompose(exp_id, True)
             assert len(units) == n_min, exp_id
             assert len({u.label for u in units}) == len(units), exp_id
+
+    def test_shared_warm_ups_are_prefixes(self):
+        def sharing(exp_id):
+            """(units per prefix store key, prefix-less unit count)."""
+            units, _assemble = parallel.decompose(exp_id, True)
+            per_key = Counter(prefix_store_key(u.prefix, True, FP)
+                              for u in units if u.prefix is not None)
+            return per_key, sum(1 for u in units if u.prefix is None)
+
+        for exp_id, n_keys, per_key in (("fig14", 2, 10), ("fig15", 2, 12),
+                                        ("tab4", 2, 3), ("fig21", 2, 6),
+                                        ("fig18", 3, 10), ("fig19", 3, 10)):
+            counts, bare = sharing(exp_id)
+            assert sorted(counts.values()) == [per_key] * n_keys, exp_id
+            assert bare == 0, exp_id
+        # tab3's four bvs/no-bvs units fork fig14's own worlds; its
+        # strawman installs its hook before the warm-up, so nothing else
+        # shares that world and it stays prefix-less.
+        tab3, tab3_bare = sharing("tab3")
+        assert sorted(tab3.values()) == [2, 2] and tab3_bare == 1
+        assert set(tab3) == set(sharing("fig14")[0])
+        # Measured exclusions.  fig13's vtop-only warm-up (5,217 events,
+        # 0.138 s) costs about as much as freezing its 32-vCPU world
+        # (0.066 s) plus a fork (0.062 s), and wide-balance got slower
+        # with it.  fig20 would gain, but under campaign-2w's pool its
+        # prefix misses, and so its event counts, depend on which worker
+        # draws which unit.
+        for exp_id in ("fig13", "fig20"):
+            units, _assemble = parallel.decompose(exp_id, True)
+            assert all(u.prefix is None for u in units), exp_id
 
     def test_heavy_experiments_no_longer_monolithic(self):
         # The PR 1 critical path: these four dominated the serial suite.

@@ -15,7 +15,8 @@ tested here against its cold-path twin:
   off;
 * campaign layer — ``run_units`` hands its ``snapshot`` argument to pool
   workers, and falls back to ``$VSCHED_REPRO_SNAPSHOT`` only when the
-  argument is omitted.
+  argument is omitted; an experiment's ``run(fast=)`` wrapper forks the
+  prefixes a campaign of the same mode already built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import pytest
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments import parallel
-from repro.experiments.common import EXPERIMENTS, Table
+from repro.experiments.common import (EXPERIMENTS, Table, load_experiment,
+                                     run_experiment)
 from repro.experiments.snapstore import (
     PrefixSpec,
     SnapshotStore,
@@ -37,7 +39,7 @@ from repro.experiments.snapstore import (
     process_store,
     reset_process_store,
 )
-from repro.experiments.units import WorkUnit
+from repro.experiments.units import WorkUnit, execute_serial
 from repro.sim.engine import MSEC, SEC, Engine
 from repro.sim.rng import make_rng, rng_signature
 from repro.sim.snapshot import SnapshotError, WorldSnapshot, guard_world
@@ -315,3 +317,37 @@ class TestCampaignSnapshotMode:
                                   snapshot=True)
         assert res.counters["snap_cold_builds"] == 0
         assert res.counters["snap_forks"] == 2
+
+
+class TestExecuteSerialMode:
+    def test_run_wrapper_forks_campaign_prefixes(self, ticker_experiment):
+        list(parallel.run_units(["figsnap"], fast=True, jobs=1))
+        store = process_store()
+        assert (store.misses, store.forks) == (1, 2)
+        units, _assemble = parallel.decompose("figsnap", True)
+        assert execute_serial(units, True) == [(2_000, 20), (3_000, 30)]
+        assert (store.misses, store.forks) == (1, 4)
+
+    def test_fast_is_required(self, ticker_experiment):
+        units, _assemble = parallel.decompose("figsnap", True)
+        with pytest.raises(TypeError):
+            execute_serial(units)
+
+    def test_every_run_wrapper_passes_its_mode(self, monkeypatch):
+        class _Stop(Exception):
+            pass
+
+        seen = {}
+        for exp_id in sorted(EXPERIMENTS):
+            mod = load_experiment(exp_id)
+            if not hasattr(mod, "execute_serial"):
+                continue
+
+            def spy(units, fast, exp_id=exp_id):
+                seen[exp_id] = fast
+                raise _Stop  # record the mode, simulate nothing
+
+            monkeypatch.setattr(mod, "execute_serial", spy)
+            with pytest.raises(_Stop):
+                run_experiment(exp_id, fast=True)
+        assert len(seen) >= 15 and set(seen.values()) == {True}, seen

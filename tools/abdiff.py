@@ -9,12 +9,16 @@ a correctness bug, not noise.  Both runs go through ``run_units``, and
 the comparison reads the full-precision ``CampaignResult.table``.
 
 Also reports the events fired per mode, so the share of work that forking
-saves is visible next to the identity verdict.
+saves is visible next to the identity verdict.  Experiments run in the
+order given, in one process, so an experiment that forks another's
+prefixes (tab3 forks fig14's) reuses them when listed after it.
 
 Usage::
 
     PYTHONPATH=src python tools/abdiff.py --fast
-    PYTHONPATH=src python tools/abdiff.py --fast --experiments fig14
+    # the experiments that declare prefixes (CI's snapshot-identity job):
+    PYTHONPATH=src python tools/abdiff.py --fast \
+        --experiments fig14,tab3,fig15,tab4,fig18,fig19,fig21
 """
 
 from __future__ import annotations

@@ -99,11 +99,15 @@ Known, deliberate deviations of this substrate (details in DESIGN.md):
 * rwc's straggler trigger is recalibrated from "10x below average" to "3x
   below median": host wake-up credit lets even a heavily hogged vCPU burst
   briefly, compressing the measured capacity range.
-* In the multi-tenant experiment (fig17) the nginx gains track the paper,
-  but the *intermittent-phase* neighbours (facesim/ferret) degrade by tens
-  of percent instead of the paper's 1.2%: on this substrate the cycles
-  vSched reclaims for its fair share directly stretch the neighbours'
-  barrier phases.  The consistent-phase neighbour impact (~2%) matches.
+* In the multi-tenant experiment (fig17) vSched's nginx gains fall short
+  of the paper's and its neighbour impact exceeds it.  The fast table
+  shows nginx +5.87% (intermittent) and +11.15% (consistent) against the
+  paper's +15% and +24%.  Against the paper's 1-2% neighbour impact,
+  the consistent-phase neighbours degrade by 5.21% (vmC, swaptions) and
+  11.88% (vmD, raytrace); in the intermittent phase facesim (vmA)
+  degrades by 25.75% and ferret (vmB) gains 8.54%.  On this substrate
+  the cycles vSched reclaims for its fair share directly stretch the
+  neighbours' barrier phases.  No full-mode fig17 number is recorded.
 * Mode = {mode}.
 
 ---

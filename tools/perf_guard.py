@@ -14,7 +14,7 @@ count flat.  The tolerance absorbs small intentional drifts; bigger
 deliberate changes should refresh the baseline with ``--write`` in the
 same commit.
 
-One prefix-migrated experiment (``SNAP_PINNED``) is additionally
+Two prefix-migrated experiments (``SNAP_PINNED``) are additionally
 measured with warm-start forking on *and* off (INTERNALS §15).  Both
 modes carry their own budgets — the fork budget guards the prefix
 sharing itself (a regression here means units stopped forking and went
@@ -52,16 +52,17 @@ TOLERANCE_PCT = 10.0
 COUNTERS = ("events_fired", "pushes", "cancels")
 #: Pinned fast experiments: one host-churn-bound, one spin-bound.
 PINNED = ("fig2", "fig4")
-#: Prefix-migrated experiment measured under snapshot fork AND cold mode.
-#: fig14 shares 2 warm-up prefixes across 20 units, so cold mode re-fires
-#: each prefix 10x and the fork budget sits well below the cold one.
-SNAP_PINNED = ("fig14",)
+#: Prefix-migrated experiments measured under snapshot fork AND cold mode.
+#: fig14 shares 2 warm-up prefixes across 20 units and fig21 2 across 12,
+#: so cold mode re-fires each prefix 10x (fig14) or 6x (fig21) and the
+#: fork budgets sit well below the cold ones.
+SNAP_PINNED = ("fig14", "fig21")
 SNAP_MODES = ("fork", "cold")
 
 
 def measure(exp_id: str, snapshot: bool = True) -> dict:
     # In-process: each worker process owns its snapshot store, so a
-    # pooled fig14 would rebuild prefixes that one process builds once.
+    # pooled run would rebuild prefixes that one process builds once.
     res, = run_units([exp_id], fast=True, check=False, jobs=1,
                      snapshot=snapshot)
     return {"events_fired": res.events_fired,
