@@ -22,14 +22,15 @@ Failure handling is the same at any worker count (``docs/INTERNALS.md``
 §10): a failed unit aborts the campaign with a report of the experiments
 that completed, and ``--keep-going`` instead streams every healthy table
 past failed units, prints a structured end-of-run failure report, and
-exits non-zero.  ``--max-retries`` bounds retries of transient unit
-failures (``TransientUnitError``; in pooled campaigns also worker crashes
-and deadline expiry), and ``--unit-timeout`` overrides a pooled unit's
-derived deadline.  Ctrl-C tears the pool down and reports how far the
-campaign got; cached results survive either way.
+exits non-zero.  In pooled campaigns ``--max-retries`` bounds retries
+after a worker death or deadline expiry, and ``--unit-timeout``
+overrides a unit's derived deadline.  Ctrl-C tears the pool down and
+reports how far the campaign got; cached results survive either way.
 
 Every setting is a flag handed to ``run_units`` as an argument; the CLI
-reads no environment variable and writes none.
+reads no environment variable and writes none.  An unknown experiment
+id, a ``--unit-timeout`` that is not positive and a negative
+``--max-retries`` exit 2 before any unit runs.
 """
 
 from __future__ import annotations
@@ -40,21 +41,12 @@ from typing import List, Optional
 
 from repro.experiments import parallel
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.experiments.chaos import ChaosPlan
 from repro.experiments.common import EXPERIMENTS
 
 #: Order in which `run all` executes (paper order).
 ALL_ORDER = ["fig2", "fig3", "fig4", "fig10a", "fig10b", "tab2", "fig11",
              "fig12", "fig13", "fig14", "tab3", "fig15", "tab4", "fig16",
              "fig17", "fig18", "fig19", "fig20", "fig21", "figA1"]
-
-
-def _chaos_spec(spec: str) -> ChaosPlan:
-    """``--chaos`` type: a bad spec exits 2 with the parser's reason."""
-    try:
-        return ChaosPlan.parse(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -79,10 +71,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="do not abort the campaign on a failed unit: "
                            "stream every healthy table, report failures at "
                            "the end, exit non-zero")
-    runp.add_argument("--max-retries", type=int, default=None, metavar="N",
-                      help="retries per unit for transient failures "
-                           "(worker crash, timeout, TransientUnitError; "
-                           "default 1)")
+    runp.add_argument("--max-retries", type=int, default=1, metavar="N",
+                      help="retries per pooled unit after its worker dies "
+                           "or its deadline expires (default 1)")
     runp.add_argument("--unit-timeout", type=float, default=None,
                       metavar="S",
                       help="per-unit deadline in seconds, overriding the "
@@ -96,11 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="rebuild every scenario prefix cold instead of "
                            "forking a frozen one (the A/B baseline for the "
                            "byte-identity contract)")
-    runp.add_argument("--chaos", type=_chaos_spec, default=None,
-                      metavar="SPEC",
-                      help="inject faults into pool workers, e.g. "
-                           "crash:0.2,hang:0.1,flaky:0.5[,hang_s=30] "
-                           "(exercises the supervisor's recovery paths)")
     runp.add_argument("--out", default=None,
                       help="also write rendered tables to this file "
                            "(truncated unless --append)")
@@ -119,8 +105,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         ids = [i.strip() for i in args.experiment.split(",") if i.strip()]
     for exp_id in ids:
         if exp_id not in EXPERIMENTS:
-            raise KeyError(f"unknown experiment {exp_id!r}; "
-                           f"known: {sorted(EXPERIMENTS)}")
+            runp.error(f"unknown experiment {exp_id!r}; "
+                       f"known: {', '.join(sorted(EXPERIMENTS))}")
+    if args.unit_timeout is not None and not args.unit_timeout > 0:
+        runp.error(f"--unit-timeout must be > 0, got {args.unit_timeout}")
+    if args.max_retries < 0:
+        runp.error(f"--max-retries must be >= 0, got {args.max_retries}")
 
     cache = ResultCache(args.cache_dir) if args.cache else None
 
@@ -193,7 +183,7 @@ def _run_flat(ids: List[str], args, out_fh, cache,
                                   cache=cache, keep_going=args.keep_going,
                                   max_retries=args.max_retries,
                                   unit_timeout=args.unit_timeout,
-                                  snapshot=args.snapshot, chaos=args.chaos):
+                                  snapshot=args.snapshot):
         print(f"--- running {res.exp_id} "
               f"({'fast' if args.fast else 'full'}) ---", flush=True)
         print(res.rendered, flush=True)

@@ -187,12 +187,3 @@ def check_fig10b(table: Table) -> None:
                 assert rel in ("socket", "smt"), (a, b, rel)
             else:
                 assert rel == "cross", (a, b, rel)
-
-
-def run(fast: bool = False) -> Table:
-    """Combined runner: returns fig10a and attaches fig10b as notes."""
-    return run_fig10a(fast)
-
-
-def check(table: Table) -> None:
-    check_fig10a(table)

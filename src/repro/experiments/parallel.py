@@ -23,8 +23,10 @@ changed.
 Pooled execution is **supervised** (:mod:`repro.experiments.supervisor`):
 the parent owns a per-worker dispatch record, so dead workers are detected
 and their in-flight unit requeued, hung units are killed at a per-unit
-deadline, transient failures retry with deterministic backoff, and
-``keep_going=True`` turns a permanently-failed unit into a
+deadline, and both retry with deterministic backoff.  In-process
+(``jobs <= 1``) no worker can die and no deadline applies, so each unit
+runs once.  At any worker count an exception raised by a unit body fails
+that unit, and ``keep_going=True`` turns a failed unit into a
 :class:`CampaignResult` failure panel instead of aborting the campaign.
 
 Determinism contract
@@ -49,17 +51,13 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from repro.experiments.chaos import ChaosPlan
 from repro.experiments.common import Table
 from repro.experiments.supervisor import (
     CampaignInterrupted,
-    DeadlinePolicy,
-    RetryPolicy,
     SupervisorStats,
     supervise,
 )
 from repro.experiments.units import (
-    TransientUnitError,
     WorkUnit,
     get_assemble,
     get_scenarios,
@@ -265,11 +263,9 @@ def last_campaign_stats() -> Optional[SupervisorStats]:
 def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
               jobs: int = 1, cache=None,
               keep_going: bool = False,
-              max_retries: Optional[int] = None,
+              max_retries: int = 1,
               unit_timeout: Optional[float] = None,
-              max_respawns: Optional[int] = None,
               snapshot: Optional[bool] = None,
-              chaos: Optional[ChaosPlan] = None,
               ) -> Iterator[CampaignResult]:
     """Flat-schedule every unit of every experiment; stream ordered results.
 
@@ -279,16 +275,15 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     an optional :class:`repro.experiments.cache.ResultCache`; hits skip
     execution entirely and misses are stored on completion.
 
-    Execution is supervised: transient failures (worker death, deadline
-    expiry, :class:`TransientUnitError`) retry up to ``max_retries``
-    (default :class:`RetryPolicy`'s), ``unit_timeout`` overrides every
-    derived per-unit deadline, and ``keep_going=True`` converts a
-    permanently-failed unit into a ``CampaignResult`` with ``ok=False``
-    (its ``failed_units`` carry the per-unit error, attempts and worker
-    fate) instead of a raised ``RuntimeError`` — healthy experiments still
-    stream and successes still populate the cache.  Ctrl-C tears the pool
-    down and raises :class:`CampaignInterrupted`.  ``chaos`` injects
-    faults into pool workers only (serial runs ignore it).
+    Pooled execution is supervised: worker death and deadline expiry
+    retry up to ``max_retries`` times, and ``unit_timeout`` overrides
+    every derived per-unit deadline.  An exception raised by a unit body
+    fails the unit at once.  ``keep_going=True`` converts a failed unit
+    into a ``CampaignResult`` with ``ok=False`` (its ``failed_units``
+    carry the per-unit error, attempts and worker fate) instead of a
+    raised ``RuntimeError`` — healthy experiments still stream and
+    successes still populate the cache.  Ctrl-C tears the pool down and
+    raises :class:`CampaignInterrupted`.
 
     ``snapshot`` picks warm-start prefix forking (True) or cold prefix
     rebuilds (False); pool workers receive it as an argument.  When it is
@@ -299,9 +294,6 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     ids = list(exp_ids)
     if snapshot is None:
         snapshot = os.environ.get("VSCHED_REPRO_SNAPSHOT", "1") != "0"
-    retry = RetryPolicy() if max_retries is None \
-        else RetryPolicy(max_retries=max_retries)
-    deadline = DeadlinePolicy(override_s=unit_timeout)
     plans: List[Tuple[str, List[_UnitState], Callable]] = []
     for exp_id in ids:
         units, assemble = decompose(exp_id, fast)
@@ -328,7 +320,7 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
 
     if jobs <= 1:
         yield from _run_units_serial(plans, fast, check, cache, keep_going,
-                                     retry, snapshot)
+                                     snapshot)
         return
 
     # Longest-first greedy dispatch: the supervisor assigns one unit at a
@@ -336,9 +328,8 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
     # the tail.
     pending.sort(key=lambda st: -st.unit.cost_hint)
     outcomes = supervise([st.unit for st in pending], jobs, fast=fast,
-                         retry=retry, deadline=deadline, chaos=chaos,
-                         stats=stats, max_respawns=max_respawns,
-                         snapshot=snapshot)
+                         max_retries=max_retries, unit_timeout=unit_timeout,
+                         stats=stats, snapshot=snapshot)
     next_yield = 0
     try:
         for pos, out in outcomes:
@@ -367,64 +358,42 @@ def run_units(exp_ids: Sequence[str], fast: bool = False, check: bool = True,
 
 
 def _run_units_serial(plans, fast: bool, check: bool, cache,
-                      keep_going: bool = False,
-                      retry: Optional[RetryPolicy] = None,
-                      snapshot: bool = True,
+                      keep_going: bool = False, snapshot: bool = True,
                       ) -> Iterator[CampaignResult]:
     """In-process scheduler path (jobs<=1): same semantics, no pool.
 
-    Deadlines and chaos need worker processes and do not apply here, but
-    the bounded-retry contract does: a unit raising
-    :class:`TransientUnitError` is retried with the same deterministic
-    backoff as the pooled path.
+    Worker death and deadlines need worker processes, so nothing here is
+    transient and each unit runs once; an exception fails the unit as in
+    a pooled campaign.
     """
     from repro.experiments.snapstore import execute_unit, snapshot_counters
-    from repro.experiments.supervisor import unit_tag
     from repro.sim.engine import Engine
-    retry = retry or RetryPolicy()
     for exp_id, states, assemble in plans:
         for st in states:
             if st.done:
                 continue
-            fates: List[str] = []
-            while True:
-                events0 = Engine.total_events_fired
-                counters0 = Engine.counters()
-                snap0 = snapshot_counters()
-                started = time.perf_counter()
-                st.error = st.tb = None
-                retryable = False
-                try:
-                    st.result = execute_unit(st.unit.func, st.unit.config,
-                                             st.unit.prefix, fast, snapshot)
-                except Exception as exc:  # noqa: BLE001 - same as pooled
-                    st.error = f"{type(exc).__name__}: {exc}"
-                    st.tb = traceback.format_exc()
-                    retryable = isinstance(exc, TransientUnitError)
-                st.wall_s = time.perf_counter() - started
-                st.events = Engine.total_events_fired - events0
-                st.counters = {k: v - counters0[k]
-                               for k, v in Engine.counters().items()
-                               if k != "fired"}
-                st.counters.update(
-                    {k: v - snap0[k]
-                     for k, v in snapshot_counters().items()})
-                st.attempts += 1
-                if st.error is None:
-                    st.fate = "ok" if not fates else (
-                        "; ".join(fates) + f"; ok on attempt {st.attempts}")
-                    break
-                fates.append(f"attempt {st.attempts}: {st.error}")
-                if not retryable or st.attempts > retry.retries_for(st.unit):
-                    st.fate = "; ".join(fates) + (
-                        "; gave up" if retryable else " (not retryable)")
-                    break
-                if _last_stats is not None:
-                    _last_stats.retries += 1
-                time.sleep(retry.backoff_s(unit_tag(st.unit), st.attempts))
+            events0 = Engine.total_events_fired
+            counters0 = Engine.counters()
+            snap0 = snapshot_counters()
+            started = time.perf_counter()
+            st.fate = "ok"
+            try:
+                st.result = execute_unit(st.unit.func, st.unit.config,
+                                         st.unit.prefix, fast, snapshot)
+            except Exception as exc:  # noqa: BLE001 - same as pooled
+                st.error = f"{type(exc).__name__}: {exc}"
+                st.tb = traceback.format_exc()
+                st.fate = f"attempt 1: {st.error} (not retryable)"
+            st.wall_s = time.perf_counter() - started
+            st.events = Engine.total_events_fired - events0
+            st.counters = {k: v - counters0[k]
+                           for k, v in Engine.counters().items()
+                           if k != "fired"}
+            st.counters.update({k: v - snap0[k]
+                                for k, v in snapshot_counters().items()})
+            st.attempts = 1
             st.done = True
             if st.error is None and cache is not None and st.key is not None:
                 cache.store(st.key, st.result)
         yield _finish_experiment(exp_id, states, assemble, fast, check,
                                  keep_going)
-

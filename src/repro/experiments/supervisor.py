@@ -13,21 +13,23 @@ whole run.  This module replaces that fire-and-forget feed with a
 * **per-worker result pipes** — workers report results on private pipes
   multiplexed with ``multiprocessing.connection.wait``, never a shared
   queue.  A shared queue serializes writers through one inter-process
-  lock, and a worker SIGKILLed (or chaos-crashed) between finishing its
-  pipe write and releasing that lock would wedge every sibling writer
-  forever; with one pipe per worker a dying writer can only corrupt its
-  own pipe, which the parent discards when it reaps the corpse;
+  lock, and a worker SIGKILLed between finishing its pipe write and
+  releasing that lock would wedge every sibling writer forever; with one
+  pipe per worker a dying writer can only corrupt its own pipe, which the
+  parent discards when it reaps the corpse;
 * **crash recovery** — `Process.is_alive()` + exitcode sweeps detect dead
   workers; the in-flight unit is requeued and a replacement worker
-  spawned, up to a respawn budget;
-* **per-unit deadlines** — `timeout_s = clamp(cost_hint × multiplier,
-  floor, ceiling)` (or the unit's / CLI's explicit override); on expiry
-  the owning worker is SIGKILLed and the unit requeued or failed;
+  spawned, up to a respawn budget of ``max(16, 8 × jobs)``;
+* **per-unit deadlines** — :func:`deadline_s`: ``clamp(cost_hint ×
+  DEADLINE_MULTIPLIER, DEADLINE_FLOOR_S, DEADLINE_CEIL_S)``, or the
+  campaign's ``unit_timeout``; on expiry the owning worker is SIGKILLed
+  and the unit requeued or failed;
 * **bounded retry with deterministic backoff** — transient failures
-  (worker death, deadline expiry, `TransientUnitError`) retry up to the
-  budget; backoff jitter derives from the unit's identity via `make_rng`,
-  never wall clock, so retried units recompute identical results and the
-  determinism contract survives chaos;
+  (worker death, deadline expiry) retry up to ``max_retries``; backoff
+  jitter derives from the unit's identity via `make_rng`, never wall
+  clock, so retried units recompute identical results and the
+  determinism contract survives faults.  An exception raised by the unit
+  body is deterministic under that contract and fails the unit at once;
 * **unit fates** — every outcome carries its attempt count and a fate
   trail ("attempt 1: worker died (exitcode -9); …") for the end-of-run
   failure report.
@@ -54,12 +56,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments.chaos import ChaosPlan
-from repro.experiments.units import TransientUnitError, WorkUnit
+from repro.experiments.units import WorkUnit
 
-#: Full (non-fast) scenarios run roughly this much longer than their
-#: fast-mode ``cost_hint`` seconds; deadlines scale accordingly.
-FULL_MODE_SCALE = 60.0
+#: A unit's derived deadline is ``cost_hint`` times this, clamped to
+#: [DEADLINE_FLOOR_S, DEADLINE_CEIL_S].  ``cost_hint`` is in seconds of
+#: the unit's own mode, so one scale serves fast and full campaigns.
+DEADLINE_MULTIPLIER = 30.0
+DEADLINE_FLOOR_S = 30.0
+DEADLINE_CEIL_S = 1800.0
+
+#: Retry ``n`` (1-based) waits ``BACKOFF_BASE_S × 2^(n-1)`` times a
+#: jitter in [0.5, 1.5), at most ``BACKOFF_CAP_S``.
+BACKOFF_BASE_S = 0.1
+BACKOFF_CAP_S = 5.0
 
 
 class CampaignInterrupted(KeyboardInterrupt):
@@ -75,58 +84,29 @@ class CampaignInterrupted(KeyboardInterrupt):
         self.total = total
 
 
-@dataclass(frozen=True)
-class DeadlinePolicy:
-    """Derives each unit's wall-clock deadline.
+def deadline_s(unit: WorkUnit, override_s: Optional[float] = None) -> float:
+    """Wall-clock budget of one attempt of ``unit``.
 
-    Precedence: ``override_s`` (``run_units(..., unit_timeout=)``, CLI
-    ``--unit-timeout``) > ``unit.timeout_s`` >
-    ``clamp(cost_hint × multiplier, floor_s, ceil_s)``.  Full-mode
-    scenarios scale the derived (not overridden) value by
-    :data:`FULL_MODE_SCALE` because ``cost_hint`` is in fast-mode seconds.
+    ``override_s`` (``run_units(..., unit_timeout=)``, CLI
+    ``--unit-timeout``) wins; otherwise ``clamp(cost_hint ×
+    DEADLINE_MULTIPLIER, DEADLINE_FLOOR_S, DEADLINE_CEIL_S)``.
     """
-
-    multiplier: float = 30.0
-    floor_s: float = 30.0
-    ceil_s: float = 1800.0
-    override_s: Optional[float] = None
-
-    def timeout_for(self, unit: WorkUnit, fast: bool) -> float:
-        if self.override_s is not None:
-            return self.override_s
-        if unit.timeout_s is not None:
-            return unit.timeout_s
-        scale = 1.0 if fast else FULL_MODE_SCALE
-        derived = unit.cost_hint * self.multiplier * scale
-        return min(max(derived, self.floor_s), self.ceil_s * scale)
+    if override_s is not None:
+        return override_s
+    derived = unit.cost_hint * DEADLINE_MULTIPLIER
+    return min(max(derived, DEADLINE_FLOOR_S), DEADLINE_CEIL_S)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with deterministic exponential backoff."""
+def backoff_s(tag: str, attempt: int) -> float:
+    """Backoff before re-dispatching attempt ``attempt`` (1-based).
 
-    max_retries: int = 1
-    backoff_base_s: float = 0.1
-    backoff_cap_s: float = 5.0
-
-    def retries_for(self, unit: WorkUnit) -> int:
-        if not unit.retryable:
-            return 0
-        if unit.max_retries is not None:
-            return max(0, unit.max_retries)
-        return max(0, self.max_retries)
-
-    def backoff_s(self, tag: str, attempt: int) -> float:
-        """Backoff before re-dispatching attempt ``attempt`` (1-based).
-
-        Exponential in the attempt number with jitter in [0.5, 1.5)
-        drawn from ``make_rng`` on the unit tag — deterministic, never
-        wall clock, so chaos runs reproduce exactly.
-        """
-        from repro.sim.rng import make_rng
-        raw = self.backoff_base_s * (2.0 ** max(0, attempt - 1))
-        jitter = 0.5 + make_rng(f"backoff|{tag}|attempt{attempt}").random()
-        return min(self.backoff_cap_s, raw * jitter)
+    Exponential in the attempt number with jitter in [0.5, 1.5) drawn
+    from ``make_rng`` on the unit tag — deterministic, never wall clock.
+    """
+    from repro.sim.rng import make_rng
+    raw = BACKOFF_BASE_S * (2.0 ** max(0, attempt - 1))
+    jitter = 0.5 + make_rng(f"backoff|{tag}|attempt{attempt}").random()
+    return min(BACKOFF_CAP_S, raw * jitter)
 
 
 @dataclass
@@ -158,7 +138,7 @@ class UnitOutcome:
 
 
 def unit_tag(unit: WorkUnit) -> str:
-    """Stable identity string seeding chaos and backoff for one unit."""
+    """Stable identity string seeding the backoff jitter of one unit."""
     return f"{unit.exp_id}/{unit.label}|{unit.seed}"
 
 
@@ -171,15 +151,13 @@ def _pool_context():
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(worker_id: int, task_r, result_w,
-                 chaos: Optional[ChaosPlan], fast: bool = False,
+def _worker_main(worker_id: int, task_r, result_w, fast: bool = False,
                  snapshot: bool = True) -> None:
     """Worker loop: serve one unit per parent assignment until None/EOF.
 
-    Chaos, when configured, is injected before the unit body runs, seeded
-    on ``(tag, attempt)``.  Both pipes are private to this worker: the
-    parent is the only writer of ``task_r`` and the only reader of
-    ``result_w``, so neither needs a lock.
+    Both pipes are private to this worker: the parent is the only writer
+    of ``task_r`` and the only reader of ``result_w``, so neither needs a
+    lock.
 
     Units carrying a snapshot prefix run through this worker's own
     in-process :class:`~repro.experiments.snapstore.SnapshotStore` — with
@@ -198,32 +176,28 @@ def _worker_main(worker_id: int, task_r, result_w,
             break  # parent closed its end (teardown) or died
         if item is None:
             break
-        idx, attempt, tag, func, config, prefix = item
+        idx, func, config, prefix = item
         events0 = Engine.total_events_fired
         counters0 = Engine.counters()
         snap0 = snapshot_counters()
         started = time.perf_counter()
         result: Any = None
         error = tb = None
-        retryable = False
         try:
-            if chaos is not None:
-                chaos.maybe_inject(tag, attempt)
             result = execute_unit(func, config, prefix, fast, snapshot)
             pickle.dumps(result)  # unpicklable? fail with a real traceback
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             result = None
             error = f"{type(exc).__name__}: {exc}"
             tb = traceback.format_exc()
-            retryable = isinstance(exc, TransientUnitError)
         counters = {k: v - counters0[k]
                     for k, v in Engine.counters().items()
                     if k != "fired"}
         counters.update({k: v - snap0[k]
                          for k, v in snapshot_counters().items()})
         try:
-            result_w.send((worker_id, idx, attempt, result, error, tb,
-                           retryable, time.perf_counter() - started,
+            result_w.send((worker_id, idx, result, error, tb,
+                           time.perf_counter() - started,
                            Engine.total_events_fired - events0,
                            counters))
         except (BrokenPipeError, OSError):
@@ -237,8 +211,8 @@ class _Worker:
     proc: mp.Process
     task_w: Any    # parent's write end of the worker's private task pipe
     result_r: Any  # parent's read end of the worker's private result pipe
-    current: Optional[Tuple[int, int, float, float]] = None  # idx, attempt,
-    #                                                deadline_ts, timeout_s
+    current: Optional[Tuple[int, float, float]] = None  # idx, deadline_ts,
+    #                                                      timeout_s
 
     def close_pipes(self) -> None:
         for conn in (self.task_w, self.result_r):
@@ -252,28 +226,25 @@ class _Worker:
 # Parent side: the supervision loop
 # ----------------------------------------------------------------------
 def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
-              retry: Optional[RetryPolicy] = None,
-              deadline: Optional[DeadlinePolicy] = None,
-              chaos: Optional[ChaosPlan] = None,
+              max_retries: int = 1,
+              unit_timeout: Optional[float] = None,
               stats: Optional[SupervisorStats] = None,
-              max_respawns: Optional[int] = None,
               snapshot: bool = True,
               ) -> Iterator[Tuple[int, UnitOutcome]]:
     """Run ``units`` on ``jobs`` supervised workers; yield ``(idx, outcome)``.
 
     Units are dispatched in sequence order (callers pre-sort longest
     first).  Outcomes stream in completion order; every unit gets exactly
-    one terminal outcome, even under worker crashes, hangs, and injected
-    chaos — the loop converges because each unit's attempts are bounded
-    and the respawn budget is finite.  On Ctrl-C the pool is torn down and
-    :class:`CampaignInterrupted` raised.  ``fast``, ``chaos`` and the
-    ``snapshot`` mode are handed to every worker as arguments.
+    one terminal outcome, even under worker crashes and hangs — the loop
+    converges because each unit's attempts are bounded and the respawn
+    budget is finite.  Worker death and deadline expiry retry up to
+    ``max_retries`` times; ``unit_timeout`` overrides every derived
+    deadline (:func:`deadline_s`).  On Ctrl-C the pool is torn down and
+    :class:`CampaignInterrupted` raised.  ``fast`` and the ``snapshot``
+    mode are handed to every worker as arguments.
     """
-    retry = retry or RetryPolicy()
-    deadline = deadline or DeadlinePolicy()
     stats = stats if stats is not None else SupervisorStats()
-    if max_respawns is None:
-        max_respawns = max(16, 8 * jobs)
+    respawn_limit = max(16, 8 * jobs)
 
     n = len(units)
     ctx = _pool_context()
@@ -283,15 +254,14 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     attempts_made = [0] * n   # completed (failed or successful) attempts
     history: List[List[str]] = [[] for _ in range(n)]
     resolved = 0
-    respawn_budget = max_respawns
+    respawns_left = respawn_limit
     seq = 0  # tiebreaker for the delayed heap
 
     def spawn(wid: int) -> _Worker:
         task_r, task_w = ctx.Pipe(duplex=False)
         result_r, result_w = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_worker_main,
-                           args=(wid, task_r, result_w, chaos, fast,
-                                 snapshot),
+                           args=(wid, task_r, result_w, fast, snapshot),
                            daemon=False, name=f"vsched-unit-{wid}")
         proc.start()
         # Close the child's ends in the parent so a dead child shows as
@@ -310,10 +280,9 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
             return None
         attempts_made[idx] += 1
         history[idx].append(f"attempt {attempts_made[idx]}: {reason}")
-        if attempts_made[idx] <= retry.retries_for(units[idx]):
+        if attempts_made[idx] <= max_retries:
             stats.retries += 1
-            backoff = retry.backoff_s(unit_tag(units[idx]),
-                                      attempts_made[idx])
+            backoff = backoff_s(unit_tag(units[idx]), attempts_made[idx])
             heapq.heappush(delayed, (time.monotonic() + backoff, seq, idx))
             seq += 1
             return None
@@ -339,21 +308,19 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                     if done[idx]:
                         continue
                     unit = units[idx]
-                    timeout_s = deadline.timeout_for(unit, fast)
+                    timeout_s = deadline_s(unit, unit_timeout)
                     try:
-                        w.task_w.send((idx, attempts_made[idx],
-                                       unit_tag(unit), unit.func,
-                                       unit.config, unit.prefix))
+                        w.task_w.send((idx, unit.func, unit.config,
+                                       unit.prefix))
                     except (BrokenPipeError, OSError):
                         # Worker died between is_alive() and send(); the
                         # liveness sweep below reclaims the unit.
                         pass
-                    w.current = (idx, attempts_made[idx],
-                                 now + timeout_s, timeout_s)
+                    w.current = (idx, now + timeout_s, timeout_s)
 
             # Wait for results, but wake for the nearest deadline/backoff.
             wake = [0.25]
-            wake += [w.current[2] - now for w in workers.values()
+            wake += [w.current[1] - now for w in workers.values()
                      if w.current is not None]
             if delayed:
                 wake.append(delayed[0][0] - now)
@@ -371,49 +338,37 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                     # unit and the pipe is closed with the corpse.
                     pass
             for msg in msgs:
-                wid, idx, attempt, result, error, tb, retryable, wall, \
-                    events, counters = msg
+                wid, idx, result, error, tb, wall, events, counters = msg
                 w = workers.get(wid)
                 if w is not None and w.current is not None \
                         and w.current[0] == idx:
                     w.current = None
-                if not done[idx]:
-                    if error is None:
-                        done[idx] = True
-                        resolved += 1
-                        attempts_made[idx] += 1
-                        fate = "ok" if not history[idx] else (
-                            "; ".join(history[idx])
-                            + f"; ok on attempt {attempts_made[idx]}")
-                        yield idx, UnitOutcome(
-                            result=result, wall_s=wall, events=events,
-                            counters=counters,
-                            attempts=attempts_made[idx], fate=fate)
-                    elif retryable:
-                        out = settle(idx, error)
-                        if out is not None:
-                            out.tb = tb
-                            resolved += 1
-                            yield idx, out
-                    else:
-                        done[idx] = True
-                        resolved += 1
-                        attempts_made[idx] += 1
-                        history[idx].append(
-                            f"attempt {attempts_made[idx]}: {error}")
-                        yield idx, UnitOutcome(
-                            error=error, tb=tb, wall_s=wall, events=events,
-                            counters=counters,
-                            attempts=attempts_made[idx],
-                            fate="; ".join(history[idx])
-                                 + " (not retryable)")
+                if done[idx]:
+                    continue
+                done[idx] = True
+                resolved += 1
+                attempts_made[idx] += 1
+                if error is None:
+                    fate = "ok" if not history[idx] else (
+                        "; ".join(history[idx])
+                        + f"; ok on attempt {attempts_made[idx]}")
+                else:
+                    # A unit body raised: deterministic under the
+                    # determinism contract, so a retry would fail alike.
+                    history[idx].append(
+                        f"attempt {attempts_made[idx]}: {error}")
+                    fate = "; ".join(history[idx]) + " (not retryable)"
+                yield idx, UnitOutcome(
+                    result=result, error=error, tb=tb, wall_s=wall,
+                    events=events, counters=counters,
+                    attempts=attempts_made[idx], fate=fate)
 
             now = time.monotonic()
             # Deadline sweep: kill workers whose unit overran its budget.
             for wid, w in list(workers.items()):
-                if w.current is None or now <= w.current[2]:
+                if w.current is None or now <= w.current[1]:
                     continue
-                idx, _attempt, _ts, timeout_s = w.current
+                idx, _ts, timeout_s = w.current
                 stats.timeouts += 1
                 stats.kills += 1
                 w.proc.kill()
@@ -450,9 +405,9 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                 yield idx, out
 
             # Respawn replacements while work remains and budget allows.
-            while (len(workers) < jobs and respawn_budget > 0
+            while (len(workers) < jobs and respawns_left > 0
                    and resolved < n):
-                respawn_budget -= 1
+                respawns_left -= 1
                 stats.respawns += 1
                 workers[next_wid] = spawn(next_wid)
                 next_wid += 1
@@ -468,7 +423,7 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                     attempts_made[idx] += 1
                     history[idx].append(
                         "worker pool exhausted "
-                        f"(respawn budget {max_respawns} spent)")
+                        f"(respawn budget {respawn_limit} spent)")
                     yield idx, UnitOutcome(
                         error="worker pool exhausted",
                         attempts=attempts_made[idx],

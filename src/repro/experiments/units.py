@@ -30,22 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-__all__ = ["WorkUnit", "TransientUnitError", "supports_units",
+__all__ = ["WorkUnit", "supports_units",
            "get_scenarios", "get_assemble", "execute_serial",
            "check_config_is_data"]
 
 _DATA_TYPES = (str, bytes, int, float, bool, type(None))
-
-
-class TransientUnitError(RuntimeError):
-    """A unit failure that is safe to retry.
-
-    Raise this from a unit function (or let the chaos harness raise it) to
-    tell the campaign supervisor the failure is transient: under the
-    determinism contract a retried unit recomputes the identical result,
-    so the supervisor re-dispatches it up to the retry budget.  Any other
-    exception is treated as deterministic and fails the unit immediately.
-    """
 
 
 @dataclass(frozen=True)
@@ -54,17 +43,12 @@ class WorkUnit:
 
     ``func`` must be module-level (picklable by reference) and
     ``func(*config)`` must return a picklable value.  ``cost_hint`` is the
-    expected serial wall time in (approximate, fast-mode) seconds; the flat
-    scheduler dispatches longest-first so the big units start immediately.
-    ``seed`` records the scenario's RNG seed string for the cache key; by
+    expected serial wall time in approximate seconds of the unit's own
+    mode (``scenarios(fast)`` returns fast- or full-mode hints); the flat
+    scheduler dispatches longest-first so the big units start immediately,
+    and the supervisor derives the unit's deadline from it.  ``seed``
+    records the scenario's RNG seed string for the cache key; by
     convention it matches what the unit passes to ``make_rng``.
-
-    The remaining fields parameterize the campaign supervisor
-    (:mod:`repro.experiments.supervisor`) and do **not** enter the cache
-    key: ``timeout_s`` overrides the derived per-unit deadline,
-    ``max_retries`` overrides the campaign-wide retry budget for this
-    unit, and ``retryable=False`` marks a unit whose failures must never
-    be retried (not even worker crashes or timeouts).
     """
 
     exp_id: str
@@ -73,9 +57,6 @@ class WorkUnit:
     config: Tuple = ()
     cost_hint: float = 1.0
     seed: str = ""
-    timeout_s: Optional[float] = None
-    max_retries: Optional[int] = None
-    retryable: bool = True
     #: Shared scenario prefix (:class:`repro.experiments.snapstore.
     #: PrefixSpec`).  When set, ``func`` is called as ``func(roots,
     #: *config)`` on a fork of the prefix's frozen world (or on a cold

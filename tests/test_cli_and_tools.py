@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import types
@@ -10,7 +11,6 @@ import types
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.chaos import ChaosPlan
 from repro.experiments.cli import ALL_ORDER, main
 from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.units import WorkUnit
@@ -33,9 +33,38 @@ def test_cli_no_check_flag(capsys):
     assert "shape check OK" not in out
 
 
-def test_cli_unknown_experiment_raises():
-    with pytest.raises(KeyError):
-        main(["run", "fig99", "--fast"])
+def _spy_run_units(monkeypatch):
+    """Replace ``run_units`` with a recorder; returns the call list."""
+    calls = []
+    monkeypatch.setattr(parallel, "run_units",
+                        lambda *a, **kw: calls.append(a) or iter(()))
+    return calls
+
+
+def test_cli_unknown_experiment_raises(monkeypatch, capsys):
+    calls = _spy_run_units(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "fig2,fig99", "--fast"])
+    assert info.value.code == 2
+    assert "unknown experiment 'fig99'" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--unit-timeout", "0"], "--unit-timeout must be > 0"),
+    (["--unit-timeout", "-1"], "--unit-timeout must be > 0"),
+    (["--unit-timeout", "nan"], "--unit-timeout must be > 0"),
+    (["--max-retries", "-1"], "--max-retries must be >= 0"),
+], ids=["timeout-zero", "timeout-negative", "timeout-nan",
+        "retries-negative"])
+def test_cli_rejects_bad_supervision_flags(monkeypatch, capsys, flags,
+                                           message):
+    calls = _spy_run_units(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "fig3", "--fast", "--jobs", "2"] + flags)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 def test_module_entrypoint_runs():
@@ -57,6 +86,18 @@ def _bad_unit(x):
     raise ValueError(f"boom {x}")
 
 
+def _kill_worker_once(marker, x):
+    """SIGKILL the pool worker on the first attempt; succeed afterwards."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * 10
+
+
+def _kill_worker(x):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _fake_assemble(fast, results):
     table = Table("figcli", "fake", ["i", "v"])
     for i, v in enumerate(results):
@@ -64,10 +105,14 @@ def _fake_assemble(fast, results):
     return table
 
 
-def _register(monkeypatch, exp_id, funcs):
+def _register(monkeypatch, exp_id, funcs, configs=None):
+    """Register a fake experiment; unit ``i`` computes ``funcs[i](i)``,
+    or ``funcs[i](*configs[i])`` when ``configs`` is given."""
     mod = types.ModuleType(f"_vsched_cli_{exp_id}")
-    units = [WorkUnit(exp_id=exp_id, label=f"u{i}", func=f, config=(i,),
-                      seed=f"{exp_id}-{i}") for i, f in enumerate(funcs)]
+    configs = configs or [(i,) for i in range(len(funcs))]
+    units = [WorkUnit(exp_id=exp_id, label=f"u{i}", func=f, config=c,
+                      seed=f"{exp_id}-{i}")
+             for i, (f, c) in enumerate(zip(funcs, configs))]
     mod.scenarios = lambda fast, _u=units: list(_u)
     mod.assemble = _fake_assemble
     mod.check = lambda table: None
@@ -140,27 +185,47 @@ def test_cli_retry_flags_are_plumbed(monkeypatch, capsys):
     _register(monkeypatch, "figgood", [_ok_unit, _ok_unit])
     rc = main(["run", "figgood", "--fast", "--jobs", "2",
                "--max-retries", "4", "--unit-timeout", "90",
-               "--no-snapshot", "--chaos", "flaky:1.0"])
+               "--no-snapshot"])
     assert rc == 0
     assert seen["max_retries"] == 4
     assert seen["unit_timeout"] == 90.0
     assert seen["keep_going"] is False
     assert seen["snapshot"] is False
-    assert seen["chaos"] == ChaosPlan(flaky=1.0)
     # Settings are arguments: the mode did not leak into the process.
     assert "VSCHED_REPRO_SNAPSHOT" not in os.environ
 
 
-def test_cli_malformed_chaos_exits_before_running(monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(parallel, "run_units",
-                        lambda *a, **kw: calls.append(a) or iter(()))
-    with pytest.raises(SystemExit) as info:
-        main(["run", "fig3", "--fast", "--jobs", "2",
-              "--chaos", "explode:0.5"])
-    assert info.value.code == 2
-    assert "unknown mode" in capsys.readouterr().err
-    assert calls == []
+def test_cli_fault_drill(monkeypatch, capsys, tmp_path):
+    """Pooled CLI campaigns recover a killed worker, and report a hopeless one.
+
+    Recovery: one unit kills its worker once; the campaign exits 0, says
+    so, and writes the bytes a clean serial run writes.  Failure: every
+    unit kills its worker on every attempt; ``--keep-going`` ends in the
+    failure report and exit 1 instead of a hang.
+    """
+    marker = str(tmp_path / "killed")
+    _register(monkeypatch, "figdrill",
+              [_ok_unit, _kill_worker_once, _ok_unit],
+              configs=[(0,), (marker, 1), (2,)])
+    drill, clean = tmp_path / "drill.txt", tmp_path / "clean.txt"
+    rc = main(["run", "figdrill", "--fast", "--jobs", "2",
+               "--max-retries", "1", "--out", str(drill)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "1 retried" in out
+    assert os.path.exists(marker)  # the kill happened
+    assert main(["run", "figdrill", "--fast", "--out", str(clean)]) == 0
+    assert drill.read_bytes() == clean.read_bytes()
+
+    _register(monkeypatch, "figdoomed", [_kill_worker, _kill_worker])
+    capsys.readouterr()
+    rc = main(["run", "figdoomed", "--fast", "--jobs", "2",
+               "--keep-going", "--max-retries", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "campaign failure report" in out
+    assert "worker died" in out
+    assert "attempts=2" in out
 
 
 # ----------------------------------------------------------------------

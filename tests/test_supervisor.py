@@ -2,10 +2,15 @@
 
 The supervisor must survive the faults PR 2's fire-and-forget pool could
 not: a worker SIGKILLed mid-unit (requeue + respawn), a hung unit
-(deadline kill), transient exceptions (bounded deterministic retry), and
+(deadline kill), both retried within a bounded, deterministic budget, and
 permanent failures under --keep-going (failure panels + report instead of
 an aborted campaign) — all without perturbing results, which stay pure
 functions of ``(code, config, seed)``.
+
+A unit body that SIGKILLs its own process must run pooled: with one
+pending unit ``run_units`` drops to the in-process path, and the kill
+would take the test runner with it.  So every such fake experiment has
+at least two units and runs with ``jobs=2``.
 """
 
 import multiprocessing as mp
@@ -22,10 +27,10 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.supervisor import (
     CampaignInterrupted,
-    DeadlinePolicy,
-    RetryPolicy,
+    backoff_s,
+    deadline_s,
 )
-from repro.experiments.units import TransientUnitError, WorkUnit
+from repro.experiments.units import WorkUnit
 
 
 # ----------------------------------------------------------------------
@@ -61,20 +66,13 @@ def _always_hangs(x):
     return x * 10
 
 
-def _flaky_once(marker, x):
-    """Raise a retryable error on the first attempt only."""
-    if not os.path.exists(marker):
-        open(marker, "w").close()
-        raise TransientUnitError("flaky once")
+def _always_kills_self(x):
+    os.kill(os.getpid(), signal.SIGKILL)
     return x * 10
 
 
 def _always_fails(x):
     raise ValueError(f"boom {x}")
-
-
-def _always_transient(x):
-    raise TransientUnitError(f"never settles {x}")
 
 
 def _assemble(fast, results):
@@ -102,6 +100,17 @@ def _plain_units(n, exp_id="figx", func=_slow_times10):
 
 def _expected_rendered(n):
     return _assemble(True, [i * 10 for i in range(n)]).render()
+
+
+def _leftover_workers(grace_s=5.0):
+    """Pool workers still alive after ``grace_s`` seconds of reaping."""
+    deadline = time.monotonic() + grace_s
+    while True:
+        leftovers = [p for p in mp.active_children()
+                     if p.name.startswith("vsched-unit-")]
+        if not leftovers or time.monotonic() >= deadline:
+            return leftovers
+        time.sleep(0.05)
 
 
 # ----------------------------------------------------------------------
@@ -132,11 +141,10 @@ class TestCrashRecovery:
         units = _plain_units(3)
         units[0] = WorkUnit(exp_id="figx", label="killer",
                             func=_kill_self_once, config=(marker, 0),
-                            cost_hint=2.0, seed="figx-killer",
-                            max_retries=0)
+                            cost_hint=2.0, seed="figx-killer")
         _install(monkeypatch, units)
         res, = parallel.run_units(["figx"], fast=True, jobs=2,
-                                  keep_going=True)
+                                  max_retries=0, keep_going=True)
         assert not res.ok
         assert len(res.failed_units) == 1
         fu = res.failed_units[0]
@@ -147,14 +155,24 @@ class TestCrashRecovery:
     def test_no_leaked_worker_processes(self, monkeypatch):
         _install(monkeypatch, _plain_units(4))
         list(parallel.run_units(["figx"], fast=True, jobs=2))
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            leftovers = [p for p in mp.active_children()
-                         if p.name.startswith("vsched-unit-")]
-            if not leftovers:
-                break
-            time.sleep(0.05)
-        assert not leftovers
+        assert not _leftover_workers()
+
+    def test_exhausted_respawn_budget_fails_every_pending_unit(
+            self, monkeypatch):
+        # 2 workers + a respawn budget of max(16, 8 * 2) = 16 gives 18
+        # worker lives, fewer than the 24 attempts 12 units may take.
+        units = _plain_units(12, func=_always_kills_self)
+        _install(monkeypatch, units)
+        res, = parallel.run_units(["figx"], fast=True, jobs=2,
+                                  max_retries=1, keep_going=True)
+        assert not res.ok
+        assert len(res.failed_units) == 12
+        assert any(fu.error == "worker pool exhausted"
+                   for fu in res.failed_units)
+        stats = parallel.last_campaign_stats()
+        assert stats.respawns == 16
+        assert stats.crashes == 18
+        assert not _leftover_workers()
 
 
 # ----------------------------------------------------------------------
@@ -196,92 +214,57 @@ class TestDeadlines:
         assert "gave up" in fu.fate
 
     def test_derived_deadline_clamps_and_overrides(self):
-        pol = DeadlinePolicy(multiplier=10.0, floor_s=5.0, ceil_s=100.0)
-        tiny = WorkUnit(exp_id="e", label="l", func=_times10,
-                        cost_hint=0.01)
-        huge = WorkUnit(exp_id="e", label="l", func=_times10,
-                        cost_hint=1e6)
-        mid = WorkUnit(exp_id="e", label="l", func=_times10, cost_hint=2.0)
-        assert pol.timeout_for(tiny, fast=True) == 5.0
-        assert pol.timeout_for(huge, fast=True) == 100.0
-        assert pol.timeout_for(mid, fast=True) == 20.0
-        # Full mode scales the derived value and ceiling, not the floor.
-        assert pol.timeout_for(mid, fast=False) > 20.0
-        # Per-unit explicit timeout wins over derivation...
-        explicit = WorkUnit(exp_id="e", label="l", func=_times10,
-                            cost_hint=2.0, timeout_s=42.0)
-        assert pol.timeout_for(explicit, fast=True) == 42.0
-        # ...and the campaign-wide override wins over everything.
-        over = DeadlinePolicy(multiplier=10.0, floor_s=5.0, ceil_s=100.0,
-                              override_s=7.0)
-        assert over.timeout_for(explicit, fast=True) == 7.0
+        def unit(cost_hint):
+            return WorkUnit(exp_id="e", label="l", func=_times10,
+                            cost_hint=cost_hint)
+        assert deadline_s(unit(0.01)) == 30.0      # floor
+        assert deadline_s(unit(1e6)) == 1800.0     # ceiling
+        assert deadline_s(unit(2.0)) == 60.0       # 30 x the hint
+        # A full-mode hint is already in full-mode seconds (fig17's 55):
+        # no second scale on top.
+        assert deadline_s(unit(55.0)) == 1650.0
+        # The campaign-wide override wins over the derivation.
+        assert deadline_s(unit(2.0), 7.0) == 7.0
+        assert deadline_s(unit(1e6), 7.0) == 7.0
 
 
 # ----------------------------------------------------------------------
 # Retry policy and deterministic backoff
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
-    def test_transient_error_is_retried(self, monkeypatch, tmp_path):
-        marker = str(tmp_path / "flaked")
-        units = _plain_units(2)
-        units[0] = WorkUnit(exp_id="figx", label="flaky", func=_flaky_once,
-                            config=(marker, 0), cost_hint=2.0,
-                            seed="figx-flaky")
-        _install(monkeypatch, units)
-        res, = parallel.run_units(["figx"], fast=True, jobs=2,
-                                  max_retries=1)
-        assert res.ok
-        assert res.rendered == _expected_rendered(2)
-        assert res.retries == 1
-        flaky = [u for u in res.unit_stats if u["label"] == "flaky"][0]
-        assert flaky["attempts"] == 2
-
     def test_plain_exception_is_not_retried(self, monkeypatch):
-        units = [WorkUnit(exp_id="figx", label="bad", func=_always_fails,
-                          config=(3,), seed="figx-bad")]
+        units = _plain_units(2)
+        units[0] = WorkUnit(exp_id="figx", label="bad", func=_always_fails,
+                            config=(3,), seed="figx-bad")
         _install(monkeypatch, units)
-        res, = parallel.run_units(["figx"], fast=True, jobs=2,
-                                  max_retries=5, keep_going=True)
-        fu = res.failed_units[0]
-        assert fu.attempts == 1
-        assert "boom 3" in fu.error
-        assert "not retryable" in fu.fate
+        for jobs in (2, 1):  # pooled, then in-process
+            res, = parallel.run_units(["figx"], fast=True, jobs=jobs,
+                                      max_retries=5, keep_going=True)
+            fu, = res.failed_units
+            assert fu.attempts == 1
+            assert "boom 3" in fu.error
+            assert "not retryable" in fu.fate
 
     def test_retry_budget_is_bounded(self, monkeypatch):
-        units = [WorkUnit(exp_id="figx", label="t", func=_always_transient,
-                          config=(1,), seed="figx-t")]
+        units = _plain_units(2)
+        units[0] = WorkUnit(exp_id="figx", label="t",
+                            func=_always_kills_self, config=(0,),
+                            cost_hint=2.0, seed="figx-t")
         _install(monkeypatch, units)
         res, = parallel.run_units(["figx"], fast=True, jobs=2,
                                   max_retries=2, keep_going=True)
-        fu = res.failed_units[0]
+        fu, = res.failed_units
+        assert fu.label == "t"
+        assert "worker died" in fu.error
         assert fu.attempts == 3
         assert "gave up" in fu.fate
 
-    def test_serial_path_retries_too(self, monkeypatch, tmp_path):
-        marker = str(tmp_path / "flaked")
-        units = [WorkUnit(exp_id="figx", label="flaky", func=_flaky_once,
-                          config=(marker, 0), seed="figx-flaky")]
-        _install(monkeypatch, units)
-        res, = parallel.run_units(["figx"], fast=True, jobs=1,
-                                  max_retries=1)
-        assert res.ok and res.retries == 1
-
     def test_backoff_is_deterministic_and_bounded(self):
-        pol = RetryPolicy(max_retries=3, backoff_base_s=0.1,
-                          backoff_cap_s=5.0)
-        first = pol.backoff_s("figx/u|seed", 1)
-        assert first == pol.backoff_s("figx/u|seed", 1)
-        assert pol.backoff_s("figx/u|seed", 2) != first  # new attempt draw
+        first = backoff_s("figx/u|seed", 1)
+        assert first == backoff_s("figx/u|seed", 1)
+        assert backoff_s("figx/u|seed", 2) != first  # new attempt draw
         assert 0.05 <= first < 0.15
-        assert all(pol.backoff_s("t", a) <= 5.0 for a in range(1, 12))
-
-    def test_per_unit_overrides(self):
-        pol = RetryPolicy(max_retries=3)
-        assert pol.retries_for(WorkUnit("e", "l", _times10)) == 3
-        assert pol.retries_for(
-            WorkUnit("e", "l", _times10, max_retries=0)) == 0
-        assert pol.retries_for(
-            WorkUnit("e", "l", _times10, retryable=False)) == 0
+        assert all(backoff_s("t", a) <= 5.0 for a in range(1, 12))
 
 
 # ----------------------------------------------------------------------
@@ -332,10 +315,9 @@ class TestKeepGoing:
 class TestFaultDeterminism:
     def test_recovered_campaign_matches_clean_serial_run(
             self, monkeypatch, tmp_path):
-        """Crash + hang + flaky recoveries must not perturb the table."""
+        """Crash + hang recoveries must not perturb the table."""
         k_marker = str(tmp_path / "k")
         h_marker = str(tmp_path / "h")
-        f_marker = str(tmp_path / "f")
         units = _plain_units(6)
         units[1] = WorkUnit(exp_id="figx", label="killer",
                             func=_kill_self_once, config=(k_marker, 1),
@@ -343,16 +325,13 @@ class TestFaultDeterminism:
         units[3] = WorkUnit(exp_id="figx", label="hanger", func=_hang_once,
                             config=(h_marker, 3), cost_hint=2.0,
                             seed="figx-h")
-        units[5] = WorkUnit(exp_id="figx", label="flaky", func=_flaky_once,
-                            config=(f_marker, 5), cost_hint=1.0,
-                            seed="figx-f")
         _install(monkeypatch, units)
         faulty, = parallel.run_units(["figx"], fast=True, jobs=2,
                                      unit_timeout=1.5, max_retries=2)
         assert faulty.ok
         # Clean serial reference: pre-create the markers so no unit
         # misbehaves, then run in-process.
-        for m in (k_marker, h_marker, f_marker):
+        for m in (k_marker, h_marker):
             open(m, "w").close()
         clean, = parallel.run_units(["figx"], fast=True, jobs=1)
         assert faulty.rendered == clean.rendered
@@ -379,11 +358,4 @@ class TestInterrupt:
         finally:
             timer.cancel()
         assert 0 <= info.value.done < info.value.total == 4
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            leftovers = [p for p in mp.active_children()
-                         if p.name.startswith("vsched-unit-")]
-            if not leftovers:
-                break
-            time.sleep(0.05)
-        assert not leftovers
+        assert not _leftover_workers()

@@ -11,9 +11,10 @@ see being *almost* violated:
   Reaching into ``repro.hypervisor`` for anything else is an oracle read
   that silently invalidates the reproduction.
 * **Determinism** — the A/B harness (``tools/abdiff.py``), the result
-  cache, and the chaos drills all assume byte-identical replays.  A single
-  wall-clock read, unseeded RNG draw, object-identity sort key, or
-  unordered ``set`` iteration feeding the event heap breaks that quietly.
+  cache, and the supervisor's retries all assume byte-identical replays.
+  A single wall-clock read, unseeded RNG draw, object-identity sort key,
+  or unordered ``set`` iteration feeding the event heap breaks that
+  quietly.
 * **Snapshot safety** — a callable registered into the simulated world
   (``Engine.call_at``, listener lists) must survive ``copy.deepcopy`` or
   a warm-start fork aliases the original world (VSL4xx, the static twin

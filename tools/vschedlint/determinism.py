@@ -1,7 +1,8 @@
 """Determinism rules (VSL20x).
 
 The repo's A/B byte-identity harness, content-addressed result cache, and
-chaos drills all assume a run is a pure function of (code, config, seed).
+supervisor retries all assume a run is a pure function of (code, config,
+seed).
 These rules flag the four ways that quietly stops being true:
 
 * ``wall-clock`` — ``time.time()``/``datetime.now()`` anywhere in
