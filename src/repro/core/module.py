@@ -23,8 +23,11 @@ class VSchedModule:
     def __init__(self, kernel: GuestKernel, ema_halflife_periods: float = 2.0):
         self.kernel = kernel
         self.store = AbstractionStore(len(kernel.cpus), ema_halflife_periods)
+        #: ``store[i].capacity`` of every vCPU, refreshed by
+        #: ``publish_capacity``; the kernel's capacity provider once
+        #: installed.
+        self.capacities: List[float] = self.store.capacities()
         self._subscribers: List[Callable] = []
-        self._capacity_installed = False
 
     # ------------------------------------------------------------------
     # Installation into the kernel
@@ -32,19 +35,11 @@ class VSchedModule:
     def install_capacity_provider(self) -> None:
         """Replace the steal-based CFS capacity estimate with vcap's.
 
-        Installed as a bound method (not a lambda) so a snapshot fork
-        rebinds the hook to the copied module instead of aliasing the
-        frozen world's store.
+        The kernel reads this module's ``capacities`` list, so a snapshot
+        fork, which deep-copies kernel and module in one pass, rebinds the
+        provider to the fork's list instead of aliasing the frozen world's.
         """
-        self.kernel.capacity_provider = self._probed_capacity
-        self._capacity_installed = True
-
-    def _probed_capacity(self, cpu_index: int) -> float:
-        return self.store[cpu_index].capacity
-
-    def uninstall(self) -> None:
-        self.kernel.capacity_provider = None
-        self._capacity_installed = False
+        self.kernel.capacity_provider = self.capacities
 
     def subscribe(self, callback: Callable) -> None:
         """Register a callback invoked after every prober publish."""
@@ -61,6 +56,7 @@ class VSchedModule:
                          core_capacity: Optional[float] = None) -> None:
         entry = self.store[cpu_index]
         entry.ema_capacity.update(capacity)
+        self.capacities[cpu_index] = entry.capacity
         if core_capacity is not None:
             entry.core_capacity = core_capacity
         entry.last_update = self.kernel.now()

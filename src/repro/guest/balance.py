@@ -16,6 +16,11 @@ Capacity comes from ``kernel.capacity_of``, which is either the default
 steal-based estimate (inaccurate, fluctuating — the source of the spurious
 migrations in Figure 11b) or the vcap-probed EMA capacity when the vSched
 module is installed.
+
+Each pass starts from state kept where it changes: the busiest-CPU scan
+runs only while another vCPU has queued work (``kernel.nr_queued``), and
+the running-task pulls return at once when even the weakest vCPU
+(``kernel.capacity_floor``) fails their capacity test.
 """
 
 from __future__ import annotations
@@ -91,26 +96,28 @@ class LoadBalancer:
         busiest = None
         busiest_key = None
         my_index = cpu.index
-        cpus = kernel.cpus
-        for c in span:
-            if c == my_index:
-                continue
-            other = cpus[c]
-            rq = other.rq
-            nr = len(rq.normal) + len(rq.idle_band)
-            if nr == 0:
-                continue
-            key = (nr, rq.load())
-            if busiest is None or key > busiest_key:
-                busiest = other
-                busiest_key = key
+        my_nr = len(my_rq.normal) + len(my_rq.idle_band)
+        if kernel.nr_queued > my_nr:  # some other vCPU has queued work
+            cpus = kernel.cpus
+            for c in span:
+                if c == my_index:
+                    continue
+                other = cpus[c]
+                rq = other.rq
+                nr = len(rq.normal) + len(rq.idle_band)
+                if nr == 0:
+                    continue
+                key = (nr, rq.load())
+                if busiest is None or key > busiest_key:
+                    busiest = other
+                    busiest_key = key
         if busiest is not None:
             if self._should_pull(my_rq, my_cap, busiest, idle):
                 task = self._pick_pull_candidate(busiest, cpu.index)
                 if task is not None:
                     kernel.migrate_queued(task, busiest, cpu, reason="lb")
                     return True
-        if idle and my_rq.nr_running() == 0:
+        if idle and my_nr == 0:
             if kernel.capacity_provider is not None:
                 # Probed capacities installed: the SD_ASYM_CPUCAPACITY
                 # machinery (misfit migration) is effective (§5.3).
@@ -204,6 +211,8 @@ class LoadBalancer:
         CFS, misled by the steal-based capacity estimate, produces the
         spurious migrations of Figure 11b."""
         kernel = self.kernel
+        if max(1.0, kernel.capacity_floor()) * self.IMBALANCE_PCT >= my_cap:
+            return False  # not even the weakest vCPU looks overloaded
         best = None
         for c in span:
             if c == cpu.index:
@@ -238,6 +247,8 @@ class LoadBalancer:
     def _try_misfit_pull(self, cpu, span, my_cap: float, now: int) -> bool:
         """Idle CPU looks for a running misfit task on a weaker CPU."""
         kernel = self.kernel
+        if my_cap < max(1.0, kernel.capacity_floor()) * self.CAPACITY_ADVANTAGE:
+            return False  # no vCPU is weak enough to gain from the move
         best = None
         best_util = 0.0
         for c in span:

@@ -67,7 +67,7 @@ class GuestCpu:
         self.steal_graze_count = 0
 
         # --- default CFS capacity estimate (steal-based, §5.3) -------------
-        self.cfs_capacity = 1024.0
+        # The estimate itself is ``kernel.cfs_capacity[index]``.
         self.steal_frac_avg = 0.0
         self._cap_touch = 0
 

@@ -36,8 +36,7 @@ class EevdfRunqueue(CfsRunqueue):
             entities.append(cur)
         if not entities:
             return float(self.min_vruntime)
-        total_w = sum(t.weight for t in entities)
-        return sum(t.vruntime * t.weight for t in entities) / total_w
+        return sum(t.vruntime * t.weight for t in entities) / self.load()
 
     def virtual_deadline(self, task: Task) -> float:
         """vruntime + the task's virtual slice."""
@@ -56,6 +55,9 @@ class EevdfRunqueue(CfsRunqueue):
             pool = band
         best = min(pool, key=lambda t: (self.virtual_deadline(t), t.tid))
         band.remove(best)
+        if not best.is_idle_policy:
+            self.normal_weight -= best.weight
+        self.cpu.kernel.nr_queued -= 1
         if best.vruntime > self.min_vruntime:
             self.min_vruntime = best.vruntime
         return best

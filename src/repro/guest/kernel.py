@@ -12,8 +12,9 @@ module, §4):
 * ``select_rq_hook(task, waker_cpu)`` — consulted before default wake
   placement (bvs);
 * ``tick_hook(cpu, now)`` — called from the scheduler tick (ivh);
-* ``capacity_provider(cpu_index)`` — replaces the steal-based CFS capacity
-  estimate with vcap's probed EMA capacity.
+* ``capacity_provider`` — a per-CPU list of capacities that replaces the
+  steal-based CFS capacity estimate (vcap's probed EMA capacity, kept by
+  the vSched module).
 
 The vact *kernel portion* (heartbeat timestamps, steal-jump preemption
 counting, the vCPU-state query function) lives here because the paper puts
@@ -78,11 +79,17 @@ class GuestKernel:
         self.tasks: List[Task] = []
         self.root_group = TaskGroup("root")
         self.groups: List[TaskGroup] = [self.root_group]
+        #: Tasks queued (not running) on all runqueues, kept by the
+        #: runqueues: the ``rd->overload`` analogue the balancer reads
+        #: before it scans for a busiest CPU.
+        self.nr_queued = 0
+        #: The default steal-based capacity estimate of every vCPU.
+        self.cfs_capacity: List[float] = [1024.0] * len(self.cpus)
 
         # --- vSched hook points ------------------------------------------
         self.select_rq_hook: Optional[Callable] = None
         self.tick_hook: Optional[Callable] = None
-        self.capacity_provider: Optional[Callable] = None
+        self.capacity_provider: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     # Time & misc
@@ -557,13 +564,22 @@ class GuestKernel:
         # depresses the estimate for tens of milliseconds.
         decay = 0.5 ** (wall / self.config.cfs_capacity_halflife_ns)
         cpu.steal_frac_avg = cpu.steal_frac_avg * decay + frac * (1.0 - decay)
-        cpu.cfs_capacity = (1.0 - cpu.steal_frac_avg) * 1024.0
+        self.cfs_capacity[cpu.index] = (1.0 - cpu.steal_frac_avg) * 1024.0
         cpu._cap_touch = now
 
     def capacity_of(self, cpu_index: int) -> float:
-        """CFS capacity of a vCPU, by whichever estimator is installed."""
-        if self.capacity_provider is not None:
-            return self.capacity_provider(cpu_index)
+        """CFS capacity of a vCPU, by whichever estimator is installed.
+
+        Reading has an observer effect under the default estimate: an idle
+        vCPU's steal average decays over the time since it was last
+        touched, and the read writes the decayed value back.  Two reads
+        decay in two steps, which is not the same float as one, so which
+        idle vCPUs the balancer and wake placer read, and when, is part of
+        the reference output.
+        """
+        caps = self.capacity_provider
+        if caps is not None:
+            return caps[cpu_index]
         cpu = self.cpus[cpu_index]
         if cpu.current is None:
             idle_ns = self.engine.now - cpu._cap_touch
@@ -571,9 +587,20 @@ class GuestKernel:
                 half = self.config.cfs_capacity_idle_halflife_ns
                 decay = 0.5 ** (idle_ns / half)
                 cpu.steal_frac_avg *= decay
-                cpu.cfs_capacity = (1.0 - cpu.steal_frac_avg) * 1024.0
+                self.cfs_capacity[cpu_index] = (1.0 - cpu.steal_frac_avg) * 1024.0
                 cpu._cap_touch = self.engine.now
-        return cpu.cfs_capacity
+        return self.cfs_capacity[cpu_index]
+
+    def capacity_floor(self) -> float:
+        """A lower bound on ``capacity_of`` for every vCPU: the least value
+        the installed estimator holds.
+
+        Exact under a provider.  Under the default estimate a busy vCPU
+        reads its stored value, and an idle one only decays its steal
+        average when read, which can only raise its capacity.
+        """
+        caps = self.capacity_provider
+        return min(caps if caps is not None else self.cfs_capacity)
 
     # ------------------------------------------------------------------
     # vCPU state query (the new kernel function of §4)

@@ -4,6 +4,11 @@ Holds runnable tasks in two bands — normal CFS tasks and SCHED_IDLE
 best-effort tasks.  Normal tasks always take precedence; an enqueued normal
 task immediately preempts a running idle-policy task (as in Linux).  Within
 a band the minimum-vruntime task runs next.
+
+The balancer's inputs are kept where they change, as in Linux: every band
+mutation (``enqueue``, ``dequeue``, ``pick_next``) updates the normal band's
+summed weight (``cfs_rq->load.weight``) and the kernel's count of queued
+tasks (``GuestKernel.nr_queued``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ class CfsRunqueue:
         self.normal: List[Task] = []
         self.idle_band: List[Task] = []
         self.min_vruntime = 0
+        #: Summed weight of the queued normal band.
+        self.normal_weight = 0
 
     # ------------------------------------------------------------------
     # Introspection used by placement and balancing
@@ -46,11 +53,10 @@ class CfsRunqueue:
 
     def load(self) -> int:
         """CFS load: summed weights of normal tasks here (incl. current)."""
-        total = sum(t.weight for t in self.normal)
         cur = self.cpu.current
         if cur is not None and not cur.is_idle_policy:
-            total += cur.weight
-        return total
+            return self.normal_weight + cur.weight
+        return self.normal_weight
 
     def is_idle(self) -> bool:
         """No task queued or running at all."""
@@ -74,19 +80,28 @@ class CfsRunqueue:
     # ------------------------------------------------------------------
     def enqueue(self, task: Task) -> None:
         cpu = self.cpu
+        kernel = cpu.kernel
         # Sleeper credit: cap how far behind min_vruntime a waker can be so
         # long sleepers don't monopolize the CPU when they return.
-        floor = self.min_vruntime - cpu.kernel.config.sched_latency_ns
+        floor = self.min_vruntime - kernel.config.sched_latency_ns
         if task.vruntime < floor:
             task.vruntime = floor
-        band = self.idle_band if task.is_idle_policy else self.normal
-        band.append(task)
+        if task.is_idle_policy:
+            self.idle_band.append(task)
+        else:
+            self.normal.append(task)
+            self.normal_weight += task.weight
+        kernel.nr_queued += 1
         task.state = TaskState.RUNNABLE
         task.cpu = cpu
 
     def dequeue(self, task: Task) -> None:
-        band = self.idle_band if task.is_idle_policy else self.normal
-        band.remove(task)
+        if task.is_idle_policy:
+            self.idle_band.remove(task)
+        else:
+            self.normal.remove(task)
+            self.normal_weight -= task.weight
+        self.cpu.kernel.nr_queued -= 1
 
     def pick_next(self) -> Optional[Task]:
         band = self.normal or self.idle_band
@@ -97,6 +112,9 @@ class CfsRunqueue:
         else:
             best = min(band, key=_pick_key)
             band.remove(best)
+        if not best.is_idle_policy:
+            self.normal_weight -= best.weight
+        self.cpu.kernel.nr_queued -= 1
         if best.vruntime > self.min_vruntime:
             self.min_vruntime = best.vruntime
         return best

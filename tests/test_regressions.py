@@ -180,7 +180,8 @@ def test_wake_affinity_domain_load_is_capacity_normalized():
         DomainLevel("llc", [range(0, 4), range(4, 8)]),
         DomainLevel("machine", [range(8)]),
     ])
-    env.kernel.capacity_provider = lambda c: 1024.0 if c < 4 else 256.0
+    env.kernel.capacity_provider = [1024.0 if c < 4 else 256.0
+                                    for c in range(8)]
 
     def spin(api):
         while True:

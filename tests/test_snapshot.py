@@ -8,7 +8,8 @@ tested here against its cold-path twin:
 * world layer — :class:`WorldSnapshot` freezes engine + roots in one
   deep copy, the guard rejects copy-unsafe callbacks loudly, and every
   fork resumes byte-identically to a cold run (under vsched and under
-  plain CFS) independent of its siblings and of the frozen image;
+  plain CFS) independent of its siblings and of the frozen image, with
+  its kernel reading the fork's own vSched capacity list;
 * store layer — :class:`SnapshotStore` keys on
   (code fingerprint, prefix, fast), hits after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
@@ -103,6 +104,30 @@ class TestForkMatchesColdRun:
         # The original world and the frozen image are untouched by the
         # forks' divergence.
         assert _sig(warm) == at_freeze
+
+
+class TestForkRebindsCapacityProvider:
+    def test_fork_list_follows_fork_store(self):
+        """The kernel reads vSched's per-CPU capacity list directly; a
+        fork's kernel must read the fork's list, which follows the fork's
+        store, while the frozen world's list does not move."""
+        warm = _world()
+        warm["engine"].run_until(1 * SEC)
+        snap = WorldSnapshot(warm["engine"], warm)
+        frozen = list(warm["vs"].module.capacities)
+
+        _eng, fork = snap.fork()
+        kernel, module = fork["env"].kernel, fork["vs"].module
+        assert kernel.capacity_provider is module.capacities
+        assert module.capacities is not warm["vs"].module.capacities
+        module.publish_capacity(1, 100.0)
+        assert module.capacities[1] == module.store[1].capacity != frozen[1]
+        assert kernel.capacity_of(1) == module.store[1].capacity
+
+        assert warm["vs"].module.capacities == frozen
+        assert warm["env"].kernel.capacity_of(1) == frozen[1]
+        _eng, sibling = snap.fork()
+        assert sibling["vs"].module.capacities == frozen
 
 
 class TestEngineRestore:

@@ -81,7 +81,9 @@ is a discrete-event simulator) — the comparison below is about *shape*:
 who wins, by roughly what factor, and where the crossovers are.  Each
 experiment carries programmatic shape assertions (`check_*` in
 `src/repro/experiments/`), run by
-`python -m repro.experiments run all --fast`, which CI runs on every push.
+`python -m repro.experiments run all --fast`.  On every push CI
+regenerates this file and fails unless it is byte-identical to the
+committed one, so a failed check or a changed table fails the build.
 
 Regenerate this file:
 
