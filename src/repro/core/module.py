@@ -36,8 +36,9 @@ class VSchedModule:
         """Replace the steal-based CFS capacity estimate with vcap's.
 
         The kernel reads this module's ``capacities`` list, so a snapshot
-        fork, which deep-copies kernel and module in one pass, rebinds the
-        provider to the fork's list instead of aliasing the frozen world's.
+        fork, which restores kernel and module from one pickle image,
+        rebinds the provider to the fork's list instead of aliasing the
+        frozen world's.
         """
         self.kernel.capacity_provider = self.capacities
 

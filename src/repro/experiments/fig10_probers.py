@@ -38,9 +38,9 @@ def _apply_share(env, period: int, share: float) -> None:
 class _CapacityTracker:
     """Samples actual vs probed capacity every 500 ms until ``end``.
 
-    Scheduled as a bound method so the pending callback stays deep-copyable
-    (guard_world): the tracker travels with the world on a snapshot fork
-    instead of aliasing the original through closure cells.
+    Scheduled as a bound method so the pending callback stays snapshot-safe
+    (guard_world): the tracker travels with the world on a snapshot fork,
+    where a closure would fail the freeze.
     """
 
     def __init__(self, env, vs, steps, end: int):

@@ -69,7 +69,7 @@ class _ResidencySampler:
     """Counts fast-core (index >= 12) residency of running tasks.
 
     A bound method rather than a closure so the pending callback stays
-    deep-copyable (guard_world) should this scenario ever be frozen and
+    snapshot-safe (guard_world) should this scenario ever be frozen and
     forked past the measurement start.
     """
 

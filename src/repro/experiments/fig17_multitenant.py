@@ -69,10 +69,9 @@ def _progress(kernel: GuestKernel) -> float:
 class _TenantChurn:
     """The three neighbor-churn phases, scheduled as bound methods.
 
-    Bound methods of an ordinary object are deep-copyable, so the pending
-    phase events stay snapshot-safe (guard_world) — closures over
-    ``neighbors``/``results`` would alias the original world on a
-    warm-start fork.
+    Bound methods of an ordinary object pickle into a snapshot image, so
+    the pending phase events stay snapshot-safe (guard_world) — closures
+    over ``neighbors``/``results`` would fail a warm-start freeze.
     """
 
     def __init__(self, machine: Machine):

@@ -19,11 +19,11 @@ Keying follows the unit result cache
 (:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
 ``SHA-256(code fingerprint | prefix (key, config, seed) | fast)``, so
 any source change invalidates every stored prefix, exactly like unit
-results.  The store itself is **in-process**
-(snapshots hold live object graphs; they are never pickled to disk) —
-each campaign worker process grows its own store, which is why sharing
-a prefix across many units of the same experiment pays off even under
-the pooled scheduler.
+results.  The store itself is **in-process**: a snapshot is a pickle
+image held in memory, never written to disk or shared between
+processes — each campaign worker process grows its own store, which is
+why sharing a prefix across many units of the same experiment pays off
+even under the pooled scheduler.
 
 ``snapshot=False`` (``run_units(..., snapshot=False)``, ``--no-snapshot``
 on the CLI) disables forking: every unit then rebuilds its prefix cold
@@ -106,6 +106,7 @@ class SnapshotStore:
 
     ``build_seconds`` is the wall time spent building and freezing
     prefixes on misses; fork cost shows up in each unit's own wall time.
+    A miss freezes the world it built and keeps only the image.
     """
 
     def __init__(self) -> None:

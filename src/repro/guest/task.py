@@ -20,7 +20,6 @@ depends on the vCPU's execution rate (capacity) and activity.
 
 from __future__ import annotations
 
-import copy
 import enum
 import inspect
 import types
@@ -150,13 +149,14 @@ class MigrateTo(Action):
 class StatefulBody:
     """Explicit state-machine replacement for a generator task body.
 
-    A generator cannot be deep-copied, so a task suspended inside one
+    A generator cannot be pickled, so a task suspended inside one
     cannot be snapshot-forked.  Subclasses hold all suspension state in
     instance attributes and implement :meth:`send` — called exactly like
     ``generator.send`` by the kernel's action interpreter — raising
-    ``StopIteration`` when the body is done.  Instances deep-copy
-    structurally through the snapshot memo, so a fork resumes from the
-    same suspension point with the same state.
+    ``StopIteration`` when the body is done.  Instances pickle
+    structurally into the snapshot image (restored by ``setattr``, like
+    any plain object), so a fork resumes from the same suspension point
+    with the same state.
     """
 
     def send(self, value):  # pragma: no cover - interface
@@ -169,9 +169,10 @@ class StatefulBody:
         return self.send(None)
 
 
-#: Body factories whose tasks may be forked by *fresh restart*: calling
-#: the (copied) factory again yields a generator that, on its next send,
-#: produces exactly the action the suspended original would have.  Valid
+#: Body factories whose tasks may be forked by *fresh restart*: the
+#: snapshot image leaves the generator out, and calling the restored
+#: factory again yields a generator that, on its next send, produces
+#: exactly the action the suspended original would have.  Valid
 #: only for homogeneous loops whose cross-iteration state lives outside
 #: the generator (on the task / workload object) and is mutated *before*
 #: the yield — see docs/INTERNALS.md §15.
@@ -189,12 +190,13 @@ def _factory_restartable(factory) -> bool:
             or getattr(factory, "__func__", None) in _RESTARTABLE_BODIES)
 
 
-def _factory_copies_safely(factory) -> bool:
-    """True when deep-copying ``factory`` cannot alias the original world.
+def _factory_pickles_safely(factory) -> bool:
+    """True when ``factory`` restores from a snapshot image unaliased.
 
-    Bound methods rebind through the memo; plain module-level functions
-    without closure cells are stateless.  Closures copy atomically and
-    would keep cells pointing into the frozen world — unsafe.
+    Bound methods rebind to their receiver in the image; plain
+    module-level functions without closure cells pickle by name and are
+    stateless.  A closure's cells point into the frozen world, and
+    pickle cannot name it at all.
     """
     if isinstance(factory, types.MethodType):
         return True
@@ -233,7 +235,7 @@ class Task:
         self.state = TaskState.NEW
         self.api = TaskApi(kernel, self)
         #: The body factory, kept for snapshot forking (restartable
-        #: bodies are recreated from it on deep copy).
+        #: bodies are recreated from it when a fork is restored).
         self.factory = factory
         #: Free-form per-task state for restartable bodies that need
         #: cross-iteration storage outside the generator frame.
@@ -295,39 +297,47 @@ class Task:
     # ------------------------------------------------------------------
     # Snapshot forking
     # ------------------------------------------------------------------
-    def __deepcopy__(self, memo):  # vschedlint: disable=identity-key -- deepcopy memo is keyed by id() per the copy protocol; it maps original to copy within one copy pass and never keys simulation state
-        """Deep-copy the task, handling the (uncopyable) generator body.
+    def __getstate__(self) -> dict:
+        """The task's state for a snapshot image (pickle or deepcopy).
 
         All scheduler state — pending_work, resume_value, vruntime, PELT,
-        spin state — copies structurally through the memo (the kernel,
-        cpu, and group back-refs land on their copies).  The body itself:
+        spin state — pickles structurally through the memo (the kernel,
+        cpu, and group back-refs land on the restored world).  A generator
+        cannot be pickled, so the body follows these rules:
 
-        * exited tasks drop theirs (an exhausted generator is never
-          resumed again; ``advance_task`` is unreachable for EXITED);
-        * :class:`StatefulBody` instances copy structurally;
-        * generators from a registered :func:`restartable_body` factory
-          (or any never-started generator) are recreated by calling the
-          *copied* factory — valid by the restart-equivalence contract;
+        * an exited task carries neither body nor factory (an exhausted
+          generator is never resumed; ``advance_task`` is unreachable for
+          EXITED, and its factory may be a closure pickle cannot name,
+          such as vtop's ``PairProbe._spin_body.<locals>.body``);
+        * a :class:`StatefulBody` pickles structurally;
+        * a generator from a registered :func:`restartable_body` factory
+          (or any never-started generator) is left out, and
+          :meth:`__setstate__` recreates it by calling the restored
+          factory — valid by the restart-equivalence contract;
         * anything else raises :class:`~repro.sim.snapshot.SnapshotError`
           naming the task, so an unforkable world fails loudly.
         """
-        new = object.__new__(type(self))
-        memo[id(self)] = new
-        for k, v in self.__dict__.items():
-            if k == "body":
-                continue
-            setattr(new, k, copy.deepcopy(v, memo))
-        new.body = self._copy_body(new, memo)
-        return new
-
-    def _copy_body(self, new: "Task", memo):
-        from repro.sim.snapshot import SnapshotError
-
+        state = self.__dict__.copy()
         body = self.body
         if body is None or self.state == TaskState.EXITED:
-            return None
-        if not isinstance(body, types.GeneratorType):
-            return copy.deepcopy(body, memo)  # StatefulBody et al.
+            state["body"] = state["factory"] = None
+        elif isinstance(body, types.GeneratorType):
+            self._check_restartable(body)
+            del state["body"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore attributes one ``setattr`` at a time (which keeps them
+        inline in the instance, see :mod:`repro.sim.snapshot`), then
+        restart a body that :meth:`__getstate__` left out."""
+        for k, v in state.items():
+            setattr(self, k, v)
+        if "body" not in state:
+            self.body = self.factory(self.api)
+
+    def _check_restartable(self, body: Generator) -> None:
+        from repro.sim.snapshot import SnapshotError
+
         restartable = (_factory_restartable(self.factory)
                        and self.resume_value is None)
         never_started = (inspect.getgeneratorstate(body)
@@ -339,13 +349,12 @@ class Task:
                 f"body ({factory_name!r}); convert it to a StatefulBody or "
                 f"register it with @restartable_body to make the world "
                 f"forkable")
-        if not _factory_copies_safely(self.factory):
+        if not _factory_pickles_safely(self.factory):
             raise SnapshotError(
                 f"task {self.name!r}: body factory {factory_name!r} is a "
                 f"closure — it would keep free variables of the original "
                 f"world; use a bound method or module-level function "
                 f"instead")
-        return new.factory(new.api)
 
     def __repr__(self) -> str:
         return f"<Task {self.tid} {self.name} {self.state.value}>"

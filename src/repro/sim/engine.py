@@ -259,30 +259,30 @@ class Engine:
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
-    def __deepcopy__(self, memo) -> "Engine":  # vschedlint: disable=identity-key -- deepcopy memo is keyed by id() per the copy protocol, never simulation state
-        """Deep-copy the engine; refused while it is dispatching.
+    def __getstate__(self) -> Dict[str, Any]:
+        """The engine's state for pickle and ``copy.deepcopy``; refused
+        while it is dispatching.
 
         Everything — heap contents, lanes, ``now``, per-instance counters
-        — copies structurally through the memo, so event back-refs and
-        callback bindings land on the copied world.  The ``_push`` partial
-        copies its heap argument through the same memo, so it targets the
-        copied heap.
+        — is plain data that pickles (or copies) through the memo, so
+        event back-refs and callback bindings land on the restored world.
+        The ``_push`` partial holds the heap list itself, so it targets
+        the restored heap.
         """
         if self._running:
             raise RuntimeError("cannot snapshot a running engine "
                                "(snapshot between run()/run_until() calls)")
-        new = object.__new__(type(self))
-        memo[id(self)] = new
-        new.__dict__.update(copy.deepcopy(self.__dict__, memo))
-        return new
+        return self.__dict__
 
     def snapshot(self) -> "Engine":
         """Freeze this engine (and everything reachable from its queue).
 
         Returns an inert deep copy sharing nothing mutable with the live
-        engine.  Restore it with :meth:`restore` (in place) or fork it any
-        number of times with ``copy.deepcopy`` /
-        :class:`repro.sim.snapshot.WorldSnapshot`.
+        engine, made through :meth:`__getstate__`.  Restore it with
+        :meth:`restore` (in place) or fork it any number of times with
+        ``copy.deepcopy``.  Campaigns freeze whole worlds with
+        :class:`repro.sim.snapshot.WorldSnapshot` instead, which pickles
+        engine and roots to one image and forks it with ``pickle.loads``.
         """
         return copy.deepcopy(self)
 

@@ -16,10 +16,10 @@ from repro.sim.engine import MSEC, SEC, USEC
 from repro.workloads.base import Workload, WorkloadContext
 
 # The worker bodies here are explicit state machines (StatefulBody), not
-# generator closures: a closure's free variables deep-copy by reference
-# and a suspended generator cannot deep-copy at all, so neither survives
-# a world snapshot.  Each body keeps its cross-iteration state in
-# attributes, which the fork copies along with everything else.
+# generator closures: pickle cannot name a closure and cannot pickle a
+# suspended generator at all, so neither survives a world snapshot.
+# Each body keeps its cross-iteration state in attributes, which the
+# snapshot image restores along with everything else.
 
 
 class _ChunkedWorkBody(StatefulBody):

@@ -5,11 +5,13 @@ tested here against its cold-path twin:
 
 * engine layer — ``Engine.snapshot()/restore()`` replay the identical
   event sequence;
-* world layer — :class:`WorldSnapshot` freezes engine + roots in one
-  deep copy, the guard rejects copy-unsafe callbacks loudly, and every
-  fork resumes byte-identically to a cold run (under vsched and under
-  plain CFS) independent of its siblings and of the frozen image, with
-  its kernel reading the fork's own vSched capacity list;
+* world layer — :class:`WorldSnapshot` pickles engine + roots into one
+  image, the guard rejects unsafe callbacks loudly, the freeze rejects
+  a closure anywhere else in the world, every task-body rule of
+  ``Task.__getstate__`` holds, and every fork resumes byte-identically
+  to a cold run (under vsched and under plain CFS) independent of its
+  siblings and of the frozen image, with its kernel reading the fork's
+  own vSched capacity list;
 * store layer — :class:`SnapshotStore` keys on
   (code fingerprint, prefix, fast), hits after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
@@ -23,8 +25,12 @@ tested here against its cold-path twin:
 from __future__ import annotations
 
 import copy
+import gc
+import inspect
+import pickle
 import sys
 import types
+from functools import partial
 
 import pytest
 
@@ -32,6 +38,7 @@ from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments import parallel
 from repro.experiments.common import (EXPERIMENTS, Table, load_experiment,
                                      run_experiment)
+from repro.experiments.figA1_antagonists import _spin
 from repro.experiments.snapstore import (
     PrefixSpec,
     SnapshotStore,
@@ -41,9 +48,11 @@ from repro.experiments.snapstore import (
     reset_process_store,
 )
 from repro.experiments.units import WorkUnit, execute_serial
+from repro.guest.task import Policy, StatefulBody, Task, TaskState
 from repro.sim.engine import MSEC, SEC, Engine
 from repro.sim.rng import make_rng, rng_signature
-from repro.sim.snapshot import SnapshotError, WorldSnapshot, guard_world
+from repro.sim.snapshot import (SnapshotError, WorldSnapshot, _setattr_state,
+                                guard_world)
 from repro.workloads import SysbenchCpu
 
 FP = "f" * 64  # stand-in code fingerprint (key tests only)
@@ -190,6 +199,210 @@ class TestGuard:
         roots = _world()
         roots["engine"].run_until(1 * SEC)
         guard_world(roots["engine"])  # does not raise
+
+
+class TestClosureOutsideTheHeap:
+    def test_listener_closure_fails_the_freeze(self):
+        """guard_world vets only pending events.  A lambda in a vCPU's
+        activity listeners used to freeze and be shared by every fork,
+        which then called it with the fork's vCPUs against the original
+        world's state; pickle cannot name it, so the freeze fails."""
+        warm = _world()
+        warm["engine"].run_until(1 * SEC)
+        seen = []
+        for vcpu in warm["env"].vm.vcpus:
+            vcpu.activity_listeners.append(lambda v, on, now: seen.append(now))
+        guard_world(warm["engine"])  # the heap holds no closure
+        with pytest.raises(SnapshotError) as exc:
+            WorldSnapshot(warm["engine"], warm)
+        msg = str(exc.value)
+        assert "test_listener_closure_fails_the_freeze.<locals>.<lambda>" \
+            in msg, msg
+
+    def test_live_generator_is_named(self):
+        warm = _world()
+        warm["engine"].run_until(1 * SEC)
+        warm["wl"].pending = (n for n in range(3))
+        with pytest.raises(SnapshotError,
+                           match="cannot pickle live generator "
+                                 "'.*test_live_generator_is_named"
+                                 ".<locals>.<genexpr>'"):
+            WorldSnapshot(warm["engine"], warm)
+
+
+# ----------------------------------------------------------------------
+# Task-body rules (Task.__getstate__ / __setstate__), through the freeze.
+# ----------------------------------------------------------------------
+def _bursts(api):
+    """A plain (unregistered) generator body with state in its frame."""
+    for _ in range(1000):
+        yield api.run(1 * MSEC)
+        yield api.sleep(2 * MSEC)
+
+
+def _closure_factory(n: int):
+    def body(api):
+        for _ in range(n):
+            yield api.run(1 * MSEC)
+    return body
+
+
+def _task_sig(roots):
+    kernel = roots["env"].kernel
+    return (roots["engine"].now, roots["engine"].events_fired,
+            [(t.name, t.state, t.stats.work_done, t.stats.dispatches)
+             for t in kernel.tasks])
+
+
+class _Countdown(StatefulBody):
+    """Runs ``chunks`` 1 ms chunks, then exits (an explicit state machine)."""
+
+    def __init__(self, api, chunks: int):
+        self.api = api
+        self.left = chunks
+
+    def send(self, value):
+        if self.left == 0:
+            raise StopIteration
+        self.left -= 1
+        return self.api.run(1 * MSEC)
+
+
+def _spin_world():
+    """A CFS VM: vCPU 0 runs figA1's @restartable_body spinner, vCPU 1 a
+    StatefulBody that exits at about 1.5 s."""
+    env = build_plain_vm(2)
+    env.machine.add_host_task("stress0", pinned=(0,))
+    env.kernel.spawn(_spin, name="spin0", cpu=0, allowed=(0,))
+    env.kernel.spawn(partial(_Countdown, chunks=1500), name="countdown",
+                     cpu=1, allowed=(1,))
+    return {"engine": env.engine, "env": env}
+
+
+def _fork_and_compare(build, prepare=None):
+    """Freeze ``build()`` at 1 s (after ``prepare``), fork it, and check
+    that the fork runs to 2 s like a cold world prepared the same way."""
+    cold = build()
+    cold["engine"].run_until(1 * SEC)
+    if prepare is not None:
+        prepare(cold)
+    cold["engine"].run_until(2 * SEC)
+
+    warm = build()
+    warm["engine"].run_until(1 * SEC)
+    if prepare is not None:
+        prepare(warm)
+    _eng, fork = WorldSnapshot(warm["engine"], warm).fork()
+    fork["engine"].run_until(2 * SEC)
+    assert _task_sig(fork) == _task_sig(cold)
+    return fork
+
+
+def _queue_behind_countdown(roots, factory, name):
+    """Spawn a SCHED_IDLE task on vCPU 1: it does not preempt the
+    countdown on wakeup, so its generator has not started yet."""
+    task = roots["env"].kernel.spawn(factory, name=name, policy=Policy.IDLE,
+                                     cpu=1, allowed=(1,))
+    assert inspect.getgeneratorstate(task.body) == inspect.GEN_CREATED
+
+
+class TestTaskBodyRules:
+    def test_restartable_body_forks_like_a_cold_run(self):
+        fork = _fork_and_compare(_spin_world)
+        spin, countdown = fork["env"].kernel.tasks
+        assert spin.factory is _spin and spin.stats.work_done > 0
+        assert countdown.state is TaskState.EXITED
+
+    def test_never_started_generator_forks_like_a_cold_run(self):
+        fork = _fork_and_compare(
+            _spin_world, prepare=lambda roots: _queue_behind_countdown(
+                roots, _bursts, "bursts"))
+        task = fork["env"].kernel.tasks[-1]
+        assert task.name == "bursts" and task.stats.work_done > 0
+
+    def test_suspended_plain_generator_is_named_at_freeze(self):
+        warm = _spin_world()
+        warm["env"].kernel.spawn(_bursts, name="bursts", cpu=1)
+        warm["engine"].run_until(1 * SEC)
+        assert warm["env"].kernel.tasks[-1].stats.work_done > 0
+        with pytest.raises(SnapshotError,
+                           match="task 'bursts' is suspended inside a "
+                                 "plain generator body"):
+            WorldSnapshot(warm["engine"], warm)
+
+    def test_closure_factory_is_named_at_freeze(self):
+        warm = _spin_world()
+        warm["engine"].run_until(1 * SEC)
+        _queue_behind_countdown(warm, _closure_factory(5), "closed")
+        with pytest.raises(SnapshotError,
+                           match="task 'closed': body factory "
+                                 "'_closure_factory.<locals>.body' is a "
+                                 "closure"):
+            WorldSnapshot(warm["engine"], warm)
+
+    def test_exited_vtop_probe_keeps_neither_body_nor_factory(self):
+        """vtop's pair probes exit during the warm-up, and their factory
+        is a closure pickle cannot name: the image drops it."""
+        warm = _world()
+        warm["engine"].run_until(1 * SEC)
+        probes = [t for t in warm["env"].kernel.tasks
+                  if t.name.startswith("vtop-")]
+        assert probes and all(t.state is TaskState.EXITED for t in probes)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(probes[0].factory)
+
+        cold = _world()
+        cold["engine"].run_until(2 * SEC)
+        _eng, fork = WorldSnapshot(warm["engine"], warm).fork()
+        forked = [t for t in fork["env"].kernel.tasks
+                  if t.name.startswith("vtop-")][:len(probes)]
+        assert all(t.body is None and t.factory is None for t in forked)
+        fork["engine"].run_until(2 * SEC)
+        assert _sig(fork) == _sig(cold)
+        assert _task_sig(fork) == _task_sig(cold)
+
+
+class _Plain:
+    def __init__(self):
+        self.a = 1
+
+
+class _Slotted:
+    __slots__ = ("a",)
+
+
+class _DictSubclass(dict):
+    pass
+
+
+class TestSetattrRestore:
+    def test_only_plain_instances_restore_by_setattr(self):
+        """The image's ``(None, state)`` form is for classes whose pickle
+        default is ``__new__`` plus a ``__dict__`` update; everything
+        else keeps its own reduction."""
+        assert _setattr_state(_Plain)(_Plain()) == {"a": 1}
+        eng = Engine()
+        assert _setattr_state(Engine)(eng) is eng.__dict__
+        for cls in (Task, _Slotted, _DictSubclass, dict, list, type,
+                    types.FunctionType):
+            assert _setattr_state(cls) is None, cls
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="inline attribute values are CPython 3.11+")
+    def test_fork_keeps_attributes_inline(self):
+        """An object restored by a ``__dict__`` update keeps a dict, and
+        reads its attributes slower; the garbage collector then sees the
+        dict instead of the attribute values."""
+        def inline(obj, name):
+            value = getattr(obj, name)
+            return any(ref is value for ref in gc.get_referents(obj))
+
+        warm = _spin_world()
+        warm["engine"].run_until(1 * SEC)
+        _eng, fork = WorldSnapshot(warm["engine"], warm).fork()
+        assert inline(fork["env"].kernel, "engine")
+        assert inline(fork["engine"], "_heap")
+        assert inline(fork["env"].kernel.tasks[1].body, "api")
 
 
 class TestRngFork:

@@ -16,9 +16,9 @@ see being *almost* violated:
   or unordered ``set`` iteration feeding the event heap breaks that
   quietly.
 * **Snapshot safety** — a callable registered into the simulated world
-  (``Engine.call_at``, listener lists) must survive ``copy.deepcopy`` or
-  a warm-start fork aliases the original world (VSL4xx, the static twin
-  of ``guard_world``).
+  (``Engine.call_at``, listener lists) must pickle into a warm-start
+  snapshot image without staying shared with the original world
+  (VSL4xx, the static twin of ``guard_world``).
 * **Cache-key soundness** — every input to a unit's result must be in its
   cache key: imports inside the code fingerprint, no hidden environment
   or file reads (VSL5xx).

@@ -168,7 +168,8 @@ EXCLUDED_DIR_COMPONENTS = frozenset({"__pycache__", "fixtures"})
 #: Method names whose call registers a callable into the simulated world,
 #: mapped to the positional index of the callable argument.  Everything
 #: scheduled through these can sit in a pending event when a scenario
-#: prefix freezes (INTERNALS §15), so it must survive ``copy.deepcopy``.
+#: prefix freezes (INTERNALS §15), so it must pickle into the snapshot
+#: image without staying shared with the original world.
 REGISTRATION_CALLS = {
     "call_at": 1,        # Engine.call_at(time, callback, *args)
     "call_in": 1,        # Engine.call_in(delay, callback, *args)
@@ -179,18 +180,19 @@ REGISTRATION_CALLS = {
 LISTENER_ATTRS = frozenset({"activity_listeners"})
 
 #: Builtin-container method names: ``x.append`` passed as a callback is
-#: (almost certainly) a bound builtin, which ``copy.deepcopy`` treats as
-#: an atom — the fork would keep mutating the original receiver.  A user
-#: class happening to define one of these names is a suppressible false
+#: (almost certainly) a bound builtin, which the runtime guard rejects in
+#: a pending event (pickle would rebind its receiver; the snapshot layer's
+#: first, deepcopy version shared it with the fork).  A user class
+#: happening to define one of these names is a suppressible false
 #: positive; none exist in this tree.
 BOUND_BUILTIN_METHODS = frozenset({
     "append", "appendleft", "add", "extend", "update", "insert", "remove",
     "discard", "pop", "popleft", "clear", "setdefault", "sort", "reverse",
 })
 
-#: Decorators that vouch for a callable's copy safety at runtime
+#: Decorators that vouch for a callable's snapshot safety at runtime
 #: (``repro.sim.snapshot.snapshot_safe``) or route it through the task
-#: layer's own ``__deepcopy__`` machinery
+#: layer's own ``__getstate__``/``__setstate__`` body rules
 #: (``repro.guest.task.restartable_body``).  The static rules trust them.
 SNAPSHOT_SAFE_DECORATORS = frozenset({"snapshot_safe", "restartable_body"})
 

@@ -1,18 +1,28 @@
-"""Snapshot safety (VSL4xx): copy-unsafe callables at registration sites.
+"""Snapshot safety (VSL4xx): fork-unsafe callables at registration sites.
 
-Warm-start snapshots (INTERNALS §15) freeze a world with one deep copy.
-``copy.deepcopy`` silently treats three kinds of callables as atoms, so a
-fork would share state with the world it was forked from — exactly the
-classes ``repro.sim.snapshot.guard_world`` rejects at runtime:
+Warm-start snapshots (INTERNALS §15) freeze a world by pickling it into
+one image and fork it with ``pickle.loads``.  The callables these rules
+look for either fail that freeze or survive it shared between the
+original world and every fork — the classes
+``repro.sim.snapshot.guard_world`` rejects at runtime:
 
-* closures (lambdas or nested defs with free variables): their cells keep
-  pointing into the original world — **VSL401**;
-* bound builtin methods (``some_list.append``): the receiver is never
-  copied — **VSL402**;
-* functions with mutable defaults: the default objects are shared between
-  original and fork — **VSL403**;
-* live generators in event arguments: not deep-copyable at all —
-  **VSL404**.
+* closures (lambdas or nested defs with free variables): pickle cannot
+  name them, so a world holding one fails its freeze; this rule finds
+  them before any run, at every registration site, where the freeze
+  would only find the first, in the first world that holds it —
+  **VSL401**;
+* bound builtin methods (``some_list.append``): pickle would rebind the
+  receiver, but the runtime guard still rejects them, and this rule is
+  its twin — **VSL402**;
+* functions with mutable defaults: module-level functions pickle by
+  reference, so their default objects stay shared between original and
+  fork — **VSL403**;
+* live generators in event arguments: they cannot be pickled, so the
+  freeze fails; found here before any run — **VSL404**.
+
+The messages keep the deep-copy wording of the snapshot layer's first
+version; ``tests/test_vschedlint.py::TestGuardParity`` matches them
+phrase for phrase against ``guard_world``'s.
 
 The runtime guard only fires when a world is actually frozen, i.e. after
 a scenario has been migrated to a snapshot prefix; these rules fire at
@@ -21,8 +31,9 @@ a scenario has been migrated to a snapshot prefix; these rules fire at
 is a candidate for migration and a violation discovered then is a
 mid-campaign crash.  Cross-module resolution goes through the project
 index; callables the index cannot resolve (parameters, values out of
-containers) are conservatively trusted — the runtime guard remains the
-backstop for those, which is the documented under-approximation.
+containers) are conservatively trusted — the runtime guard and the
+freeze itself remain the backstop for those, which is the documented
+under-approximation.
 
 ``@snapshot_safe`` and ``@restartable_body`` vouch for a callable and
 silence the rules, mirroring the runtime escape hatches.
