@@ -7,14 +7,19 @@ CPS (§5.9).  The paper finds throughput-oriented workloads consume only
 vCPU utilization); latency-sensitive workloads consume more extra cycles
 (+50.5%) but their CPS baseline is ~8× lower, so the absolute cost stays
 small while tail latency plummets.
+
+Each ``(vm, mode)`` pair forks one warmed-up VM
+(:func:`repro.experiments.overall.vm_prefix`, 6 s), the CFS side
+included; in fast mode those are fig19's hpvm worlds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.cluster import attach_scheduler, build_hpvm, build_rcvm, make_context, run_to_completion
+from repro.cluster import make_context, run_to_completion
 from repro.experiments.common import Table
+from repro.experiments.overall import vm_prefix
 from repro.experiments.units import WorkUnit, execute_serial
 from repro.metrics import CycleMeter
 from repro.sim.engine import SEC
@@ -23,22 +28,8 @@ from repro.workloads import build_workload
 THROUGHPUT = ("bodytrack", "swaptions", "lu_cb")
 LATENCY = ("img-dnn", "specjbb", "sphinx")
 
-VM_BUILDERS = {"rcvm": build_rcvm, "hpvm": build_hpvm}
-
-
-def _measure(builder: Callable, name: str, mode: str, threads: int,
-             scale: float, n_requests: int, seed: str) -> Dict[str, float]:
-    env = builder()
-    vs = attach_scheduler(env, mode)
-    ctx = make_context(env, vs, seed)
-    env.engine.run_until(env.engine.now + 6 * SEC)
-    meter = CycleMeter(env)
-    meter.start()
-    wl = build_workload(name, threads=threads, scale=scale,
-                        n_requests=n_requests)
-    run_to_completion(env, [wl], ctx, timeout_ns=900 * SEC)
-    sample = meter.sample()
-    return {"cycles": float(sample.cycles), "cps": sample.cps}
+#: Simulated seconds of prober warm-up before each measurement.
+WARMUP_S = 6
 
 
 def _vm_list(fast: bool) -> List[Tuple[str, int]]:
@@ -48,16 +39,25 @@ def _vm_list(fast: bool) -> List[Tuple[str, int]]:
     return vms
 
 
-def _scenario(vm: str, name: str, mode: str, fast: bool) -> Dict[str, float]:
-    """Work-unit body: one (vm, benchmark, scheduler) cycle measurement."""
+def _scenario(roots: dict, vm: str, name: str, mode: str,
+              fast: bool) -> Dict[str, float]:
+    """Work-unit body: one (vm, benchmark, scheduler) cycle measurement
+    on a fork of the warm VM."""
     scale = 0.12 if fast else 0.3
     n_requests = 120 if fast else 400
     threads = dict(_vm_list(fast))[vm]
     # Seed suffixes kept from the pre-work-unit code ("cfs"/"vs") so the
     # tables render byte-identically across the migration.
     seed = f"fig20-{vm}-{name}-{'cfs' if mode == 'cfs' else 'vs'}"
-    return _measure(VM_BUILDERS[vm], name, mode, threads, scale,
-                    n_requests, seed)
+    env = roots["env"]
+    ctx = make_context(env, roots["vs"], seed)
+    meter = CycleMeter(env)
+    meter.start()
+    wl = build_workload(name, threads=threads, scale=scale,
+                        n_requests=n_requests)
+    run_to_completion(env, [wl], ctx, timeout_ns=900 * SEC)
+    sample = meter.sample()
+    return {"cycles": float(sample.cycles), "cps": sample.cps}
 
 
 def scenarios(fast: bool) -> List[WorkUnit]:
@@ -66,7 +66,8 @@ def scenarios(fast: bool) -> List[WorkUnit]:
                      func=_scenario, config=(vm, name, mode, fast),
                      cost_hint=cost,
                      seed=f"fig20-{vm}-{name}-"
-                          f"{'cfs' if mode == 'cfs' else 'vs'}")
+                          f"{'cfs' if mode == 'cfs' else 'vs'}",
+                     prefix=vm_prefix(vm, mode, WARMUP_S))
             for vm, _threads in _vm_list(fast)
             for kind, names in (("throughput", THROUGHPUT),
                                 ("latency", LATENCY))

@@ -15,9 +15,10 @@ Each ``(benchmark, mode)`` measurement is one work unit
 (:func:`overall_scenarios`), so fig18/fig19 decompose into ~30 independent
 scenario evaluations for the flat scheduler instead of one ~30 s monolith.
 Every benchmark under one mode forks that mode's warmed-up VM
-(:func:`_prefix`), so each figure simulates three warm-ups, not thirty.
-The VM is named by string (``"rcvm"``/``"hpvm"``) so unit and prefix
-configs stay plain data — the cache key hashes ``repr(config)``.
+(:func:`vm_prefix`), so each figure simulates three warm-ups, not
+thirty; fig20 forks the same prefixes.  The VM is named by string
+(``"rcvm"``/``"hpvm"``) so unit and prefix configs stay plain data — the
+cache key hashes ``repr(config)``.
 """
 
 from __future__ import annotations
@@ -57,15 +58,22 @@ def _bench_list(fast: bool) -> List[Tuple[str, str]]:
             + [("latency", n) for n in latency])
 
 
-def _prefix(vm: str, mode: str, fast: bool):
-    """Prefix builder: the VM under one mode after the prober warm-up
-    (6 s fast, 9 s full).  The workload context is created after the
-    fork, which draws nothing."""
-    warmup_ns = (6 if fast else 9) * SEC
+def _prefix(vm: str, mode: str, warmup_s: int):
+    """Prefix builder: the VM under one mode after ``warmup_s`` seconds
+    of prober warm-up.  The workload context is created after the fork,
+    which draws nothing."""
     env = VM_BUILDERS[vm]()
     vs = attach_scheduler(env, mode)
-    env.engine.run_until(env.engine.now + warmup_ns)
+    env.engine.run_until(env.engine.now + warmup_s * SEC)
     return {"engine": env.engine, "env": env, "vs": vs}
+
+
+def vm_prefix(vm: str, mode: str, warmup_s: int) -> PrefixSpec:
+    """The warmed-up ``vm`` under ``mode``.  fig18/fig19 warm up for
+    6 s fast and 9 s full, fig20 for 6 s, so fig20's fast hpvm worlds
+    are fig19's."""
+    return PrefixSpec(key=f"{vm}-{mode}", func=_prefix,
+                      config=(vm, mode, warmup_s))
 
 
 def _measure_unit(roots: dict, exp_id: str, name: str, mode: str,
@@ -87,8 +95,7 @@ def _measure_unit(roots: dict, exp_id: str, name: str, mode: str,
 def overall_scenarios(exp_id: str, vm: str, threads: int,
                       fast: bool) -> List[WorkUnit]:
     cost = 0.9 if fast else 6.0
-    prefixes = {mode: PrefixSpec(key=f"{vm}-{mode}", func=_prefix,
-                                 config=(vm, mode, fast))
+    prefixes = {mode: vm_prefix(vm, mode, 6 if fast else 9)
                 for mode in MODES}
     return [
         WorkUnit(exp_id=exp_id, label=f"{name}-{mode}", func=_measure_unit,

@@ -4,26 +4,31 @@ Most sweep scenarios share an expensive setup: build the VM, attach the
 scheduler, run the warmup until the probers converge — and only then
 diverge (install an antagonist, start a workload, flip a feature).  A
 :class:`PrefixSpec` names that shared prefix declaratively; the first unit
-in a process that needs it builds the world cold, runs it to the
+that needs it builds the world cold, runs it to the
 divergence point, and freezes it as a
 :class:`~repro.sim.snapshot.WorldSnapshot`.  Every later unit with the
 same prefix forks the frozen image instead of rebuilding — byte-identical
 results (``tools/abdiff.py`` proves it) at a fraction of the wall time.
 
 A prefix goes where two or more units share a warm-up that costs
-several forks (INTERNALS §15): fig14, fig15, fig18, fig19, fig21, tab4,
-and tab3, whose bvs units fork fig14's worlds.  A cheap warm-up (fig12,
-fig13) is not worth a freeze plus a fork per unit.
+several forks (INTERNALS §15): fig14, fig15, fig18, fig19, fig20,
+fig21, tab4, and tab3, whose bvs units fork fig14's worlds; fig20's
+fast hpvm worlds are fig19's.  fig12 and fig13 stay cold (INTERNALS §15
+gives the measurements).
 
 Keying follows the unit result cache
 (:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
 ``SHA-256(code fingerprint | prefix (key, config, seed) | fast)``, so
 any source change invalidates every stored prefix, exactly like unit
-results.  The store itself is **in-process**: a snapshot is a pickle
-image held in memory, never written to disk or shared between
-processes — each campaign worker process grows its own store, which is
-why sharing a prefix across many units of the same experiment pays off
-even under the pooled scheduler.
+results.  Each process has one store (:func:`process_store`), and a
+snapshot is a pickle image held in memory, never written to disk.  A
+pooled campaign builds each prefix once, in the worker that runs its
+first unit in dispatch order; that worker returns the image with the
+unit's outcome, and the supervisor
+(:mod:`repro.experiments.supervisor`) sends it through the task pipe to
+each other worker that runs a unit of the prefix, which installs it
+(:meth:`SnapshotStore.install`) before forking.  So a pooled campaign
+counts the same hits, misses and events as a serial one.
 
 ``snapshot=False`` (``run_units(..., snapshot=False)``, ``--no-snapshot``
 on the CLI) disables forking: every unit then rebuilds its prefix cold
@@ -141,8 +146,22 @@ class SnapshotStore:
         self.forks += 1
         return roots
 
+    def image(self, prefix: PrefixSpec, fast: bool) -> Optional[bytes]:
+        """The frozen image of ``prefix``, or None if it is not held."""
+        snap = self._snaps.get(prefix_store_key(prefix, fast))
+        return None if snap is None else snap.image
 
-#: The per-process store (grown lazily; workers each own one).
+    def install(self, prefix: PrefixSpec, fast: bool, image: bytes) -> None:
+        """Hold an image of ``prefix`` that another process froze.
+
+        Counts as neither a hit nor a miss: the fork that follows is the
+        hit, and the miss was counted where the image was built.
+        """
+        self._snaps[prefix_store_key(prefix, fast)] = \
+            WorldSnapshot.from_image(image)
+
+
+#: The per-process store (grown lazily; each pool worker owns one).
 _process_store: Optional[SnapshotStore] = None
 
 

@@ -32,7 +32,16 @@ whole run.  This module replaces that fire-and-forget feed with a
   body is deterministic under that contract and fails the unit at once;
 * **unit fates** — every outcome carries its attempt count and a fate
   trail ("attempt 1: worker died (exitcode -9); …") for the end-of-run
-  failure report.
+  failure report;
+* **one build per snapshot prefix** — the first unit of a prefix in
+  dispatch order builds it, and later units of that prefix are *held* in
+  the ready queue, in order, while idle workers take the next unit they
+  can run.  The builder's worker returns the frozen image with the
+  unit's outcome; the parent keeps it for the campaign and sends it, at
+  most once per worker, with the next unit of that prefix it hands to a
+  worker that lacks it.  A builder whose worker dies or is killed, or
+  whose unit raises, releases its claim, and the next unit of the prefix
+  builds it.  So pooled hit, miss and event counts equal serial ones.
 
 Supervision state machine per unit::
 
@@ -53,8 +62,8 @@ import pickle
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.units import WorkUnit
 
@@ -159,16 +168,23 @@ def _worker_main(worker_id: int, task_r, result_w, fast: bool = False,
     of ``task_r`` and the only reader of ``result_w``, so neither needs a
     lock.
 
-    Units carrying a snapshot prefix run through this worker's own
-    in-process :class:`~repro.experiments.snapstore.SnapshotStore` — with
-    ``snapshot`` on, the first such unit builds and freezes the prefix
-    world and later ones fork it; with it off, every unit rebuilds the
-    prefix cold.  The store's counter deltas ride back inside the
-    engine-counter dict so the parent can aggregate hit/miss/fork counts
-    per experiment.
+    Units carrying a snapshot prefix fork it from this worker's
+    :class:`~repro.experiments.snapstore.SnapshotStore`, which starts
+    empty: a store inherited from the parent by ``fork`` is dropped, so
+    a worker holds only the images it built or received.  An assignment
+    may carry the prefix's image, frozen in another worker; it is
+    installed before the unit runs, so the unit's fork is a hit.  A unit
+    that built its prefix (a store miss) sends the image back with its
+    outcome, for the parent to relay.  With ``snapshot`` off every unit
+    rebuilds its prefix cold.  The store's counter deltas ride back
+    inside the engine-counter dict so the parent can aggregate
+    hit/miss/fork counts per experiment.
     """
-    from repro.experiments.snapstore import execute_unit, snapshot_counters
+    from repro.experiments.snapstore import (execute_unit, process_store,
+                                             reset_process_store,
+                                             snapshot_counters)
     from repro.sim.engine import Engine
+    reset_process_store()
     while True:
         try:
             item = task_r.recv()
@@ -176,7 +192,9 @@ def _worker_main(worker_id: int, task_r, result_w, fast: bool = False,
             break  # parent closed its end (teardown) or died
         if item is None:
             break
-        idx, func, config, prefix = item
+        idx, func, config, prefix, image = item
+        if image is not None:
+            process_store().install(prefix, fast, image)
         events0 = Engine.total_events_fired
         counters0 = Engine.counters()
         snap0 = snapshot_counters()
@@ -195,11 +213,13 @@ def _worker_main(worker_id: int, task_r, result_w, fast: bool = False,
                     if k != "fired"}
         counters.update({k: v - snap0[k]
                          for k, v in snapshot_counters().items()})
+        built = (process_store().image(prefix, fast)
+                 if counters["snap_misses"] else None)
         try:
             result_w.send((worker_id, idx, result, error, tb,
                            time.perf_counter() - started,
                            Engine.total_events_fired - events0,
-                           counters))
+                           counters, built))
         except (BrokenPipeError, OSError):
             break  # parent is gone; nothing left to report to
 
@@ -213,6 +233,8 @@ class _Worker:
     result_r: Any  # parent's read end of the worker's private result pipe
     current: Optional[Tuple[int, float, float]] = None  # idx, deadline_ts,
     #                                                      timeout_s
+    #: Prefixes (``prefix_parts`` tuples) whose image the worker holds.
+    prefixes: Set[Tuple[str, ...]] = field(default_factory=set)
 
     def close_pipes(self) -> None:
         for conn in (self.task_w, self.result_r):
@@ -234,7 +256,9 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     """Run ``units`` on ``jobs`` supervised workers; yield ``(idx, outcome)``.
 
     Units are dispatched in sequence order (callers pre-sort longest
-    first).  Outcomes stream in completion order; every unit gets exactly
+    first), except that a unit whose snapshot prefix another unit is
+    still building is held back (module docstring).  Outcomes stream in
+    completion order; every unit gets exactly
     one terminal outcome, even under worker crashes and hangs — the loop
     converges because each unit's attempts are bounded and the respawn
     budget is finite.  Worker death and deadline expiry retry up to
@@ -243,6 +267,10 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     :class:`CampaignInterrupted` raised.  ``fast`` and the ``snapshot``
     mode are handed to every worker as arguments.
     """
+    # Imported here, as in _worker_main: at module level this import made
+    # a fresh interpreter's imports about 15 ms slower (2-vCPU KVM guest,
+    # CPython 3.11), though it loads no module a campaign does not load.
+    from repro.experiments.snapstore import prefix_parts
     stats = stats if stats is not None else SupervisorStats()
     respawn_limit = max(16, 8 * jobs)
 
@@ -256,6 +284,11 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     resolved = 0
     respawns_left = respawn_limit
     seq = 0  # tiebreaker for the delayed heap
+    prefix_of = [tuple(prefix_parts(u.prefix))
+                 if snapshot and u.prefix is not None else None
+                 for u in units]
+    images: Dict[Tuple[str, ...], bytes] = {}  # kept for the campaign
+    builders: Dict[Tuple[str, ...], int] = {}  # prefix -> building unit
 
     def spawn(wid: int) -> _Worker:
         task_r, task_w = ctx.Pipe(duplex=False)
@@ -273,9 +306,27 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
     workers: Dict[int, _Worker] = {i: spawn(i) for i in range(jobs)}
     next_wid = jobs
 
+    def take() -> Optional[int]:
+        """Remove and return the first ready unit that can run now: one
+        whose prefix is absent, built or not claimed by another unit."""
+        for pos, idx in enumerate(ready):
+            prefix = prefix_of[idx]
+            if not done[idx] and (prefix is None or prefix in images
+                                  or prefix not in builders):
+                del ready[pos]
+                return idx
+        return None
+
+    def release(idx: int) -> None:
+        """Drop ``idx``'s claim on building its prefix, if it holds one."""
+        prefix = prefix_of[idx]
+        if prefix is not None and builders.get(prefix) == idx:
+            del builders[prefix]
+
     def settle(idx: int, reason: str) -> Optional[UnitOutcome]:
         """A transient failure of ``idx``: schedule a retry or fail it."""
         nonlocal seq
+        release(idx)
         if done[idx]:
             return None
         attempts_made[idx] += 1
@@ -301,22 +352,27 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
             # Assign ready units to idle live workers (one unit at a time,
             # so ownership is known parent-side at dispatch).
             for wid, w in workers.items():
-                if not ready:
+                if w.current is not None or not w.proc.is_alive():
+                    continue
+                idx = take()
+                if idx is None:
                     break
-                if w.current is None and w.proc.is_alive():
-                    idx = ready.popleft()
-                    if done[idx]:
-                        continue
-                    unit = units[idx]
-                    timeout_s = deadline_s(unit, unit_timeout)
-                    try:
-                        w.task_w.send((idx, unit.func, unit.config,
-                                       unit.prefix))
-                    except (BrokenPipeError, OSError):
-                        # Worker died between is_alive() and send(); the
-                        # liveness sweep below reclaims the unit.
-                        pass
-                    w.current = (idx, now + timeout_s, timeout_s)
+                unit = units[idx]
+                prefix, image = prefix_of[idx], None
+                if prefix is not None and prefix not in images:
+                    builders[prefix] = idx  # this unit builds it
+                elif prefix is not None and prefix not in w.prefixes:
+                    image = images[prefix]
+                    w.prefixes.add(prefix)
+                timeout_s = deadline_s(unit, unit_timeout)
+                try:
+                    w.task_w.send((idx, unit.func, unit.config,
+                                   unit.prefix, image))
+                except (BrokenPipeError, OSError):
+                    # Worker died between is_alive() and send(); the
+                    # liveness sweep below reclaims the unit.
+                    pass
+                w.current = (idx, now + timeout_s, timeout_s)
 
             # Wait for results, but wake for the nearest deadline/backoff.
             wake = [0.25]
@@ -338,11 +394,17 @@ def supervise(units: Sequence[WorkUnit], jobs: int, *, fast: bool = False,
                     # unit and the pipe is closed with the corpse.
                     pass
             for msg in msgs:
-                wid, idx, result, error, tb, wall, events, counters = msg
+                (wid, idx, result, error, tb, wall, events, counters,
+                 image) = msg
                 w = workers.get(wid)
+                if image is not None:
+                    images.setdefault(prefix_of[idx], image)
+                    if w is not None:
+                        w.prefixes.add(prefix_of[idx])
                 if w is not None and w.current is not None \
                         and w.current[0] == idx:
                     w.current = None
+                    release(idx)
                 if done[idx]:
                     continue
                 done[idx] = True

@@ -215,7 +215,8 @@ class WorldSnapshot:
     and as ``fork()[0]``).  The original world is not modified, but its
     plain objects may read attributes slower afterwards (pickling reads
     their ``__dict__``); :class:`~repro.experiments.snapstore.SnapshotStore`
-    throws it away.
+    throws it away.  ``image`` is the frozen bytes; :meth:`from_image`
+    wraps an image frozen in another process.
     """
 
     def __init__(self, engine: Engine, roots: Dict[str, Any]):
@@ -232,9 +233,17 @@ class WorldSnapshot:
                 f"closure, lambda, nested function or live generator, "
                 f"in a pending event or anywhere else in the world)"
             ) from exc
-        self._image = buf.getvalue()
+        self.image = buf.getvalue()
+
+    @classmethod
+    def from_image(cls, image: bytes) -> "WorldSnapshot":
+        """The snapshot whose frozen bytes are ``image``, without a
+        freeze."""
+        snap = cls.__new__(cls)
+        snap.image = image
+        return snap
 
     def fork(self) -> Tuple[Engine, Dict[str, Any]]:
         """Return ``(engine, roots)`` of a fresh independent world."""
-        world = pickle.loads(self._image)
+        world = pickle.loads(self.image)
         return world["engine"], world["roots"]

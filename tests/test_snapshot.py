@@ -18,17 +18,23 @@ tested here against its cold-path twin:
   off;
 * campaign layer — ``run_units`` hands its ``snapshot`` argument to pool
   workers, and falls back to ``$VSCHED_REPRO_SNAPSHOT`` only when the
-  argument is omitted; an experiment's ``run(fast=)`` wrapper forks the
-  prefixes a campaign of the same mode already built.
+  argument is omitted; a pooled campaign builds each prefix once and
+  counts what a serial one counts, also when the building worker dies;
+  an experiment's ``run(fast=)`` wrapper forks the prefixes a campaign
+  of the same mode already built.
 """
 
 from __future__ import annotations
 
+import _thread
 import copy
 import gc
 import inspect
+import os
 import pickle
+import signal
 import sys
+import threading
 import types
 from functools import partial
 
@@ -517,21 +523,51 @@ def _ticker_assemble(fast, results):
     return table
 
 
-@pytest.fixture
-def ticker_experiment(monkeypatch):
-    """A two-unit experiment whose units share the ticker prefix."""
-    units = [WorkUnit(exp_id="figsnap", label=f"h{h}", func=_ticker_unit,
-                      config=(h,), seed=f"figsnap-{h}", prefix=_SPEC)
-             for h in (2_000, 3_000)]
+def _install_ticker(monkeypatch, *prefixes: PrefixSpec,
+                    horizons=(2_000, 3_000)) -> None:
+    """Register figsnap: for each of ``prefixes``, one unit per horizon."""
+    units = [WorkUnit(exp_id="figsnap", label=f"p{i}-h{h}",
+                      func=_ticker_unit, config=(h,),
+                      seed=f"figsnap-{h}", prefix=prefix)
+             for i, prefix in enumerate(prefixes) for h in horizons]
     mod = types.ModuleType("_vsched_fake_snapshot")
     mod.scenarios = lambda fast: list(units)
     mod.assemble = _ticker_assemble
     mod.check = lambda table: None
     monkeypatch.setitem(sys.modules, "_vsched_fake_snapshot", mod)
     monkeypatch.setitem(EXPERIMENTS, "figsnap", "_vsched_fake_snapshot")
+
+
+@pytest.fixture
+def ticker_experiment(monkeypatch):
+    """A two-unit experiment whose units share the ticker prefix."""
+    _install_ticker(monkeypatch, _SPEC)
     reset_process_store()
     yield
     reset_process_store()
+
+
+def _ticker_prefix_killed_once(marker: str, period: int):
+    """The ticker prefix, after SIGKILLing the building worker on the
+    first attempt (pooled only: in-process it would kill the runner)."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _ticker_prefix(period)
+
+
+def _pooled_within(seconds: float, exp_id: str, jobs: int = 2):
+    """Run ``exp_id`` on ``jobs`` workers; fail the test if the campaign
+    is still running after ``seconds``."""
+    timer = threading.Timer(seconds, _thread.interrupt_main)
+    timer.start()
+    try:
+        res, = parallel.run_units([exp_id], fast=True, jobs=jobs)
+    except parallel.CampaignInterrupted as exc:
+        pytest.fail(f"campaign did not finish within {seconds} s ({exc})")
+    finally:
+        timer.cancel()
+    return res
 
 
 class TestCampaignSnapshotMode:
@@ -555,6 +591,69 @@ class TestCampaignSnapshotMode:
                                   snapshot=True)
         assert res.counters["snap_cold_builds"] == 0
         assert res.counters["snap_forks"] == 2
+
+
+class TestPooledPrefixes:
+    """A pooled campaign builds each prefix once, in the first unit of
+    the prefix in dispatch order, and relays the image to the other
+    workers, so its counts equal a serial campaign's."""
+
+    def test_pooled_campaign_builds_each_prefix_once(self,
+                                                     ticker_experiment):
+        serial, = parallel.run_units(["figsnap"], fast=True, jobs=1)
+        # The workers fork from this process, whose store now holds the
+        # prefix; each starts with an empty store all the same.
+        pooled = _pooled_within(60.0, "figsnap")
+        assert pooled.counters["snap_misses"] == 1
+        assert pooled.counters["snap_hits"] == 1
+        assert pooled.events_fired == serial.events_fired == 40
+        for key in ("pushes", "cancels", "snap_misses", "snap_hits",
+                    "snap_forks"):
+            assert pooled.counters[key] == serial.counters[key], key
+        assert pooled.table.rows == serial.table.rows
+
+    def test_a_builder_that_dies_does_not_strand_its_prefix(
+            self, monkeypatch, tmp_path):
+        marker = str(tmp_path / "killed")
+        _install_ticker(monkeypatch, PrefixSpec(
+            key="ticker", func=_ticker_prefix_killed_once,
+            config=(marker, 100), seed="t-100"))
+        reset_process_store()
+        try:
+            pooled = _pooled_within(60.0, "figsnap")
+            assert parallel.last_campaign_stats().requeues == 1
+            # The first unit claimed the build and died; the held second
+            # unit then built the prefix, and the first one's retry
+            # forked it.
+            assert pooled.ok
+            assert [u["attempts"] for u in pooled.unit_stats] == [2, 1]
+            reset_process_store()
+            serial, = parallel.run_units(["figsnap"], fast=True, jobs=1)
+            assert pooled.table.rows == serial.table.rows
+            assert pooled.rendered == serial.rendered
+        finally:
+            reset_process_store()
+
+    def test_more_workers_than_cores_still_build_each_prefix_once(
+            self, monkeypatch):
+        """3 workers on 12 units of 3 prefixes: a second build of any
+        prefix would show as a fourth miss."""
+        _install_ticker(monkeypatch, *(
+            PrefixSpec(key="ticker", func=_ticker_prefix, config=(period,),
+                       seed="t-100") for period in (100, 150, 200)),
+            horizons=(2_000, 2_500, 3_000, 3_500))
+        reset_process_store()
+        try:
+            serial, = parallel.run_units(["figsnap"], fast=True, jobs=1)
+            pooled = _pooled_within(60.0, "figsnap", jobs=3)
+            assert (pooled.counters["snap_misses"],
+                    pooled.counters["snap_hits"]) == (3, 9)
+            assert pooled.events_fired == serial.events_fired
+            for key in ("pushes", "cancels", "snap_forks"):
+                assert pooled.counters[key] == serial.counters[key], key
+            assert pooled.table.rows == serial.table.rows
+        finally:
+            reset_process_store()
 
 
 class TestExecuteSerialMode:

@@ -11,14 +11,15 @@ the comparison reads the full-precision ``CampaignResult.table``.
 Also reports the events fired per mode, so the share of work that forking
 saves is visible next to the identity verdict.  Experiments run in the
 order given, in one process, so an experiment that forks another's
-prefixes (tab3 forks fig14's) reuses them when listed after it.
+prefixes (tab3 forks fig14's, fig20 fig19's) reuses them when listed
+after it.
 
 Usage::
 
     PYTHONPATH=src python tools/abdiff.py --fast
     # the experiments that declare prefixes (CI's snapshot-identity job):
     PYTHONPATH=src python tools/abdiff.py --fast \
-        --experiments fig14,tab3,fig15,tab4,fig18,fig19,fig21
+        --experiments fig14,tab3,fig15,tab4,fig18,fig19,fig20,fig21
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ count flat.  The tolerance absorbs small intentional drifts; bigger
 deliberate changes should refresh the baseline with ``--write`` in the
 same commit.
 
-Two prefix-migrated experiments (``SNAP_PINNED``) are additionally
+Three prefix-migrated experiments (``SNAP_PINNED``) are additionally
 measured with warm-start forking on *and* off (INTERNALS §15).  Both
 modes carry their own budgets — the fork budget guards the prefix
 sharing itself (a regression here means units stopped forking and went
@@ -53,16 +53,18 @@ COUNTERS = ("events_fired", "pushes", "cancels")
 #: Pinned fast experiments: one host-churn-bound, one spin-bound.
 PINNED = ("fig2", "fig4")
 #: Prefix-migrated experiments measured under snapshot fork AND cold mode.
-#: fig14 shares 2 warm-up prefixes across 20 units and fig21 2 across 12,
-#: so cold mode re-fires each prefix 10x (fig14) or 6x (fig21) and the
-#: fork budgets sit well below the cold ones.
-SNAP_PINNED = ("fig14", "fig21")
+#: fig14 shares 2 warm-up prefixes across 20 units, and fig21 and fig20
+#: 2 across 12 each, so cold mode re-fires each prefix 10x (fig14) or 6x
+#: (fig21, fig20) and the fork budgets sit well below the cold ones.
+SNAP_PINNED = ("fig14", "fig21", "fig20")
 SNAP_MODES = ("fork", "cold")
 
 
 def measure(exp_id: str, snapshot: bool = True) -> dict:
-    # In-process: each worker process owns its snapshot store, so a
-    # pooled run would rebuild prefixes that one process builds once.
+    # In-process; a pooled run counts the same (INTERNALS §10).  The
+    # process store keeps what earlier measurements built, and fig19,
+    # whose fast hpvm worlds fig20 forks, is not run here, so fig20's
+    # fork budget includes building them.
     res, = run_units([exp_id], fast=True, check=False, jobs=1,
                      snapshot=snapshot)
     return {"events_fired": res.events_fired,
