@@ -372,7 +372,6 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
         for st in states:
             if st.done:
                 continue
-            events0 = Engine.total_events_fired
             counters0 = Engine.counters()
             snap0 = snapshot_counters()
             started = time.perf_counter()
@@ -385,10 +384,9 @@ def _run_units_serial(plans, fast: bool, check: bool, cache,
                 st.tb = traceback.format_exc()
                 st.fate = f"attempt 1: {st.error} (not retryable)"
             st.wall_s = time.perf_counter() - started
-            st.events = Engine.total_events_fired - events0
             st.counters = {k: v - counters0[k]
-                           for k, v in Engine.counters().items()
-                           if k != "fired"}
+                           for k, v in Engine.counters().items()}
+            st.events = st.counters.pop("fired")
             st.counters.update({k: v - snap0[k]
                                 for k, v in snapshot_counters().items()})
             st.attempts = 1

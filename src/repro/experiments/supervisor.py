@@ -195,7 +195,6 @@ def _worker_main(worker_id: int, task_r, result_w, fast: bool = False,
         idx, func, config, prefix, image = item
         if image is not None:
             process_store().install(prefix, fast, image)
-        events0 = Engine.total_events_fired
         counters0 = Engine.counters()
         snap0 = snapshot_counters()
         started = time.perf_counter()
@@ -209,16 +208,15 @@ def _worker_main(worker_id: int, task_r, result_w, fast: bool = False,
             error = f"{type(exc).__name__}: {exc}"
             tb = traceback.format_exc()
         counters = {k: v - counters0[k]
-                    for k, v in Engine.counters().items()
-                    if k != "fired"}
+                    for k, v in Engine.counters().items()}
+        events = counters.pop("fired")
         counters.update({k: v - snap0[k]
                          for k, v in snapshot_counters().items()})
         built = (process_store().image(prefix, fast)
                  if counters["snap_misses"] else None)
         try:
             result_w.send((worker_id, idx, result, error, tb,
-                           time.perf_counter() - started,
-                           Engine.total_events_fired - events0,
+                           time.perf_counter() - started, events,
                            counters, built))
         except (BrokenPipeError, OSError):
             break  # parent is gone; nothing left to report to

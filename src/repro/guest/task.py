@@ -208,7 +208,23 @@ def _factory_pickles_safely(factory) -> bool:
 # Task
 # ----------------------------------------------------------------------
 class Task:
-    """One guest thread."""
+    """One guest thread.
+
+    Its attributes live in ``__slots__``: CPython 3.11 keeps at most 30
+    instance attributes inline, and a task has more, so without slots
+    every task would carry a materialised ``__dict__`` and read its
+    attributes slower on the per-event paths.
+    """
+
+    __slots__ = ("kernel", "tid", "name", "policy", "is_idle_policy",
+                 "weight", "group", "allowed", "latency_sensitive", "state",
+                 "api", "factory", "body", "cpu", "prev_cpu_index",
+                 "vruntime", "pelt", "pending_work", "extra_work",
+                 "resume_value", "needs_advance", "spinning_on",
+                 "spin_streak", "slice_ran", "last_wake_time",
+                 "run_started_at", "ivh_last_migration",
+                 "last_migration_time", "spin_poll_ns", "pending_stall_from",
+                 "pending_stall_lines", "exit_callbacks", "stats")
 
     _next_tid = [1]
 
@@ -237,9 +253,6 @@ class Task:
         #: The body factory, kept for snapshot forking (restartable
         #: bodies are recreated from it when a fork is restored).
         self.factory = factory
-        #: Free-form per-task state for restartable bodies that need
-        #: cross-iteration storage outside the generator frame.
-        self.scratch: dict = {}
         self.body: Generator = factory(self.api)
 
         # --- scheduler state ------------------------------------------
@@ -317,7 +330,7 @@ class Task:
         * anything else raises :class:`~repro.sim.snapshot.SnapshotError`
           naming the task, so an unforkable world fails loudly.
         """
-        state = self.__dict__.copy()
+        state = {name: getattr(self, name) for name in Task.__slots__}
         body = self.body
         if body is None or self.state == TaskState.EXITED:
             state["body"] = state["factory"] = None
@@ -327,9 +340,8 @@ class Task:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore attributes one ``setattr`` at a time (which keeps them
-        inline in the instance, see :mod:`repro.sim.snapshot`), then
-        restart a body that :meth:`__getstate__` left out."""
+        """Restore the slots one ``setattr`` at a time, then restart a
+        body that :meth:`__getstate__` left out."""
         for k, v in state.items():
             setattr(self, k, v)
         if "body" not in state:

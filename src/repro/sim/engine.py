@@ -48,6 +48,25 @@ _COMPACT_MIN_CANCELLED = 64
 #: ... and the dead entries are at least half of the heap.
 _COMPACT_FRACTION = 2
 
+#: Process-wide engine counters, summed over every engine in the process,
+#: forks included (read them with :meth:`Engine.counters`):
+#:
+#: * ``pushes`` — ``call_at``/``call_in`` arms;
+#: * ``cancels`` — ``Event.cancel`` calls on still-pending events;
+#: * ``fired`` — live dispatches (cancelled entries never count);
+#: * ``dead_drops`` — cancelled entries physically discarded from the heap
+#:   (dead pops + compaction sweeps); over a fully drained run it
+#:   converges to ``cancels``.
+#:
+#: They live in a module-level dict, not on the class: on CPython 3.11+
+#: every write to a class attribute resets the class's type version,
+#: which de-specialises attribute access on every ``Engine`` instance,
+#: and these are written once per push, cancel and dead pop.  No engine
+#: refers to the dict, so a snapshot image never carries a copy of it
+#: and a fork counts into the same totals.
+_COUNTERS: Dict[str, int] = {"pushes": 0, "cancels": 0, "fired": 0,
+                             "dead_drops": 0}
+
 
 def ns_to_ms(t: int) -> float:
     """Convert engine nanoseconds to floating-point milliseconds."""
@@ -108,19 +127,6 @@ class Engine:
         eng.run_until(1 * SEC)
     """
 
-    #: Process-wide count of events fired across all engines (perf metric;
-    #: campaigns report per-unit deltas).  A "fire" is a live dispatch —
-    #: cancelled entries never count.
-    total_events_fired: int = 0
-    #: Process-wide count of ``call_at``/``call_in`` arms.
-    total_pushes: int = 0
-    #: Process-wide count of ``Event.cancel`` calls on still-pending events.
-    total_cancels: int = 0
-    #: Process-wide count of cancelled entries physically discarded from
-    #: the heap (dead pops + compaction sweeps).  Over a fully drained run
-    #: it converges to ``total_cancels``.
-    total_dead_drops: int = 0
-
     def __init__(self) -> None:
         self.now: int = 0
         #: The event heap of ``(time, prio, seq, Event)`` entries.  Only
@@ -161,7 +167,7 @@ class Engine:
         self._seq = seq = self._seq + 1
         ev = Event(time, callback, args, self)
         self._push((time, prio, seq, ev))
-        Engine.total_pushes += 1
+        _COUNTERS["pushes"] += 1
         return ev
 
     def call_in(self, delay: int, callback: Callable[..., None], *args: Any,
@@ -181,19 +187,15 @@ class Engine:
         self._next_lane -= 1
         return self._next_lane
 
-    @classmethod
-    def counters(cls) -> Dict[str, int]:
-        """Snapshot of the process-wide engine counters.
+    @staticmethod
+    def counters() -> Dict[str, int]:
+        """Snapshot of the process-wide engine counters (``_COUNTERS``),
+        the only way to read them.
 
         Callers measure a scenario by differencing two snapshots (the
         campaign's per-unit stats, which ``tools/perf_guard.py`` reads).
         """
-        return {
-            "pushes": cls.total_pushes,
-            "cancels": cls.total_cancels,
-            "fired": cls.total_events_fired,
-            "dead_drops": cls.total_dead_drops,
-        }
+        return dict(_COUNTERS)
 
     # ------------------------------------------------------------------
     # Execution
@@ -222,7 +224,7 @@ class Engine:
                 ev = entry[3]
                 if ev.cancelled:
                     self._ncancelled -= 1
-                    Engine.total_dead_drops += 1
+                    _COUNTERS["dead_drops"] += 1
                     continue
                 ev._engine = None
                 self.now = entry[0]
@@ -231,7 +233,7 @@ class Engine:
         finally:
             self._running = False
             self.events_fired += fired
-            Engine.total_events_fired += fired
+            _COUNTERS["fired"] += fired
         return fired
 
     def run_until(self, deadline: int) -> None:
@@ -310,7 +312,7 @@ class Engine:
 
         Compacts the heap once dead entries dominate it.
         """
-        Engine.total_cancels += 1
+        _COUNTERS["cancels"] += 1
         self._ncancelled = n = self._ncancelled + 1
         if (n >= _COMPACT_MIN_CANCELLED
                 and n * _COMPACT_FRACTION >= len(self._heap)):
@@ -328,5 +330,5 @@ class Engine:
         before = len(heap)
         heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapify(heap)
-        Engine.total_dead_drops += before - len(heap)
+        _COUNTERS["dead_drops"] += before - len(heap)
         self._ncancelled = 0

@@ -5,9 +5,12 @@ their engines through the ``make_engine`` fixture, whose ``heap`` id
 names that store.
 """
 
+import sys
+
 import pytest
 
 from repro.sim import Engine, MSEC, SEC, USEC
+from repro.sim.snapshot import WorldSnapshot
 
 
 @pytest.fixture(params=["heap"])
@@ -267,13 +270,13 @@ def test_pending_exact_through_mixed_churn(make_engine):
 
 
 def test_events_fired_counters(make_engine):
-    base = Engine.total_events_fired
+    base = Engine.counters()["fired"]
     eng = make_engine()
     for i in range(7):
         eng.call_in(i + 1, lambda: None)
     eng.run_until(100)
     assert eng.events_fired == 7
-    assert Engine.total_events_fired - base == 7
+    assert Engine.counters()["fired"] - base == 7
 
 
 def test_push_cancel_counters_backend_invariant():
@@ -293,6 +296,42 @@ def test_push_cancel_counters_backend_invariant():
     assert d["fired"] == 10
     # Fully drained: every cancelled entry was physically discarded.
     assert d["dead_drops"] == 10
+
+
+def _repro_classes():
+    """Every class defined at the top level of a loaded ``repro`` module."""
+    return [obj for name, mod in list(sys.modules.items())
+            if name == "repro" or name.startswith("repro.")
+            for obj in vars(mod).values()
+            if isinstance(obj, type) and obj.__module__ == name]
+
+
+def _freeze_and_fork():
+    """A small world run cold to 1 s, frozen, and its fork run to 2 s."""
+    from tests.test_snapshot import _spin_world
+    warm = _spin_world()
+    warm["engine"].run_until(1 * SEC)
+    _eng, fork = WorldSnapshot(warm["engine"], warm).fork()
+    fork["engine"].run_until(2 * SEC)
+
+
+def test_a_run_writes_no_class_attribute():
+    """Running, freezing and forking a world writes no class attribute.
+    On CPython 3.11+ each such write resets the class's type version and
+    de-specialises attribute access on every instance of the class, so a
+    counter kept on a class and written per event slows every layer."""
+    # Warm-up: the first freeze caches ``__slotnames__`` on each class it
+    # pickles (``copyreg._slotnames``), once per process.
+    _freeze_and_fork()
+    missing = object()
+    before = [(cls, dict(vars(cls))) for cls in _repro_classes()]
+    _freeze_and_fork()
+    written = [f"{cls.__module__}.{cls.__qualname__}.{attr}"
+               for cls, attrs in before
+               for attr in attrs.keys() | vars(cls).keys()
+               if vars(cls).get(attr, missing) is not attrs.get(attr,
+                                                                missing)]
+    assert written == []
 
 
 # ----------------------------------------------------------------------

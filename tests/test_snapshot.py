@@ -11,7 +11,8 @@ tested here against its cold-path twin:
   ``Task.__getstate__`` holds, and every fork resumes byte-identically
   to a cold run (under vsched and under plain CFS) independent of its
   siblings and of the frozen image, with its kernel reading the fork's
-  own vSched capacity list;
+  own vSched capacity list, its events counted in ``Engine.counters()``
+  and its hot-path objects keeping their attributes inline;
 * store layer — :class:`SnapshotStore` keys on
   (code fingerprint, prefix, fast), hits after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
@@ -54,7 +55,11 @@ from repro.experiments.snapstore import (
     reset_process_store,
 )
 from repro.experiments.units import WorkUnit, execute_serial
+from repro.guest.cpu import GuestCpu
+from repro.guest.runqueue import CfsRunqueue
 from repro.guest.task import Policy, StatefulBody, Task, TaskState
+from repro.hypervisor.runqueue import HostRunqueue
+from repro.hypervisor.vcpu import VCpuThread
 from repro.sim.engine import MSEC, SEC, Engine
 from repro.sim.rng import make_rng, rng_signature
 from repro.sim.snapshot import (SnapshotError, WorldSnapshot, _setattr_state,
@@ -143,6 +148,32 @@ class TestForkRebindsCapacityProvider:
         assert warm["env"].kernel.capacity_of(1) == frozen[1]
         _eng, sibling = snap.fork()
         assert sibling["vs"].module.capacities == frozen
+
+
+class TestForkCounters:
+    def test_fork_counts_into_the_process_counters(self):
+        """``Engine.counters()`` sums every engine in the process, forks
+        included: the image holds no copy of the counters for a fork to
+        count into.  A fork run counts the events its engine fired, the
+        pushes it made, and the cancels its cold twin makes."""
+        def run_to_2s(engine):
+            before = Engine.counters()
+            engine.run_until(2 * SEC)
+            return {k: v - before[k] for k, v in Engine.counters().items()}
+
+        cold = _spin_world()
+        cold["engine"].run_until(1 * SEC)
+        cold_delta = run_to_2s(cold["engine"])
+
+        warm = _spin_world()
+        warm["engine"].run_until(1 * SEC)
+        eng, _fork = WorldSnapshot(warm["engine"], warm).fork()
+        fired0, seq0 = eng.events_fired, eng._seq
+        delta = run_to_2s(eng)
+        assert delta["fired"] == eng.events_fired - fired0 > 0
+        assert delta["pushes"] == eng._seq - seq0 > 0
+        assert delta["cancels"] == cold_delta["cancels"] > 0
+        assert delta == cold_delta
 
 
 class TestEngineRestore:
@@ -381,6 +412,14 @@ class _DictSubclass(dict):
     pass
 
 
+def _inline(obj, name):
+    """``obj.name`` is held inline: an object with a materialised
+    ``__dict__`` shows the garbage collector the dict instead of its
+    attribute values (CPython 3.11+)."""
+    value = getattr(obj, name)
+    return any(ref is value for ref in gc.get_referents(obj))
+
+
 class TestSetattrRestore:
     def test_only_plain_instances_restore_by_setattr(self):
         """The image's ``(None, state)`` form is for classes whose pickle
@@ -399,16 +438,42 @@ class TestSetattrRestore:
         """An object restored by a ``__dict__`` update keeps a dict, and
         reads its attributes slower; the garbage collector then sees the
         dict instead of the attribute values."""
-        def inline(obj, name):
-            value = getattr(obj, name)
-            return any(ref is value for ref in gc.get_referents(obj))
-
         warm = _spin_world()
         warm["engine"].run_until(1 * SEC)
         _eng, fork = WorldSnapshot(warm["engine"], warm).fork()
-        assert inline(fork["env"].kernel, "engine")
-        assert inline(fork["engine"], "_heap")
-        assert inline(fork["env"].kernel.tasks[1].body, "api")
+        assert _inline(fork["env"].kernel, "engine")
+        assert _inline(fork["engine"], "_heap")
+        assert _inline(fork["env"].kernel.tasks[1].body, "api")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="inline attribute values are CPython 3.11+")
+    def test_hot_path_objects_keep_attributes_inline(self):
+        """The objects every event reads keep their attributes inline,
+        cold and forked: ``Task`` through ``__slots__``, the others by
+        setting at most 30 attributes, CPython 3.11's inline limit, so a
+        31st attribute fails here instead of slowing every read."""
+        def hot_path_objects(world):
+            env = world["env"]
+            cpu = env.kernel.cpus[0]
+            return [(env.kernel.tasks[0], "stats"), (cpu, "rq"),
+                    (cpu.rq, "normal"), (cpu.vcpu, "activity_listeners"),
+                    (env.machine.runqueues[0], "waiting"),
+                    (world["engine"], "_heap")]
+
+        warm = _spin_world()
+        warm["engine"].run_until(1 * SEC)
+        # Checked before the freeze, which reads (and so materialises)
+        # the original world's instance dicts.
+        cold = hot_path_objects(warm)
+        assert [type(obj) for obj, _name in cold] == [
+            Task, GuestCpu, CfsRunqueue, VCpuThread, HostRunqueue, Engine]
+        assert [type(obj).__name__ for obj, name in cold
+                if not _inline(obj, name)] == []
+
+        _eng, fork = WorldSnapshot(warm["engine"], warm).fork()
+        fork["engine"].run_until(2 * SEC)
+        assert [type(obj).__name__ for obj, name in hot_path_objects(fork)
+                if not _inline(obj, name)] == []
 
 
 class TestRngFork:

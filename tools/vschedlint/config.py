@@ -280,10 +280,7 @@ PROCESS_STATE_BLESSED = {
                                "per code version",
     },
     "repro.sim.engine": {
-        "Engine.total_events_fired": "process-wide telemetry; units "
-                                     "report deltas, results never read it",
-        "Engine.total_pushes": "process-wide telemetry (deltas)",
-        "Engine.total_cancels": "process-wide telemetry (deltas)",
-        "Engine.total_dead_drops": "process-wide telemetry (deltas)",
+        "_COUNTERS": "process-wide telemetry; units report deltas, "
+                     "results never read it",
     },
 }

@@ -11,8 +11,10 @@ divergence surfaces (if ever) as an unexplainable A/B or cache mismatch.
   (``global``) or mutates a module-level mutable (``X.append``,
   ``X[k] = v``), in its own module or through an import.
 * **VSL602 class-attr-state** — a function writes a class attribute
-  (``Engine.total_pushes += 1``, ``cls.cache = ...``): class objects are
-  process-wide, so this is module state wearing a class name.
+  (``cls.cache = ...``): class objects are process-wide, so this is
+  module state wearing a class name.  It is also slow: on CPython 3.11+
+  each write resets the class's type version, which de-specialises
+  attribute access on every instance of the class.
 
 Intentional process-level stores carry reasoned blessings in
 ``config.PROCESS_STATE_BLESSED`` — the snapshot store and fingerprint
@@ -51,8 +53,10 @@ def _check_write(rec: FileRecord, write: dict,
             "class-attr-state", rec.path, write["line"], write["col"],
             f"write to class attribute {name} ({target_mod}): class "
             f"objects are process-wide, so this persists across units in "
-            f"a warm pooled worker — move it to instance state or bless "
-            f"it in config.PROCESS_STATE_BLESSED with a reason",
+            f"a warm pooled worker, and on CPython 3.11+ each write "
+            f"resets the class's type version, de-specialising attribute "
+            f"access on every instance — move it to instance state or "
+            f"bless it in config.PROCESS_STATE_BLESSED with a reason",
             symbol=write["func"], modname=rec.modname))
     else:
         verb = ("rebinds module-level name" if how == "global-rebind"
