@@ -11,10 +11,10 @@ same prefix forks the frozen image instead of rebuilding — byte-identical
 results (``tools/abdiff.py`` proves it) at a fraction of the wall time.
 
 A prefix goes where two or more units share a warm-up that costs
-several forks (INTERNALS §15): fig14, fig15, fig18, fig19, fig20,
+several forks (INTERNALS §15): fig13, fig14, fig15, fig18, fig19, fig20,
 fig21, tab4, and tab3, whose bvs units fork fig14's worlds; fig20's
-fast hpvm worlds are fig19's.  fig12 and fig13 stay cold (INTERNALS §15
-gives the measurements).
+fast hpvm worlds are fig19's.  fig12 stays cold: it runs as one
+whole-experiment unit (INTERNALS §15).
 
 Keying follows the unit result cache
 (:mod:`repro.experiments.cache`): a prefix snapshot is addressed by

@@ -9,7 +9,7 @@ rebuilding the domains (the ``rebuild_sched_domains`` analogue in §4).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 class DomainLevel:
@@ -30,11 +30,44 @@ class DomainLevel:
 
 
 class SchedDomains:
-    """The domain hierarchy of one VM, innermost level first."""
+    """The domain hierarchy of one VM, innermost level first.
+
+    Every per-CPU query is answered from tables filled here, once: wake
+    placement and balancing ask them on every wake and idle pass, and
+    the domains never change after construction (vtop installs a new
+    object; ``levels`` is only read).  The tables are filled eagerly, so
+    a snapshot image does not depend on which queries ran before it.
+    """
 
     def __init__(self, n_cpus: int, levels: Sequence[DomainLevel]):
         self.n_cpus = n_cpus
         self.levels: List[DomainLevel] = list(levels)
+        machine = frozenset(range(n_cpus))
+        self._machine = machine
+        # Each CPU's group in the first "smt" / "llc" level that holds
+        # it, as the inner-to-outer walk finds it; CPUs no such level
+        # holds fall back to themselves / the whole machine.
+        smt_of: Dict[int, FrozenSet[int]] = {}
+        llc_of: Dict[int, FrozenSet[int]] = {}
+        for level in self.levels:
+            table = {"smt": smt_of, "llc": llc_of}.get(level.name)
+            if table is not None:
+                for group in level.groups:
+                    for cpu in group:
+                        table.setdefault(cpu, group)
+        for cpu in range(n_cpus):
+            smt_of.setdefault(cpu, frozenset((cpu,)))
+            llc_of.setdefault(cpu, machine)
+        self._smt_of = smt_of
+        self._llc_of = llc_of
+        self._has_smt = any(level.name == "smt" for level in self.levels)
+        # Every group's CPUs in ascending order, keyed by the group.
+        members: Dict[FrozenSet[int], Tuple[int, ...]] = {
+            machine: tuple(range(n_cpus))}
+        for level in self.levels:
+            for group in level.groups:
+                members.setdefault(group, tuple(sorted(group)))
+        self._members = members
 
     # ------------------------------------------------------------------
     # Constructors
@@ -73,27 +106,24 @@ class SchedDomains:
     # ------------------------------------------------------------------
     def smt_siblings(self, cpu: int) -> FrozenSet[int]:
         """CPUs sharing a core with ``cpu`` (including it), per the domains."""
-        for level in self.levels:
-            if level.name == "smt":
-                g = level.group_of(cpu)
-                if g is not None:
-                    return g
-        return frozenset((cpu,))
+        group = self._smt_of.get(cpu)
+        return group if group is not None else frozenset((cpu,))
 
     def llc_domain(self, cpu: int) -> FrozenSet[int]:
         """CPUs sharing a last-level cache with ``cpu``, per the domains."""
-        for level in self.levels:
-            if level.name == "llc":
-                g = level.group_of(cpu)
-                if g is not None:
-                    return g
-        return frozenset(range(self.n_cpus))
+        return self._llc_of.get(cpu, self._machine)
 
     def all_cpus(self) -> FrozenSet[int]:
-        return frozenset(range(self.n_cpus))
+        return self._machine
 
     def has_smt_level(self) -> bool:
-        return any(level.name == "smt" for level in self.levels)
+        return self._has_smt
+
+    def members(self, group: FrozenSet[int]) -> Tuple[int, ...]:
+        """The CPUs of ``group`` in ascending order; ``group`` is one of
+        the levels' groups or the whole machine (what :meth:`llc_domain`
+        and :meth:`all_cpus` return)."""
+        return self._members[group]
 
 
 def _unique_groups(siblings: Dict[int, FrozenSet[int]], n_cpus: int) -> List[FrozenSet[int]]:

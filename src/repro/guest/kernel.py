@@ -77,6 +77,8 @@ class GuestKernel:
         self.balancer = LoadBalancer(self)
         self.stats = KernelStats()
         self.tasks: List[Task] = []
+        #: The last tid handed out (``Task.__init__`` takes the next).
+        self.last_tid = 0
         self.root_group = TaskGroup("root")
         self.groups: List[TaskGroup] = [self.root_group]
         #: Tasks queued (not running) on all runqueues, kept by the

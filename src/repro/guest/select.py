@@ -51,7 +51,7 @@ class WakePlacer:
             domain = self._idlest_domain(allowed)
         else:
             domain = self._affine_domain(prev, waker_cpu)
-        candidates = [c for c in sorted(domain)
+        candidates = [c for c in kernel.domains.members(domain)
                       if allowed is None or c in allowed]
         if not candidates:
             candidates = [c for c in range(len(kernel.cpus))
@@ -106,7 +106,7 @@ class WakePlacer:
         seen = set()
         for c in range(len(self.kernel.cpus)):
             g = domains.llc_domain(c)
-            key = tuple(sorted(g))
+            key = domains.members(g)
             if key not in seen:
                 seen.add(key)
                 if allowed is None or any(x in allowed for x in g):

@@ -226,15 +226,15 @@ class Task:
                  "last_migration_time", "spin_poll_ns", "pending_stall_from",
                  "pending_stall_lines", "exit_callbacks", "stats")
 
-    _next_tid = [1]
-
     def __init__(self, kernel, name: str, factory, policy: Policy = Policy.NORMAL,
                  weight: Optional[int] = None, group=None,
                  allowed: Optional[Iterable[int]] = None,
                  latency_sensitive: bool = False):
         self.kernel = kernel
-        self.tid = Task._next_tid[0]
-        Task._next_tid[0] += 1
+        # tids rise in spawn order within the task's own kernel, so a
+        # world forked from an image numbers its new tasks as a cold run.
+        kernel.last_tid += 1
+        self.tid = kernel.last_tid
         self.name = name
         self.policy = policy
         #: ``policy`` is fixed at spawn, so its class test is a plain

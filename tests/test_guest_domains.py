@@ -1,6 +1,9 @@
 """Unit tests for schedule domains and the cgroup cpuset model."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.guest.cgroup import TaskGroup
 from repro.guest.domains import DomainLevel, SchedDomains
@@ -51,6 +54,90 @@ class TestSchedDomains:
         sock = {c: frozenset(range(4)) for c in range(4)}
         with pytest.raises(ValueError):
             SchedDomains.from_topology_lists(4, smt, sock)
+
+
+# ----------------------------------------------------------------------
+# The per-CPU tables against the level walk they replaced
+# ----------------------------------------------------------------------
+def _walk_smt_siblings(domains, cpu):
+    """``SchedDomains.smt_siblings`` before the tables, verbatim."""
+    for level in domains.levels:
+        if level.name == "smt":
+            g = level.group_of(cpu)
+            if g is not None:
+                return g
+    return frozenset((cpu,))
+
+
+def _walk_llc_domain(domains, cpu):
+    """``SchedDomains.llc_domain`` before the tables, verbatim."""
+    for level in domains.levels:
+        if level.name == "llc":
+            g = level.group_of(cpu)
+            if g is not None:
+                return g
+    return frozenset(range(domains.n_cpus))
+
+
+def _walk_has_smt_level(domains):
+    """``SchedDomains.has_smt_level`` before the tables, verbatim."""
+    return any(level.name == "smt" for level in domains.levels)
+
+
+@st.composite
+def _partition(draw, cpus):
+    """A random partition of ``cpus`` into at most 8 groups."""
+    labels = draw(st.lists(st.integers(0, 7), min_size=len(cpus),
+                           max_size=len(cpus)))
+    groups = {}
+    for cpu, label in zip(cpus, labels):
+        groups.setdefault(label, []).append(cpu)
+    return list(groups.values())
+
+
+@st.composite
+def _domains(draw):
+    """Domains on 1-32 CPUs, from sibling lists (the vtop path) or built
+    by hand: levels missing, repeated, in any order, or covering only
+    some CPUs."""
+    n = draw(st.integers(1, 32))
+    cpus = list(range(n))
+    if draw(st.booleans()):
+        siblings = []
+        for _name in ("smt", "llc"):
+            of = {}
+            for g in draw(_partition(cpus)):
+                for cpu in g:
+                    of[cpu] = frozenset(g)
+            siblings.append(of)
+        return SchedDomains.from_topology_lists(n, *siblings)
+    levels = []
+    for name in draw(st.lists(st.sampled_from(("smt", "llc", "machine")),
+                              max_size=4)):
+        covered = cpus if draw(st.booleans()) else [
+            c for c in cpus if draw(st.booleans())]
+        levels.append(DomainLevel(name, draw(_partition(covered))))
+    return SchedDomains(n, levels)
+
+
+class TestDomainTables:
+    @given(_domains())
+    @settings(max_examples=300, deadline=None)
+    def test_tables_answer_like_the_level_walk(self, domains):
+        before = pickle.dumps(vars(domains))
+        n = domains.n_cpus
+        for cpu in list(range(n)) + [n]:  # every CPU and one past the end
+            assert domains.llc_domain(cpu) == _walk_llc_domain(domains, cpu)
+            assert domains.smt_siblings(cpu) == _walk_smt_siblings(domains,
+                                                                   cpu)
+        assert domains.has_smt_level() == _walk_has_smt_level(domains)
+        groups = [g for level in domains.levels for g in level.groups]
+        groups += [domains.all_cpus()]
+        groups += [domains.llc_domain(cpu) for cpu in range(n)]
+        for group in groups:
+            assert list(domains.members(group)) == sorted(group)
+        # Filled at construction: no query added or changed an entry.
+        assert pickle.dumps(vars(domains)) == before
 
 
 class TestTaskGroup:

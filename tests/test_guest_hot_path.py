@@ -31,8 +31,13 @@ def _body(api):
     yield api.run(1)
 
 
+#: Stands in for the kernel of tasks built outside a VM: it hands out
+#: their tids, which rise in creation order as in a kernel.
+_KERNEL = SimpleNamespace(last_tid=0)
+
+
 def _task(**kw) -> Task:
-    return Task(None, "t", _body, **kw)
+    return Task(_KERNEL, "t", _body, **kw)
 
 
 masks = st.one_of(st.none(), st.frozensets(st.integers(0, N_CPUS - 1)))

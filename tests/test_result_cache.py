@@ -255,10 +255,10 @@ class TestDecompose:
                               for u in units if u.prefix is not None)
             return per_key, sum(1 for u in units if u.prefix is None)
 
-        for exp_id, n_keys, per_key in (("fig14", 2, 10), ("fig15", 2, 12),
-                                        ("tab4", 2, 3), ("fig21", 2, 6),
-                                        ("fig18", 3, 10), ("fig19", 3, 10),
-                                        ("fig20", 2, 6)):
+        for exp_id, n_keys, per_key in (("fig13", 2, 3), ("fig14", 2, 10),
+                                        ("fig15", 2, 12), ("tab4", 2, 3),
+                                        ("fig21", 2, 6), ("fig18", 3, 10),
+                                        ("fig19", 3, 10), ("fig20", 2, 6)):
             counts, bare = sharing(exp_id)
             assert sorted(counts.values()) == [per_key] * n_keys, exp_id
             assert bare == 0, exp_id
@@ -270,13 +270,6 @@ class TestDecompose:
         assert set(tab3) == set(sharing("fig14")[0])
         # fig20's fast cfs and vsched worlds are fig19's.
         assert set(sharing("fig20")[0]) < set(sharing("fig19")[0])
-        # Measured exclusion.  fig13's vtop-only warm-up (5,217 events)
-        # takes 0.115 s, against 0.013 s to freeze its 32-vCPU world and
-        # 0.010 s per fork; with deepcopy's costs wide-balance got slower
-        # with a prefix, and it stays cold until a change shows the gain
-        # on wide-balance.
-        units, _assemble = parallel.decompose("fig13", True)
-        assert all(u.prefix is None for u in units)
 
     def test_heavy_experiments_no_longer_monolithic(self):
         # The PR 1 critical path: these four dominated the serial suite.

@@ -11,8 +11,9 @@ tested here against its cold-path twin:
   ``Task.__getstate__`` holds, and every fork resumes byte-identically
   to a cold run (under vsched and under plain CFS) independent of its
   siblings and of the frozen image, with its kernel reading the fork's
-  own vSched capacity list, its events counted in ``Engine.counters()``
-  and its hot-path objects keeping their attributes inline;
+  own vSched capacity list, its events counted in ``Engine.counters()``,
+  its hot-path objects keeping their attributes inline and its new
+  tasks numbered as a cold run numbers them;
 * store layer — :class:`SnapshotStore` keys on
   (code fingerprint, prefix, fast), hits after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
@@ -174,6 +175,29 @@ class TestForkCounters:
         assert delta["pushes"] == eng._seq - seq0 > 0
         assert delta["cancels"] == cold_delta["cancels"] > 0
         assert delta == cold_delta
+
+
+class TestTaskIds:
+    def test_tids_follow_the_world_not_the_process(self):
+        """Each kernel numbers its own tasks: two cold runs of one world
+        in one process and a fork of it give every task the same tid,
+        the tasks spawned after the divergence point included."""
+        def tids(roots):
+            SysbenchCpu(threads=2, event_work_ns=500_000).start(roots["ctx"])
+            roots["engine"].run_until(2 * SEC)
+            return [t.tid for t in roots["env"].kernel.tasks]
+
+        runs = []
+        for _ in range(2):
+            cold = _world()
+            cold["engine"].run_until(1 * SEC)
+            runs.append(tids(cold))
+        warm = _world()
+        warm["engine"].run_until(1 * SEC)
+        _eng, fork = WorldSnapshot(warm["engine"], warm).fork()
+        runs.append(tids(fork))
+        assert len(runs[0]) > 4
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestEngineRestore:

@@ -143,10 +143,11 @@ class TestLeakageRules:
     def test_bad_leakage_fixture(self):
         findings = lint_fixture("sim/bad_leakage.py")
         assert rules_of(findings) == {"cross-unit-state": 3,
-                                      "class-attr-state": 2}
+                                      "class-attr-state": 4}
         assert {f.symbol for f in findings} == {
             "memoize", "trace", "bump_runs",
-            "WarmPool.mark_reuse", "WarmPool.reset"}
+            "WarmPool.mark_reuse", "WarmPool.remember", "WarmPool.reset",
+            "WarmPool.record"}
 
     def test_clean_leakage_fixture(self):
         assert lint_fixture("sim/clean_leakage.py") == []

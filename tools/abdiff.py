@@ -19,7 +19,7 @@ Usage::
     PYTHONPATH=src python tools/abdiff.py --fast
     # the experiments that declare prefixes (CI's snapshot-identity job):
     PYTHONPATH=src python tools/abdiff.py --fast \
-        --experiments fig14,tab3,fig15,tab4,fig18,fig19,fig20,fig21
+        --experiments fig13,fig14,tab3,fig15,tab4,fig18,fig19,fig20,fig21
 """
 
 from __future__ import annotations

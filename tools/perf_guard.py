@@ -14,7 +14,7 @@ count flat.  The tolerance absorbs small intentional drifts; bigger
 deliberate changes should refresh the baseline with ``--write`` in the
 same commit.
 
-Three prefix-migrated experiments (``SNAP_PINNED``) are additionally
+Four prefix-migrated experiments (``SNAP_PINNED``) are additionally
 measured with warm-start forking on *and* off (INTERNALS §15).  Both
 modes carry their own budgets — the fork budget guards the prefix
 sharing itself (a regression here means units stopped forking and went
@@ -53,10 +53,11 @@ COUNTERS = ("events_fired", "pushes", "cancels")
 #: Pinned fast experiments: one host-churn-bound, one spin-bound.
 PINNED = ("fig2", "fig4")
 #: Prefix-migrated experiments measured under snapshot fork AND cold mode.
-#: fig14 shares 2 warm-up prefixes across 20 units, and fig21 and fig20
-#: 2 across 12 each, so cold mode re-fires each prefix 10x (fig14) or 6x
-#: (fig21, fig20) and the fork budgets sit well below the cold ones.
-SNAP_PINNED = ("fig14", "fig21", "fig20")
+#: fig14 shares 2 warm-up prefixes across 20 units, fig21 and fig20
+#: 2 across 12 each, and fig13 2 across 6, so cold mode re-fires each
+#: prefix 10x (fig14), 6x (fig21, fig20) or 3x (fig13) and the fork
+#: budgets sit below the cold ones.
+SNAP_PINNED = ("fig14", "fig21", "fig20", "fig13")
 SNAP_MODES = ("fork", "cold")
 
 

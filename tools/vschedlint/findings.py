@@ -56,8 +56,9 @@ RULES: Dict[str, tuple] = {
                          "module-level state written at simulation time "
                          "(persists across units in a warm worker)"),
     "class-attr-state": ("VSL602", "leakage",
-                         "class attribute written at simulation time "
-                         "(persists across units in a warm worker)"),
+                         "class attribute, or a container it holds, "
+                         "written at simulation time (persists across "
+                         "units in a warm worker)"),
     # meta
     "bad-suppression": ("VSL001", "meta",
                         "malformed suppression (unknown rule or no reason)"),

@@ -302,6 +302,34 @@ class _Extractor(ast.NodeVisitor):
             "target_mod": target_mod or self.rec.modname, "how": how,
             "line": node.lineno, "col": node.col_offset})
 
+    def _check_module_mutation(self, base: str, node) -> None:
+        """A mutation of the object bound to the name ``base``."""
+        if self._is_local(base):
+            return
+        if base in self.rec.module_mutables:
+            self._note_write(base, None, "mutate", node)
+        else:
+            src = self._resolve_imported(base)
+            if src and src.startswith("repro"):
+                self._note_write(base, src, "mutate", node)
+
+    def _check_class_attr(self, attr, how: str, node) -> None:
+        """A write to ``attr`` (``X.a``, how "class-attr") or into the
+        container it holds ("class-attr-mutate") when ``X`` is a class:
+        one defined in this module, ``cls``, or an uppercase name
+        imported from ``repro``."""
+        if not isinstance(attr.value, ast.Name):
+            return
+        base = attr.value.id
+        if base == "cls" or base in self.rec.classes:
+            cls = (self.class_stack[-1] if base == "cls"
+                   and self.class_stack else base)
+            self._note_write(f"{cls}.{attr.attr}", None, how, node)
+        elif base[:1].isupper():
+            src = self._resolve_imported(base)
+            if src and src.startswith("repro"):
+                self._note_write(f"{base}.{attr.attr}", src, how, node)
+
     def _check_target_write(self, target, node) -> None:
         """Assign/AugAssign targets that hit module or class state."""
         if not self.func_stack:
@@ -310,30 +338,14 @@ class _Extractor(ast.NodeVisitor):
             if target.id in (self.global_decls_stack[-1] if
                              self.global_decls_stack else ()):
                 self._note_write(target.id, None, "global-rebind", node)
-        elif isinstance(target, ast.Subscript) and isinstance(
-                target.value, ast.Name):
-            base = target.value.id
-            if self._is_local(base):
-                return
-            if base in self.rec.module_mutables:
-                self._note_write(base, None, "mutate", node)
-            else:
-                src = self._resolve_imported(base)
-                if src and src.startswith("repro"):
-                    self._note_write(base, src, "mutate", node)
-        elif isinstance(target, ast.Attribute) and isinstance(
-                target.value, ast.Name):
-            base = target.value.id
-            if base == "cls" or base in self.rec.classes:
-                cls = (self.class_stack[-1] if base == "cls"
-                       and self.class_stack else base)
-                self._note_write(f"{cls}.{target.attr}", None,
-                                 "class-attr", node)
-            elif base[:1].isupper():
-                src = self._resolve_imported(base)
-                if src and src.startswith("repro"):
-                    self._note_write(f"{base}.{target.attr}", src,
-                                     "class-attr", node)
+        elif isinstance(target, ast.Subscript):
+            if isinstance(target.value, ast.Name):
+                self._check_module_mutation(target.value.id, node)
+            elif isinstance(target.value, ast.Attribute):
+                self._check_class_attr(target.value, "class-attr-mutate",
+                                       node)
+        elif isinstance(target, ast.Attribute):
+            self._check_class_attr(target, "class-attr", node)
 
     def visit_Assign(self, node):
         for tgt in node.targets:
@@ -349,18 +361,13 @@ class _Extractor(ast.NodeVisitor):
         fn = node.func
         qual = self._qual()
 
-        # mutation of module-level mutables via method call
+        # mutation of module-level or class-held mutables via method call
         if (self.func_stack and isinstance(fn, ast.Attribute)
-                and fn.attr in config.MUTATOR_METHODS
-                and isinstance(fn.value, ast.Name)
-                and not self._is_local(fn.value.id)):
-            base = fn.value.id
-            if base in self.rec.module_mutables:
-                self._note_write(base, None, "mutate", node)
-            else:
-                src = self._resolve_imported(base)
-                if src and src.startswith("repro"):
-                    self._note_write(base, src, "mutate", node)
+                and fn.attr in config.MUTATOR_METHODS):
+            if isinstance(fn.value, ast.Name):
+                self._check_module_mutation(fn.value.id, node)
+            elif isinstance(fn.value, ast.Attribute):
+                self._check_class_attr(fn.value, "class-attr-mutate", node)
 
         # engine / listener registration sites
         reg_idx = None

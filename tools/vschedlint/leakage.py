@@ -11,10 +11,12 @@ divergence surfaces (if ever) as an unexplainable A/B or cache mismatch.
   (``global``) or mutates a module-level mutable (``X.append``,
   ``X[k] = v``), in its own module or through an import.
 * **VSL602 class-attr-state** — a function writes a class attribute
-  (``cls.cache = ...``): class objects are process-wide, so this is
-  module state wearing a class name.  It is also slow: on CPython 3.11+
-  each write resets the class's type version, which de-specialises
-  attribute access on every instance of the class.
+  (``cls.cache = ...``) or into the container one holds
+  (``Cls.seen[k] = v``, ``cls.log.append(x)``): class objects are
+  process-wide, so this is module state wearing a class name.  A
+  rebinding is also slow: on CPython 3.11+ each one resets the class's
+  type version, which de-specialises attribute access on every instance
+  of the class.
 
 Intentional process-level stores carry reasoned blessings in
 ``config.PROCESS_STATE_BLESSED`` — the snapshot store and fingerprint
@@ -57,6 +59,15 @@ def _check_write(rec: FileRecord, write: dict,
             f"resets the class's type version, de-specialising attribute "
             f"access on every instance — move it to instance state or "
             f"bless it in config.PROCESS_STATE_BLESSED with a reason",
+            symbol=write["func"], modname=rec.modname))
+    elif how == "class-attr-mutate":
+        findings.append(Finding(
+            "class-attr-state", rec.path, write["line"], write["col"],
+            f"write into the container held by class attribute {name} "
+            f"({target_mod}): class objects are process-wide, so this "
+            f"persists across units in a warm pooled worker — move it to "
+            f"instance state or bless it in config.PROCESS_STATE_BLESSED "
+            f"with a reason",
             symbol=write["func"], modname=rec.modname))
     else:
         verb = ("rebinds module-level name" if how == "global-rebind"
