@@ -5,8 +5,6 @@ from repro.experiments.common import (
     Table,
     check_experiment,
     load_experiment,
-    run_experiment,
 )
 
-__all__ = ["Table", "EXPERIMENTS", "run_experiment", "check_experiment",
-           "load_experiment"]
+__all__ = ["Table", "EXPERIMENTS", "check_experiment", "load_experiment"]

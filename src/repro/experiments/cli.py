@@ -7,10 +7,11 @@ Usage::
     vsched-repro run fig2,fig14 [--fast]
     vsched-repro run all [--fast] [--jobs N] [--cache] [--out results.txt]
 
-Every run goes through the flat work-unit scheduler
-(:func:`repro.experiments.parallel.run_units`): every experiment
-decomposes into independent scenario units and tables stream back in
-presentation order.  Without ``--jobs`` the units run in-process;
+``all`` and ``list`` cover :data:`repro.experiments.common.EXPERIMENTS`,
+in its (paper) order.  Every run goes through the flat work-unit
+scheduler (:func:`repro.experiments.parallel.run_units`): every
+experiment decomposes into independent scenario units and tables stream
+back in presentation order.  Without ``--jobs`` the units run in-process;
 ``--jobs N`` runs them over N worker processes, longest-first, so ``run
 all --jobs N`` parallelizes *inside* the heavy experiments, not just
 across them.  ``--cache`` layers the content-addressed result cache
@@ -42,11 +43,6 @@ from typing import List, Optional
 from repro.experiments import parallel
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.experiments.common import EXPERIMENTS
-
-#: Order in which `run all` executes (paper order).
-ALL_ORDER = ["fig2", "fig3", "fig4", "fig10a", "fig10b", "tab2", "fig11",
-             "fig12", "fig13", "fig14", "tab3", "fig15", "tab4", "fig16",
-             "fig17", "fig18", "fig19", "fig20", "fig21", "figA1"]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -95,12 +91,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for exp_id in ALL_ORDER:
-            print(f"{exp_id:8s} -> {EXPERIMENTS[exp_id]}")
+        for exp_id, module in EXPERIMENTS.items():
+            print(f"{exp_id:8s} -> {module}")
         return 0
 
     if args.experiment == "all":
-        ids = ALL_ORDER
+        ids = list(EXPERIMENTS)
     else:
         ids = [i.strip() for i in args.experiment.split(",") if i.strip()]
     for exp_id in ids:

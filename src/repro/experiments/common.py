@@ -1,7 +1,9 @@
 """Experiment framework: result tables, registry, rendering.
 
 Every paper artifact (table or figure) has one module exposing
-``run(fast=False) -> Table`` and ``check(table) -> None``.  ``fast`` mode
+``scenarios(fast)``, ``assemble(fast, results)`` and ``check(table)``
+(:mod:`repro.experiments.units`), and
+:func:`repro.experiments.parallel.run_units` runs them.  ``fast`` mode
 shrinks workload sizes and durations so the whole suite fits in a test
 run; the qualitative shape assertions in ``check`` hold in both modes.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List
 
 
 @dataclass
@@ -69,13 +71,13 @@ class Table:
         return "\n".join(lines)
 
 
-#: experiment id -> module path
+#: experiment id -> module path, in paper order (``run all``'s order)
 EXPERIMENTS: Dict[str, str] = {
     "fig2": "repro.experiments.fig02_vcpu_latency",
     "fig3": "repro.experiments.fig03_stalled_task",
     "fig4": "repro.experiments.fig04_work_conservation",
-    "fig10a": "repro.experiments.fig10_probers",
-    "fig10b": "repro.experiments.fig10_probers",
+    "fig10a": "repro.experiments.fig10a_vcap",
+    "fig10b": "repro.experiments.fig10b_vtop",
     "tab2": "repro.experiments.tab02_vtop_time",
     "fig11": "repro.experiments.fig11_vcap_effect",
     "fig12": "repro.experiments.fig12_smt_aware",
@@ -102,13 +104,5 @@ def load_experiment(exp_id: str):
     return importlib.import_module(EXPERIMENTS[exp_id])
 
 
-def run_experiment(exp_id: str, fast: bool = False) -> Table:
-    mod = load_experiment(exp_id)
-    runner = getattr(mod, f"run_{exp_id}", None) or mod.run
-    return runner(fast=fast)
-
-
 def check_experiment(exp_id: str, table: Table) -> None:
-    mod = load_experiment(exp_id)
-    checker = getattr(mod, f"check_{exp_id}", None) or mod.check
-    checker(table)
+    load_experiment(exp_id).check(table)

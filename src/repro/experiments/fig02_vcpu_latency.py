@@ -20,7 +20,7 @@ from repro.cluster import (
 from typing import List
 
 from repro.experiments.common import Table
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import BestEffortFiller, LatencyWorkload
 
@@ -78,10 +78,6 @@ def assemble(fast: bool, results: List[float]) -> Table:
             table.add(scenario, bench,
                       *(100.0 * raw[ms] / base for ms in LATENCIES_MS))
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

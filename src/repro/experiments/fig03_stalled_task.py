@@ -11,8 +11,11 @@ with proactive migration.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import MSEC, SEC
 from repro.sim.timeline import render_task_timeline
 from repro.sim.tracing import Tracer
@@ -44,8 +47,19 @@ def _one_run(migrate: bool, work_ns: int) -> dict:
     }
 
 
-def run(fast: bool = False) -> Table:
+MODES = (("default", False), ("migration", True))
+
+
+def scenarios(fast: bool) -> List[WorkUnit]:
     work_ns = (500 if fast else 2000) * MSEC
+    cost = 0.02 if fast else 0.08  # measured serial seconds per unit
+    return [WorkUnit(exp_id="fig3", label=mode, func=_one_run,
+                     config=(migrate, work_ns), cost_hint=cost,
+                     seed=f"fig3-{migrate}")
+            for mode, migrate in MODES]
+
+
+def assemble(fast: bool, results: List[dict]) -> Table:
     table = Table(
         exp_id="fig3",
         title="Stalled running task: default vs proactive self-migration",
@@ -53,8 +67,7 @@ def run(fast: bool = False) -> Table:
         paper_expectation="default mode stalls ~50% of the time; proactive "
                           "migration roughly doubles vCPU utilization",
     )
-    for mode, migrate in (("default", False), ("migration", True)):
-        r = _one_run(migrate, work_ns)
+    for (mode, _migrate), r in zip(MODES, results):
         table.add(mode, r["elapsed_ms"], r["utilization_pct"],
                   r["migrations"])
         table.notes.append(f"{mode} mode timeline:\n" + r["timeline"])

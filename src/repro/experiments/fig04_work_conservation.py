@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.guest.task import Policy
 from repro.core.weights import weight_for_nice
 from repro.sim.engine import MSEC, SEC, USEC
@@ -139,10 +139,6 @@ def assemble(fast: bool, results: List[float]) -> Table:
             wc, nwc = next(it), next(it)
             table.add(case, bench, 100.0 * wc / nwc, 100.0)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

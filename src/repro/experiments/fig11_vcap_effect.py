@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments.common import Table
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.guest.task import TaskState
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import SysbenchCpu
@@ -134,10 +134,6 @@ def assemble(fast: bool, results: List[Tuple]) -> Table:
             table.add(scenario, config, ev, mig / 4.0,
                       res if asym else float("nan"))
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

@@ -14,10 +14,11 @@ up to +18%, Nginx +5%, and leaves Fio unchanged.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
+from repro.experiments.units import WorkUnit
 from repro.guest.task import TaskState
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import Fio, Matmul, NginxServer, SysbenchCpu
@@ -102,8 +103,34 @@ def _run_mixed(vtop: bool, companion: str, fast: bool,
     return {"matmul": 1e12 / elapsed, "companion": comp_tp}
 
 
-def run(fast: bool = False) -> Table:
+CONFIGS = (("cfs", False), ("vtop", True))
+COMPANIONS = ("nginx", "fio")
+
+#: Unit label -> the unit's measured serial seconds, (fast, full).
+COST_S = {"underloaded-cfs": (1.7, 7.2), "underloaded-vtop": (2.3, 10.9),
+          "nginx-cfs": (0.05, 0.17), "nginx-vtop": (0.12, 0.31),
+          "fio-cfs": (0.26, 0.54), "fio-vtop": (0.35, 0.88)}
+
+
+def scenarios(fast: bool) -> List[WorkUnit]:
     duration = (6 if fast else 20) * SEC
+    mode = 0 if fast else 1
+    units = [WorkUnit(exp_id="fig12", label=f"underloaded-{config}",
+                      func=_run_underloaded, config=(vtop, duration),
+                      cost_hint=COST_S[f"underloaded-{config}"][mode],
+                      seed=f"fig12a-{vtop}")
+             for config, vtop in CONFIGS]
+    units += [WorkUnit(exp_id="fig12", label=f"{companion}-{config}",
+                       func=_run_mixed,
+                       config=(vtop, companion, fast,
+                               f"fig12b-{companion}-{config}"),
+                       cost_hint=COST_S[f"{companion}-{config}"][mode],
+                       seed=f"fig12b-{companion}-{config}")
+              for companion in COMPANIONS for config, vtop in CONFIGS]
+    return units
+
+
+def assemble(fast: bool, results: List) -> Table:
     table = Table(
         exp_id="fig12",
         title="SMT-aware scheduling with vtop",
@@ -111,12 +138,11 @@ def run(fast: bool = False) -> Table:
         paper_expectation="underloaded: 11-12 -> 15-16 active cores; mixed: "
                           "Matmul +18%, Nginx +5%, Fio unchanged",
     )
-    cores_cfs = _run_underloaded(False, duration)
-    cores_vtop = _run_underloaded(True, duration)
+    cores_cfs, cores_vtop, *mixed = results
     table.add("underloaded", "avg_active_cores", cores_cfs, cores_vtop)
-    for companion in ("nginx", "fio"):
-        base = _run_mixed(False, companion, fast, f"fig12b-{companion}-cfs")
-        with_vtop = _run_mixed(True, companion, fast, f"fig12b-{companion}-vtop")
+    it = iter(mixed)
+    for companion in COMPANIONS:
+        base, with_vtop = next(it), next(it)
         table.add(f"mixed+{companion}", "matmul_pct",
                   100.0, 100.0 * with_vtop["matmul"] / base["matmul"])
         table.add(f"mixed+{companion}", f"{companion}_pct",

@@ -19,7 +19,7 @@ from typing import Dict, List
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
 from repro.experiments.snapstore import PrefixSpec
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.metrics import CycleMeter
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import Hackbench
@@ -122,10 +122,6 @@ def assemble(fast: bool, results: List[Dict[str, float]]) -> Table:
         table.add(bench, "ipc", 100.0 * base["ipc"] / w["ipc"], 100.0)
         table.add(bench, "ipi", 100.0 * base["ipis"] / max(1.0, w["ipis"]), 100.0)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

@@ -15,7 +15,7 @@ from typing import List
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
 from repro.experiments.snapstore import PrefixSpec
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import BestEffortFiller, LatencyWorkload
 
@@ -115,10 +115,6 @@ def assemble(fast: bool, results: List[float]) -> Table:
             table.add(scenario, bench, base / MSEC, with_bvs / MSEC,
                       100.0 * with_bvs / base)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

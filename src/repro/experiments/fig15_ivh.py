@@ -14,7 +14,7 @@ from typing import List
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
 from repro.experiments.snapstore import PrefixSpec
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import Pbzip2, build_parsec
 
@@ -106,10 +106,6 @@ def assemble(fast: bool, results: List[int]) -> Table:
             improvements.append(100.0 * (base - with_ivh) / with_ivh)
         table.add(bench, *improvements)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

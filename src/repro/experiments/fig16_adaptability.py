@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments.common import Table
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.core.weights import weight_for_nice
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import NginxServer
@@ -119,10 +119,6 @@ def assemble(fast: bool, results: List[Tuple[float, ...]]) -> Table:
         gain = 100.0 * (vsched[phase] - cfs[phase]) / max(1.0, cfs[phase])
         table.add(phase, cfs[phase], vsched[phase], gain)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

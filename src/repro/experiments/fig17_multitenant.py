@@ -22,7 +22,7 @@ from repro.cluster import attach_scheduler, make_context
 from repro.cluster.vmtypes import VmEnvironment
 from repro.core.vsched import VSched, VSchedConfig
 from repro.experiments.common import Table
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.guest.kernel import GuestKernel
 from repro.hw.topology import HostTopology
 from repro.hypervisor.machine import Machine
@@ -164,10 +164,6 @@ def assemble(fast: bool, results: List[Dict[str, float]]) -> Table:
         table.add(f"{key.split('_')[0]}_degradation_pct",
                   0.0, degradation, degradation)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

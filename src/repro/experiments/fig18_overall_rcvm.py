@@ -17,7 +17,7 @@ from repro.experiments.overall import (
     overall_assemble,
     overall_scenarios,
 )
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 
 TITLE = "rcvm: normalized performance vs CFS (higher is better)"
 
@@ -36,10 +36,6 @@ def assemble(fast: bool, results: List[float]) -> Table:
         "geomean latency perf: enhanced %.0f%%, vSched %.0f%% (paper: 1.4x/1.6x)"
         % (means["latency"]["enhanced"], means["latency"]["vsched"]))
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

@@ -18,7 +18,7 @@ from repro.experiments.overall import (
     overall_assemble,
     overall_scenarios,
 )
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 
 TITLE = "hpvm: normalized performance vs CFS (higher is better)"
 
@@ -37,10 +37,6 @@ def assemble(fast: bool, results: List[float]) -> Table:
         "geomean latency perf: enhanced %.0f%%, vSched %.0f%% (paper: 1.5x/2.3x)"
         % (means["latency"]["enhanced"], means["latency"]["vsched"]))
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 from repro.cluster import make_context, run_to_completion
 from repro.experiments.common import Table
 from repro.experiments.overall import vm_prefix
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.metrics import CycleMeter
 from repro.sim.engine import SEC
 from repro.workloads import build_workload
@@ -94,10 +94,6 @@ def assemble(fast: bool, results: List[Dict[str, float]]) -> Table:
                           100.0 * vs["cycles"] / max(1.0, base["cycles"]),
                           100.0 * vs["cps"] / max(1e-9, base["cps"]))
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

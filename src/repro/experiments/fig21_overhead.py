@@ -17,7 +17,7 @@ from typing import List
 from repro.cluster import attach_scheduler, build_plain_vm, make_context, run_to_completion
 from repro.experiments.common import Table
 from repro.experiments.snapstore import PrefixSpec
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.hw.speed import SpeedConfig
 from repro.sim.engine import SEC
 from repro.workloads import build_workload
@@ -97,10 +97,6 @@ def assemble(fast: bool, results: List[float]) -> Table:
         base, with_vs = next(it), next(it)
         table.add(name, kind, 100.0 * (with_vs - base) / base)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

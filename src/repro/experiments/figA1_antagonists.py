@@ -21,7 +21,7 @@ from typing import List
 from repro.cluster import build_plain_vm, install_antagonist
 from repro.core.vsched import VSched, VSchedConfig
 from repro.experiments.common import Table
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.guest.task import restartable_body
 from repro.metrics.degradation import DegradationReport, GroundTruthTracker
 from repro.sim.engine import MSEC, SEC
@@ -119,10 +119,6 @@ def assemble(fast: bool, results: List[dict]) -> Table:
                           100.0 * rep.combined_err,
                           rep.samples_rejected, rep.quarantined_windows)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

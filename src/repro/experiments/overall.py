@@ -34,7 +34,7 @@ from repro.cluster import (
 )
 from repro.experiments.common import Table
 from repro.experiments.snapstore import PrefixSpec
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import SEC
 from repro.workloads import (
     OVERALL_LATENCY,
@@ -127,13 +127,6 @@ def overall_assemble(exp_id: str, title: str, fast: bool,
                   100.0 * base / vals["enhanced"],
                   100.0 * base / vals["vsched"])
     return table
-
-
-def run_overall(exp_id: str, title: str, vm: str, threads: int,
-                fast: bool) -> Table:
-    results = execute_serial(overall_scenarios(exp_id, vm, threads, fast),
-                             fast)
-    return overall_assemble(exp_id, title, fast, results)
 
 
 def geometric_means(table: Table) -> Dict[str, Dict[str, float]]:

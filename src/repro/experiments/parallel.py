@@ -3,8 +3,7 @@
 :func:`run_units` is the one way a campaign runs, at any worker count:
 
 1. every experiment is decomposed into independent scenario evaluations
-   (:class:`~repro.experiments.units.WorkUnit`) via its ``scenarios(fast)``
-   hook, or wrapped whole as a single unit when not yet migrated;
+   (:class:`~repro.experiments.units.WorkUnit`) by its ``scenarios(fast)``;
 2. with ``jobs > 1`` one pool of **non-daemonic** worker processes
    executes all units from all experiments, dispatched longest-
    ``cost_hint``-first (greedy LPT), so the critical path is the slowest
@@ -57,52 +56,24 @@ from repro.experiments.supervisor import (
     SupervisorStats,
     supervise,
 )
-from repro.experiments.units import (
-    WorkUnit,
-    get_assemble,
-    get_scenarios,
-    supports_units,
-)
+from repro.experiments.units import WorkUnit
 
 __all__ = ["run_units", "decompose", "last_campaign_stats",
            "CampaignResult", "UnitFailure", "CampaignInterrupted"]
-
-#: Approximate fast-mode serial wall seconds of the experiments that still
-#: run as one whole unit, so the LPT dispatch order stays sensible for
-#: them; decomposed units carry their own ``cost_hint``.
-WHOLE_EXPERIMENT_COST: Dict[str, float] = {
-    "fig3": 0.1, "fig10a": 0.4, "fig10b": 0.1, "tab2": 0.2, "fig12": 5.6,
-}
 
 
 # ----------------------------------------------------------------------
 # Decomposition: experiment -> work units
 # ----------------------------------------------------------------------
-def _whole_experiment_unit(exp_id: str, fast: bool):
-    """Fallback unit body for experiments without a scenarios() hook."""
-    # Imported here so worker processes resolve their own module state.
-    from repro.experiments.common import run_experiment
-    return run_experiment(exp_id, fast=fast)
-
-
 def decompose(exp_id: str, fast: bool) -> Tuple[List[WorkUnit], Callable]:
     """Return ``(units, assemble)`` for one experiment.
 
     ``assemble(fast, results)`` rebuilds the experiment's Table from one
-    result per unit (in unit order).  Experiments without the
-    scenarios/assemble protocol become a single whole-experiment unit whose
-    result *is* the table.
+    result per unit (in unit order).
     """
     from repro.experiments.common import load_experiment
     mod = load_experiment(exp_id)
-    if supports_units(mod, exp_id):
-        units = list(get_scenarios(mod, exp_id)(fast))
-        return units, get_assemble(mod, exp_id)
-    cost = WHOLE_EXPERIMENT_COST.get(exp_id, 5.0)
-    unit = WorkUnit(exp_id=exp_id, label="__whole__",
-                    func=_whole_experiment_unit, config=(exp_id, fast),
-                    cost_hint=cost)
-    return [unit], lambda fast_, results: results[0]
+    return list(mod.scenarios(fast)), mod.assemble
 
 
 # ----------------------------------------------------------------------

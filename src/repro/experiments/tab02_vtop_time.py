@@ -10,31 +10,47 @@ capture those relations.
 
 from __future__ import annotations
 
-from repro.cluster import build_hpvm, build_rcvm
+from typing import List, Tuple
+
 from repro.core.module import VSchedModule
 from repro.experiments.common import Table
+from repro.experiments.overall import VM_BUILDERS
+from repro.experiments.units import WorkUnit
 from repro.probers import VTop
 from repro.sim.engine import MSEC, SEC
 from repro.sim.rng import make_rng
 
 
-def _measure(env, label: str):
+def _measure(vm: str) -> Tuple[int, int]:
+    """Work-unit body: ``(full_ns, validate_ns)`` of one vtop full probe
+    and one validation on ``vm``."""
+    env = VM_BUILDERS[vm]()
     module = VSchedModule(env.kernel)
-    vtop = VTop(env.kernel, module, make_rng(f"tab2-{label}"))
+    vtop = VTop(env.kernel, module, make_rng(f"tab2-{vm}"))
     state = {}
     vtop.probe_full(lambda view: state.update(full=True))
     env.engine.run_until(env.engine.now + 60 * SEC)
     if "full" not in state:
-        raise RuntimeError(f"{label}: full probe did not finish")
+        raise RuntimeError(f"{vm}: full probe did not finish")
     full_ns = vtop.last_full_ns
     vtop.validate(lambda view: state.update(val=True))
     env.engine.run_until(env.engine.now + 60 * SEC)
     if "val" not in state:
-        raise RuntimeError(f"{label}: validation did not finish")
+        raise RuntimeError(f"{vm}: validation did not finish")
     return full_ns, vtop.last_validate_ns
 
 
-def run(fast: bool = False) -> Table:
+#: VM -> its unit's serial seconds (the same in both modes).
+VMS = {"rcvm": 0.05, "hpvm": 0.1}
+
+
+def scenarios(fast: bool) -> List[WorkUnit]:
+    return [WorkUnit(exp_id="tab2", label=vm, func=_measure, config=(vm,),
+                     cost_hint=cost, seed=f"tab2-{vm}")
+            for vm, cost in VMS.items()]
+
+
+def assemble(fast: bool, results: List[Tuple[int, int]]) -> Table:
     table = Table(
         exp_id="tab2",
         title="vtop probing time (ms)",
@@ -43,10 +59,8 @@ def run(fast: bool = False) -> Table:
                           "cheaper than full; rcvm validation dominated by "
                           "stacking confirmation",
     )
-    rc_full, rc_val = _measure(build_rcvm(), "rcvm")
-    hp_full, hp_val = _measure(build_hpvm(), "hpvm")
-    table.add("rcvm", rc_full / MSEC, rc_val / MSEC)
-    table.add("hpvm", hp_full / MSEC, hp_val / MSEC)
+    for vm, (full_ns, validate_ns) in zip(VMS, results):
+        table.add(vm, full_ns / MSEC, validate_ns / MSEC)
     return table
 
 

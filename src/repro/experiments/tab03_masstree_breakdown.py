@@ -16,7 +16,7 @@ from repro.core.bvs import BiasedVCpuSelection
 from repro.experiments.common import Table
 from repro.experiments.fig14_bvs import (NO_IVH_RWC, PREFIXES, _measure,
                                          build_bvs_env)
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import MSEC, SEC
 from repro.workloads import BestEffortFiller, LatencyWorkload
 
@@ -122,10 +122,6 @@ def assemble(fast: bool, results: List[tuple]) -> Table:
     for (scenario, config, _be, _bvs), breakdown in zip(ROWS, results):
         table.add(scenario, config, *breakdown)
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

@@ -14,7 +14,7 @@ from repro.cluster import attach_scheduler, make_context, run_to_completion
 from repro.experiments.common import Table
 from repro.experiments.fig15_ivh import _build_env, _make
 from repro.experiments.snapstore import PrefixSpec
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.sim.engine import SEC
 
 FULL_THREADS = (1, 2, 4, 8, 16)
@@ -76,10 +76,6 @@ def assemble(fast: bool, results: List[int]) -> Table:
     table.add("ivh (activity-unaware)", *[r / 1e9 for r in results[:n]])
     table.add("ivh (activity-aware)", *[r / 1e9 for r in results[n:]])
     return table
-
-
-def run(fast: bool = False) -> Table:
-    return assemble(fast, execute_serial(scenarios(fast), fast))
 
 
 def check(table: Table) -> None:

@@ -1,23 +1,20 @@
 """Work units: the scenario-granular decomposition of an experiment.
 
-PR 1 parallelized campaigns at two rigid layers (whole experiments, or one
-experiment's scenario sweep).  The flat scheduler in
-:mod:`repro.experiments.parallel` instead executes a single global queue of
-**work units** drawn from every experiment at once.  A work unit is one
-independent scenario evaluation — a pure function of ``(code, config,
-seed)`` under the determinism contract — which makes it both the natural
-unit of load balancing *and* the natural unit of result caching
-(:mod:`repro.experiments.cache`).
+The flat scheduler in :mod:`repro.experiments.parallel` executes a single
+global queue of **work units** drawn from every experiment at once.  A
+work unit is one independent scenario evaluation — a pure function of
+``(code, config, seed)`` under the determinism contract — which makes it
+both the natural unit of load balancing *and* the natural unit of result
+caching (:mod:`repro.experiments.cache`).
 
-An experiment module opts in by exposing two functions::
+Every experiment module exposes three functions::
 
-    scenarios(fast: bool) -> List[WorkUnit]   # decompose
-    assemble(fast: bool, results: List) -> Table  # recompose, same order
+    scenarios(fast: bool) -> List[WorkUnit]        # decompose
+    assemble(fast: bool, results: List) -> Table   # recompose, same order
+    check(table: Table) -> None                    # the shape assertions
 
 ``assemble`` receives one result per unit, in ``scenarios`` order, and must
-build the table purely from those results — no additional simulation.  The
-module's ``run(fast=)`` stays as a thin in-process wrapper
-(:func:`execute_serial`) so direct callers and tests are untouched.
+build the table purely from those results — no additional simulation.
 
 Unit configs must be **data only** (strings, numbers, bools, tuples):
 ``repr(config)`` feeds the cache key, so anything with an identity-based
@@ -27,12 +24,10 @@ re-invoke ``func(*config)`` in another process, so everything must pickle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
-__all__ = ["WorkUnit", "supports_units",
-           "get_scenarios", "get_assemble", "execute_serial",
-           "check_config_is_data"]
+__all__ = ["WorkUnit", "check_config_is_data"]
 
 _DATA_TYPES = (str, bytes, int, float, bool, type(None))
 
@@ -86,34 +81,3 @@ def check_config_is_data(unit: WorkUnit) -> None:
     walk(unit.config)
     if unit.prefix is not None:
         walk(unit.prefix.config)
-
-
-def supports_units(mod, exp_id: str) -> bool:
-    """True when the module exposes the scenarios/assemble protocol."""
-    return (get_scenarios(mod, exp_id) is not None
-            and get_assemble(mod, exp_id) is not None)
-
-
-def get_scenarios(mod, exp_id: str) -> Optional[Callable]:
-    """Resolve ``scenarios_{exp_id}`` or ``scenarios`` (like run/check)."""
-    return getattr(mod, f"scenarios_{exp_id}", None) or \
-        getattr(mod, "scenarios", None)
-
-
-def get_assemble(mod, exp_id: str) -> Optional[Callable]:
-    return getattr(mod, f"assemble_{exp_id}", None) or \
-        getattr(mod, "assemble", None)
-
-
-def execute_serial(units: Sequence[WorkUnit], fast: bool) -> List:
-    """Run units in order, in-process, returning one result per unit.
-
-    This is what the thin ``run(fast=)`` wrappers call.  Each unit runs
-    through :func:`repro.experiments.snapstore.execute_unit`, so units
-    carrying a prefix fork it from this process's snapshot store.
-    ``fast`` feeds the prefix store key, so it is required: a wrapper
-    that dropped its mode would file fast prefixes under the full-mode
-    key and build every shared world a second time.
-    """
-    from repro.experiments.snapstore import execute_unit
-    return [execute_unit(u.func, u.config, u.prefix, fast) for u in units]

@@ -40,14 +40,6 @@ class CfsRunqueue:
         """Queued tasks, not counting the one currently on the CPU."""
         return len(self.normal) + len(self.idle_band)
 
-    def nr_normal_total(self) -> int:
-        """Normal-band tasks queued or running on this CPU."""
-        n = len(self.normal)
-        cur = self.cpu.current
-        if cur is not None and not cur.is_idle_policy:
-            n += 1
-        return n
-
     def nr_total(self) -> int:
         return self.nr_running() + (1 if self.cpu.current is not None else 0)
 

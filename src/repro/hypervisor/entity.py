@@ -123,10 +123,6 @@ class HostEntity:
     def on_rate_change(self, now: int, rate: float) -> None:
         """Called while RUNNING when the hardware thread's speed changes."""
 
-    @property
-    def is_running(self) -> bool:
-        return self.state == EntityState.RUNNING
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} {self.state.value}>"
 

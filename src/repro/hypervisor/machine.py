@@ -151,10 +151,6 @@ class Machine:
         """Tune the host slice quantum of one hardware thread."""
         self.runqueues[thread_index].set_slice(slice_ns)
 
-    def set_all_slices(self, slice_ns: int) -> None:
-        for rq in self.runqueues:
-            rq.set_slice(slice_ns)
-
     def _register(self, entity: HostEntity) -> None:
         if entity.pinned is None:
             self._has_unpinned = True

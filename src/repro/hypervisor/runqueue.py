@@ -247,17 +247,6 @@ class HostRunqueue:
         entity.end_wait(self.engine.now)
         entity.rq = None
 
-    def preempt_for_balance(self) -> Optional[HostEntity]:
-        """Deschedule and return the current entity (host load balancing)."""
-        if self.current is None:
-            return None
-        cur = self._deschedule_current(requeue=False)
-        cur.state = EntityState.QUEUED
-        self._dispatch()
-        if self.current is None:
-            self.machine.on_thread_busy_changed(self.thread)
-        return cur
-
     def set_slice(self, slice_ns: int) -> None:
         """Change the slice quantum (takes effect at the next dispatch)."""
         self.slice_ns = slice_ns

@@ -106,10 +106,6 @@ class VM:
         now = self.machine.engine.now if now is None else now
         return sum(v.run_ns(now) for v in self.vcpus)
 
-    def total_steal_ns(self, now: Optional[int] = None) -> int:
-        now = self.machine.engine.now if now is None else now
-        return sum(v.steal_ns(now) for v in self.vcpus)
-
     def shutdown(self) -> None:
         """Take the whole VM offline: vCPUs stop running permanently."""
         for v in self.vcpus:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.module import VSchedModule
-from repro.guest.kernel import GuestKernel, VCpuHostState
+from repro.guest.kernel import GuestKernel
 from repro.probers.robust import HysteresisGate, RobustScalarEstimator
 
 
@@ -117,7 +117,3 @@ class VAct:
     def state(self, cpu_index: int):
         """(state, since) from the kernel's heartbeat query."""
         return self.kernel.vcpu_state(cpu_index)
-
-    def is_active(self, cpu_index: int) -> bool:
-        state, _ = self.kernel.vcpu_state(cpu_index)
-        return state == VCpuHostState.ACTIVE

@@ -2,7 +2,7 @@
 
 from repro.sim.engine import Engine, Event, MSEC, SEC, USEC, ns_to_ms, ns_to_sec
 from repro.sim.rng import make_rng, split_rng
-from repro.sim.tracing import IntervalTimeline, Tracer
+from repro.sim.tracing import Tracer
 
 __all__ = [
     "Engine",
@@ -15,5 +15,4 @@ __all__ = [
     "make_rng",
     "split_rng",
     "Tracer",
-    "IntervalTimeline",
 ]

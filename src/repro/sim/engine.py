@@ -32,7 +32,6 @@ are preserved.
 
 from __future__ import annotations
 
-import copy
 from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -259,7 +258,7 @@ class Engine:
         return len(self._heap) - self._ncancelled
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
+    # Snapshot support (repro.sim.snapshot pickles the engine)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         """The engine's state for pickle and ``copy.deepcopy``; refused
@@ -275,34 +274,6 @@ class Engine:
             raise RuntimeError("cannot snapshot a running engine "
                                "(snapshot between run()/run_until() calls)")
         return self.__dict__
-
-    def snapshot(self) -> "Engine":
-        """Freeze this engine (and everything reachable from its queue).
-
-        Returns an inert deep copy sharing nothing mutable with the live
-        engine, made through :meth:`__getstate__`.  Restore it with
-        :meth:`restore` (in place) or fork it any number of times with
-        ``copy.deepcopy``.  Campaigns freeze whole worlds with
-        :class:`repro.sim.snapshot.WorldSnapshot` instead, which pickles
-        engine and roots to one image and forks it with ``pickle.loads``.
-        """
-        return copy.deepcopy(self)
-
-    def restore(self, frozen: "Engine") -> None:  # vschedlint: disable=identity-key -- pre-seeding the deepcopy memo (id-keyed by protocol) is what rewires frozen-engine back-refs to self
-        """Replace this engine's state with a fork of ``frozen``.
-
-        The memo is pre-seeded with ``frozen -> self`` so engine
-        back-refs inside the copied events (and anything else reachable
-        that points at the frozen engine) rewire to *this* object —
-        callers holding a reference to this engine keep a valid handle.
-        ``frozen`` itself is never mutated and stays restorable.
-        """
-        if self._running or frozen._running:
-            raise RuntimeError("cannot restore a running engine")
-        memo: Dict[int, Any] = {id(frozen): self}
-        state = copy.deepcopy(frozen.__dict__, memo)
-        self.__dict__.clear()
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Lazy-cancellation bookkeeping

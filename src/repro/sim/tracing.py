@@ -9,7 +9,7 @@ disabled path must stay cheap (a single attribute check).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set
+from typing import Iterable, List, NamedTuple, Optional, Set
 
 
 class TraceRecord(NamedTuple):
@@ -39,33 +39,3 @@ class Tracer:
     def by_category(self, category: str) -> List[TraceRecord]:
         return [r for r in self.records if r.category == category]
 
-
-class IntervalTimeline:
-    """Builds per-lane busy intervals from begin/end trace pairs.
-
-    Used to reconstruct "which vCPU executed the task when" timelines, the
-    simulated equivalent of the paper's KernelShark plots (Figure 3).
-    """
-
-    def __init__(self) -> None:
-        self._open: Dict[str, int] = {}
-        self.intervals: Dict[str, List[tuple]] = {}
-
-    def begin(self, lane: str, time: int) -> None:
-        self._open[lane] = time
-
-    def end(self, lane: str, time: int) -> None:
-        start = self._open.pop(lane, None)
-        if start is None:
-            return
-        self.intervals.setdefault(lane, []).append((start, time))
-
-    def close_all(self, time: int) -> None:
-        for lane in list(self._open):
-            self.end(lane, time)
-
-    def busy_time(self, lane: str) -> int:
-        return sum(e - s for s, e in self.intervals.get(lane, []))
-
-    def total_busy(self) -> int:
-        return sum(self.busy_time(lane) for lane in self.intervals)

@@ -56,9 +56,6 @@ class NginxServer(Workload):
         self._stopped = True
         self._mark_done()
 
-    def set_rate(self, rate_per_sec: float) -> None:
-        self.rate_per_sec = rate_per_sec
-
     def _schedule_arrival(self) -> None:
         if self._stopped:
             return

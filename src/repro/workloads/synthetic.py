@@ -87,9 +87,6 @@ class SysbenchCpu(Workload):
             t = self._spawn(factory, f"{self.name}-{i}", initial_util=800)
             self.ctx.kernel.on_exit(t, join)
 
-    def events_per_sec(self, window_ns: int) -> float:
-        return self.events / (window_ns / SEC)
-
 
 class _SysbenchBody(StatefulBody):
     """One sysbench stressor thread.  ``issued`` tracks whether a work

@@ -11,7 +11,7 @@ import types
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.cli import ALL_ORDER, main
+from repro.experiments.cli import main
 from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.units import WorkUnit
 
@@ -229,20 +229,31 @@ def test_cli_fault_drill(monkeypatch, capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# tools/make_experiments_md.py (tools/ is not a package: load by path)
+# tools/make_experiments_md.py and tools/abdiff.py (tools/ is not a
+# package: load by path)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def experiments_md():
-    path = (pathlib.Path(__file__).resolve().parents[1] / "tools"
-            / "make_experiments_md.py")
-    spec = importlib.util.spec_from_file_location("make_experiments_md", path)
+def _load_tool(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
+@pytest.fixture(scope="module")
+def experiments_md():
+    return _load_tool("make_experiments_md")
+
+
+def test_abdiff_defaults_to_every_prefix_user_in_registry_order():
+    """tab3 forks fig14's worlds and fig20 fig19's, so each must follow."""
+    assert _load_tool("abdiff").prefix_users(True) == [
+        "fig13", "fig14", "tab3", "fig15", "tab4", "fig18", "fig19",
+        "fig20", "fig21"]
+
+
 def test_experiments_md_claims_cover_catalogue(experiments_md):
-    assert set(experiments_md.PAPER_CLAIMS) == set(ALL_ORDER)
+    assert list(experiments_md.PAPER_CLAIMS) == list(EXPERIMENTS)
 
 
 def test_experiments_md_regenerates_byte_identically(experiments_md,

@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.experiments.cli import main
 from repro.experiments.common import (
     EXPERIMENTS,
     Table,
     check_experiment,
     load_experiment,
-    run_experiment,
 )
-from repro.experiments.cli import ALL_ORDER, main
+from repro.experiments.parallel import run_units
 
 
 class TestTable:
@@ -45,19 +45,19 @@ class TestTable:
 
 class TestRegistry:
     def test_all_paper_artifacts_present(self):
-        expected = {"fig2", "fig3", "fig4", "fig10a", "fig10b", "tab2",
-                    "fig11", "fig12", "fig13", "fig14", "tab3", "fig15",
-                    "tab4", "fig16", "fig17", "fig18", "fig19", "fig20",
-                    "fig21", "figA1"}
-        assert set(EXPERIMENTS) == expected
-        assert set(ALL_ORDER) == expected
+        assert list(EXPERIMENTS) == [
+            "fig2", "fig3", "fig4", "fig10a", "fig10b", "tab2", "fig11",
+            "fig12", "fig13", "fig14", "tab3", "fig15", "tab4", "fig16",
+            "fig17", "fig18", "fig19", "fig20", "fig21", "figA1"]
 
-    def test_every_module_loads_with_run_and_check(self):
+    def test_every_module_has_exactly_the_unit_protocol(self):
         for exp_id in EXPERIMENTS:
             mod = load_experiment(exp_id)
-            runner = getattr(mod, f"run_{exp_id}", None) or mod.run
-            checker = getattr(mod, f"check_{exp_id}", None) or mod.check
-            assert callable(runner) and callable(checker)
+            for name in ("scenarios", "assemble", "check"):
+                assert callable(getattr(mod, name, None)), (exp_id, name)
+            for name in ("run", f"run_{exp_id}", f"check_{exp_id}",
+                         f"scenarios_{exp_id}", f"assemble_{exp_id}"):
+                assert not hasattr(mod, name), (exp_id, name)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
@@ -71,6 +71,7 @@ class TestRegistry:
 
 class TestSmallestExperimentEndToEnd:
     def test_fig3_runs_and_checks(self):
-        table = run_experiment("fig3", fast=True)
-        check_experiment("fig3", table)
-        assert table.cell("migration", "vcpu_utilization_pct") > 90.0
+        res, = run_units(["fig3"], fast=True, jobs=1)
+        assert res.ok and res.n_units == 2
+        check_experiment("fig3", res.table)
+        assert res.table.cell("migration", "vcpu_utilization_pct") > 90.0

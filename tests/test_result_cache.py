@@ -14,14 +14,9 @@ import pytest
 
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache, code_fingerprint, unit_key
-from repro.experiments.common import EXPERIMENTS, Table, load_experiment
+from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.snapstore import prefix_store_key
-from repro.experiments.units import (
-    WorkUnit,
-    check_config_is_data,
-    execute_serial,
-    supports_units,
-)
+from repro.experiments.units import WorkUnit, check_config_is_data
 
 
 def _times10(x):
@@ -172,8 +167,6 @@ def fake_experiment(monkeypatch):
     mod = types.ModuleType("_vsched_fake_exp")
     mod.scenarios = _fake_scenarios
     mod.assemble = _fake_assemble
-    mod.run = lambda fast=False: _fake_assemble(
-        fast, execute_serial(_fake_scenarios(fast), fast))
     mod.check = lambda table: None
     monkeypatch.setitem(sys.modules, "_vsched_fake_exp", mod)
     monkeypatch.setitem(EXPERIMENTS, "figx", "_vsched_fake_exp")
@@ -225,26 +218,16 @@ class TestFlatScheduler:
 
 
 class TestDecompose:
-    def test_unmigrated_experiment_is_one_whole_unit(self):
-        units, assemble = parallel.decompose("fig12", True)
-        assert len(units) == 1
-        assert units[0].label == "__whole__"
-        sentinel = Table("fig12", "t", ["a"])
-        assert assemble(True, [sentinel]) is sentinel
-
-    def test_whole_unit_costs_cover_exactly_unmigrated(self):
-        whole = {exp_id for exp_id in EXPERIMENTS
-                 if not supports_units(load_experiment(exp_id), exp_id)}
-        assert set(parallel.WHOLE_EXPERIMENT_COST) == whole
-
     def test_migrated_experiments_decompose(self):
-        for exp_id, n_min in (("fig2", 24), ("fig4", 18), ("fig11", 4),
-                              ("fig13", 6), ("fig14", 20), ("fig15", 24),
-                              ("fig16", 2), ("fig17", 2), ("fig18", 30),
-                              ("fig19", 30), ("fig20", 12), ("fig21", 12),
-                              ("tab3", 5), ("tab4", 6)):
+        n_units = {"fig2": 24, "fig3": 2, "fig4": 18, "fig10a": 1,
+                   "fig10b": 1, "tab2": 2, "fig11": 4, "fig12": 6,
+                   "fig13": 6, "fig14": 20, "tab3": 5, "fig15": 24,
+                   "tab4": 6, "fig16": 2, "fig17": 2, "fig18": 30,
+                   "fig19": 30, "fig20": 12, "fig21": 12, "figA1": 12}
+        assert set(n_units) == set(EXPERIMENTS)
+        for exp_id, n in n_units.items():
             units, _assemble = parallel.decompose(exp_id, True)
-            assert len(units) == n_min, exp_id
+            assert len(units) == n, exp_id
             assert len({u.label for u in units}) == len(units), exp_id
 
     def test_shared_warm_ups_are_prefixes(self):

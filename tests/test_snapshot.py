@@ -1,10 +1,9 @@
 """Snapshot/fork determinism: a forked world resumes byte-identically.
 
-The warm-start contract (docs/INTERNALS.md §15) has three layers, each
+The warm-start contract (docs/INTERNALS.md §15) has four layers, each
 tested here against its cold-path twin:
 
-* engine layer — ``Engine.snapshot()/restore()`` replay the identical
-  event sequence;
+* engine layer — an engine refuses to be frozen mid-dispatch;
 * world layer — :class:`WorldSnapshot` pickles engine + roots into one
   image, the guard rejects unsafe callbacks loudly, the freeze rejects
   a closure anywhere else in the world, every task-body rule of
@@ -21,9 +20,7 @@ tested here against its cold-path twin:
 * campaign layer — ``run_units`` hands its ``snapshot`` argument to pool
   workers, and falls back to ``$VSCHED_REPRO_SNAPSHOT`` only when the
   argument is omitted; a pooled campaign builds each prefix once and
-  counts what a serial one counts, also when the building worker dies;
-  an experiment's ``run(fast=)`` wrapper forks the prefixes a campaign
-  of the same mode already built.
+  counts what a serial one counts, also when the building worker dies.
 """
 
 from __future__ import annotations
@@ -44,8 +41,7 @@ import pytest
 
 from repro.cluster import attach_scheduler, build_plain_vm, make_context
 from repro.experiments import parallel
-from repro.experiments.common import (EXPERIMENTS, Table, load_experiment,
-                                     run_experiment)
+from repro.experiments.common import EXPERIMENTS, Table
 from repro.experiments.figA1_antagonists import _spin
 from repro.experiments.snapstore import (
     PrefixSpec,
@@ -55,7 +51,7 @@ from repro.experiments.snapstore import (
     process_store,
     reset_process_store,
 )
-from repro.experiments.units import WorkUnit, execute_serial
+from repro.experiments.units import WorkUnit
 from repro.guest.cpu import GuestCpu
 from repro.guest.runqueue import CfsRunqueue
 from repro.guest.task import Policy, StatefulBody, Task, TaskState
@@ -201,26 +197,13 @@ class TestTaskIds:
 
 
 class TestEngineRestore:
-    def test_restore_replays_identical_event_sequence(self):
-        roots = _world()
-        eng = roots["engine"]
-        eng.run_until(1 * SEC)
-        frozen = eng.snapshot()
-        eng.run_until(2 * SEC)
-        first = (eng.now, eng.events_fired)
-
-        eng.restore(frozen)
-        assert (eng.now, eng.events_fired) != first
-        eng.run_until(2 * SEC)
-        assert (eng.now, eng.events_fired) == first
-
     def test_snapshot_refused_while_running(self):
         eng = Engine()
         seen = []
 
         def freeze_mid_run():
             with pytest.raises(RuntimeError, match="running"):
-                eng.snapshot()
+                WorldSnapshot(eng, {"engine": eng})
             seen.append("tried")
 
         eng.call_at(10, freeze_mid_run)
@@ -743,37 +726,3 @@ class TestPooledPrefixes:
             assert pooled.table.rows == serial.table.rows
         finally:
             reset_process_store()
-
-
-class TestExecuteSerialMode:
-    def test_run_wrapper_forks_campaign_prefixes(self, ticker_experiment):
-        list(parallel.run_units(["figsnap"], fast=True, jobs=1))
-        store = process_store()
-        assert (store.misses, store.forks) == (1, 2)
-        units, _assemble = parallel.decompose("figsnap", True)
-        assert execute_serial(units, True) == [(2_000, 20), (3_000, 30)]
-        assert (store.misses, store.forks) == (1, 4)
-
-    def test_fast_is_required(self, ticker_experiment):
-        units, _assemble = parallel.decompose("figsnap", True)
-        with pytest.raises(TypeError):
-            execute_serial(units)
-
-    def test_every_run_wrapper_passes_its_mode(self, monkeypatch):
-        class _Stop(Exception):
-            pass
-
-        seen = {}
-        for exp_id in sorted(EXPERIMENTS):
-            mod = load_experiment(exp_id)
-            if not hasattr(mod, "execute_serial"):
-                continue
-
-            def spy(units, fast, exp_id=exp_id):
-                seen[exp_id] = fast
-                raise _Stop  # record the mode, simulate nothing
-
-            monkeypatch.setattr(mod, "execute_serial", spy)
-            with pytest.raises(_Stop):
-                run_experiment(exp_id, fast=True)
-        assert len(seen) >= 15 and set(seen.values()) == {True}, seen

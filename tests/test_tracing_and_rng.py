@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.sim import IntervalTimeline, Tracer, make_rng, split_rng
+from repro.sim import Tracer, make_rng, split_rng
 from repro.sim.rng import exponential_ns, normal_ns
 
 
@@ -24,30 +24,6 @@ class TestTracer:
         tr.record(1, "a")
         tr.clear()
         assert tr.records == []
-
-
-class TestIntervalTimeline:
-    def test_busy_time_accumulates(self):
-        tl = IntervalTimeline()
-        tl.begin("x", 10)
-        tl.end("x", 30)
-        tl.begin("x", 50)
-        tl.end("x", 60)
-        assert tl.busy_time("x") == 30
-        assert tl.total_busy() == 30
-
-    def test_close_all_closes_open_lanes(self):
-        tl = IntervalTimeline()
-        tl.begin("a", 0)
-        tl.begin("b", 10)
-        tl.close_all(100)
-        assert tl.busy_time("a") == 100
-        assert tl.busy_time("b") == 90
-
-    def test_end_without_begin_is_ignored(self):
-        tl = IntervalTimeline()
-        tl.end("ghost", 50)
-        assert tl.busy_time("ghost") == 0
 
 
 class TestRng:

@@ -8,18 +8,18 @@ asserts the two result tables are **byte-identical**.  Any divergence is
 a correctness bug, not noise.  Both runs go through ``run_units``, and
 the comparison reads the full-precision ``CampaignResult.table``.
 
-Also reports the events fired per mode, so the share of work that forking
-saves is visible next to the identity verdict.  Experiments run in the
-order given, in one process, so an experiment that forks another's
+By default it runs every experiment whose units declare a snapshot
+prefix, in registry order; for the others, fork and cold run the same
+code.  Also reports the events fired per mode, so the share of work that
+forking saves is visible next to the identity verdict.  Experiments run
+in the order given, in one process, so an experiment that forks another's
 prefixes (tab3 forks fig14's, fig20 fig19's) reuses them when listed
-after it.
+after it, as the registry lists them.
 
 Usage::
 
-    PYTHONPATH=src python tools/abdiff.py --fast
-    # the experiments that declare prefixes (CI's snapshot-identity job):
-    PYTHONPATH=src python tools/abdiff.py --fast \
-        --experiments fig13,fig14,tab3,fig15,tab4,fig18,fig19,fig20,fig21
+    PYTHONPATH=src python tools/abdiff.py --fast   # CI's snapshot-identity job
+    PYTHONPATH=src python tools/abdiff.py --fast --experiments fig14,tab3
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ if __package__ is None or __package__ == "":
     if _src not in sys.path:
         sys.path.insert(0, _src)
 
-from repro.experiments.cli import ALL_ORDER
-from repro.experiments.parallel import run_units
+from repro.experiments.common import EXPERIMENTS
+from repro.experiments.parallel import decompose, run_units
 
 #: Snapshot modes in run order; the first is the reference.
 MODES = (("fork", True), ("cold", False))
@@ -51,6 +51,13 @@ def table_bytes(table) -> str:
     """
     return repr(table.columns) + "\n" + "\n".join(
         repr(row) for row in table.rows)
+
+
+def prefix_users(fast: bool):
+    """The experiments whose units declare a snapshot prefix, in
+    registry order."""
+    return [exp_id for exp_id in EXPERIMENTS
+            if any(u.prefix is not None for u in decompose(exp_id, fast)[0])]
 
 
 def run_once(exp_id: str, fast: bool, snapshot: bool):
@@ -75,10 +82,12 @@ def main(argv=None) -> int:
                         help="shrunken workloads (recommended)")
     parser.add_argument("--experiments", default=None, metavar="IDS",
                         help="comma-separated experiment ids "
-                             "(default: the full catalogue)")
+                             "(default: every experiment that declares a "
+                             "snapshot prefix)")
     args = parser.parse_args(argv)
 
-    ids = (args.experiments.split(",") if args.experiments else ALL_ORDER)
+    ids = (args.experiments.split(",") if args.experiments
+           else prefix_users(args.fast))
     ids = [i.strip() for i in ids if i.strip()]
 
     diverged = []

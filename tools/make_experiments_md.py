@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.cli import ALL_ORDER
+from repro.experiments.common import EXPERIMENTS
 from repro.experiments.parallel import run_units
 
 #: What the paper reports, per artifact, for the side-by-side summary.
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="EXPERIMENTS.md")
     args = parser.parse_args(argv)
     fast = not args.full
-    ids = args.only.split(",") if args.only else ALL_ORDER
+    ids = args.only.split(",") if args.only else list(EXPERIMENTS)
 
     sections = []
     for res in run_units(ids, fast=fast, check=True, jobs=args.jobs):
