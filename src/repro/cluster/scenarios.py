@@ -8,15 +8,12 @@ warm the probers up, run workloads to completion, collect results).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-import numpy as np
-
-from repro.cluster.vmtypes import VmEnvironment, build_plain_vm
+from repro.cluster.vmtypes import VmEnvironment
 from repro.core.vsched import VSched, VSchedConfig
 from repro.sim.engine import MSEC, SEC
-from repro.sim.rng import make_rng, split_rng
+from repro.sim.rng import make_rng
 from repro.workloads.base import Workload, WorkloadContext
 
 

@@ -9,7 +9,7 @@ the guest could not measure itself.
 from __future__ import annotations
 
 import statistics
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 from repro.core.ema import Ema, alpha_for_halflife
 

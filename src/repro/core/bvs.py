@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.module import VSchedModule
-from repro.guest.kernel import GuestKernel, VCpuHostState
+from repro.guest.kernel import GuestKernel, VCPU_ACTIVE
 from repro.guest.task import Task
 from repro.sim.engine import MSEC
 
@@ -89,7 +89,7 @@ class BiasedVCpuSelection:
                 if entry.latency_cv > 0.6:
                     continue  # activity too erratic to predict
                 state, since = self.kernel.vcpu_state(c)
-                if state == VCpuHostState.ACTIVE:
+                if state == VCPU_ACTIVE:
                     recent = self.RECENT_ACTIVE_FRACTION * max(
                         entry.avg_active_ns, 1.0)
                     if now - since <= recent or entry.avg_active_ns == 0:

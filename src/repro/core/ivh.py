@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.module import VSchedModule
-from repro.guest.kernel import GuestKernel, VCpuHostState
-from repro.guest.task import Task, TaskState
+from repro.guest.kernel import GuestKernel, VCPU_ACTIVE
+from repro.guest.task import TASK_RUNNABLE, TASK_RUNNING, Task
 from repro.sim.engine import MSEC, SEC, USEC
 
 
@@ -128,7 +128,7 @@ class IntraVmHarvesting:
         if entry.avg_active_ns <= 0:
             return False
         state, since = self.kernel.vcpu_state(cpu.index)
-        if state != VCpuHostState.ACTIVE:
+        if state != VCPU_ACTIVE:
             return False
         remaining = entry.avg_active_ns - (now - since)
         return remaining <= self.lookahead_ns
@@ -170,7 +170,7 @@ class IntraVmHarvesting:
         if not rq.sched_idle_only():
             return None
         state, since = self.kernel.vcpu_state(c)
-        if state == VCpuHostState.ACTIVE:
+        if state == VCPU_ACTIVE:
             age = now - since
             if age > 2 * full_period:
                 # No recent preemption observed on this vCPU: the phase
@@ -251,7 +251,7 @@ class IntraVmHarvesting:
             return
         dst.pull_pending = False
         now = self.kernel.now()
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         task.last_wake_time = now
         task.last_migration_time = now
         dst.rq.enqueue(task)
@@ -276,7 +276,7 @@ class IntraVmHarvesting:
 
     def _audit(self, task: Task, wall0: int) -> None:
         progressed = task.stats.wall_running - wall0
-        if task.state not in (TaskState.RUNNING, TaskState.RUNNABLE):
+        if task.state not in (TASK_RUNNING, TASK_RUNNABLE):
             # The task finished or blocked voluntarily: any progress at all
             # means the landing was good (it ran to its own completion).
             good = progressed > 0
@@ -291,7 +291,7 @@ class IntraVmHarvesting:
         moved = src.take_current()
         if moved is not task:
             return
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         task.last_wake_time = self.kernel.now()
         dst.rq.enqueue(task)
         task.stats.migrations += 1

@@ -17,7 +17,7 @@ The policy re-evaluates after every prober publish (module subscription).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import FrozenSet, Optional, Set
 
 from repro.core.module import VSchedModule
 from repro.guest.cgroup import TaskGroup

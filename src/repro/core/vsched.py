@@ -15,7 +15,7 @@ Tunables default to Table 1 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.bvs import BiasedVCpuSelection

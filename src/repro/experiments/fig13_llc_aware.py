@@ -21,7 +21,7 @@ from repro.experiments.common import Table
 from repro.experiments.snapstore import PrefixSpec
 from repro.experiments.units import WorkUnit
 from repro.metrics import CycleMeter
-from repro.sim.engine import MSEC, SEC
+from repro.sim.engine import SEC
 from repro.workloads import Hackbench
 from repro.workloads.parsec import PipelineWorkload
 

@@ -20,7 +20,6 @@ from typing import Dict, List
 
 from repro.cluster import attach_scheduler, make_context
 from repro.cluster.vmtypes import VmEnvironment
-from repro.core.vsched import VSched, VSchedConfig
 from repro.experiments.common import Table
 from repro.experiments.units import WorkUnit
 from repro.guest.kernel import GuestKernel

@@ -18,8 +18,10 @@ migrations in Figure 11b) or the vcap-probed EMA capacity when the vSched
 module is installed.
 
 Each pass starts from state kept where it changes: the busiest-CPU scan
-runs only while another vCPU has queued work (``kernel.nr_queued``), and
-the running-task pulls return at once when even the weakest vCPU
+runs only while another vCPU has a queued task it could pull
+(``kernel.nr_queued_normal``), or while a busy pass must read the busiest
+vCPU's default capacity estimate for its side effect; and the running-task
+pulls return at once when even the weakest vCPU
 (``kernel.capacity_floor``) fails their capacity test.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.guest.task import Task, TaskState
+from repro.guest.task import Task
 
 
 class LoadBalancer:
@@ -97,7 +99,14 @@ class LoadBalancer:
         busiest_key = None
         my_index = cpu.index
         my_nr = len(my_rq.normal) + len(my_rq.idle_band)
-        if kernel.nr_queued > my_nr:  # some other vCPU has queued work
+        # Only a queued normal task can be pulled, so the scan runs when
+        # another vCPU holds one.  A busy pass under the default estimate
+        # also scans whenever another vCPU has queued work: ``_should_pull``
+        # reads the busiest vCPU's capacity, and that read decays an idle
+        # vCPU's steal average (the observer effect of ``capacity_of``).
+        if kernel.nr_queued_normal > len(my_rq.normal) or (
+                not idle and kernel.capacity_provider is None
+                and kernel.nr_queued > my_nr):
             cpus = kernel.cpus
             for c in span:
                 if c == my_index:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.guest.runqueue import CfsRunqueue
-from repro.guest.task import Task, TaskState
+from repro.guest.task import TASK_RUNNABLE, TASK_RUNNING, Task
 
 #: Work-remainder below which a segment counts as complete (float dust).
 _WORK_EPSILON = 1e-6
@@ -190,13 +190,13 @@ class GuestCpu:
             if self.current is not task:
                 # The interpreter's side effects let a balancer steal the
                 # task mid-advance; it is in the balancer's hands now.
-                task.state = TaskState.RUNNABLE
+                task.state = TASK_RUNNABLE
                 if self.current is None:
                     self._dispatch()
                 return
             # Next action is more computation; keep running without a
             # context switch.
-            task.state = TaskState.RUNNING
+            task.state = TASK_RUNNING
             self._seg_update = now
             self._arm_segment()
             if self.rq.normal:
@@ -251,7 +251,7 @@ class GuestCpu:
             if nxt.needs_advance and not self.kernel.advance_task(nxt):
                 continue  # task blocked/slept/exited during advance
             self.current = nxt
-            nxt.state = TaskState.RUNNING
+            nxt.state = TASK_RUNNING
             nxt.cpu = self
             nxt.prev_cpu_index = self.index
             nxt.slice_ran = 0

@@ -55,9 +55,11 @@ class EevdfRunqueue(CfsRunqueue):
             pool = band
         best = min(pool, key=lambda t: (self.virtual_deadline(t), t.tid))
         band.remove(best)
+        kernel = self.cpu.kernel
         if not best.is_idle_policy:
             self.normal_weight -= best.weight
-        self.cpu.kernel.nr_queued -= 1
+            kernel.nr_queued_normal -= 1
+        kernel.nr_queued -= 1
         if best.vruntime > self.min_vruntime:
             self.min_vruntime = best.vruntime
         return best

@@ -42,12 +42,16 @@ from repro.guest.task import (
     Run,
     Send,
     Sleep,
+    TASK_BLOCKED,
+    TASK_EXITED,
+    TASK_RUNNABLE,
+    TASK_RUNNING,
+    TASK_SLEEPING,
     Task,
-    TaskState,
     Unlock,
     YieldCpu,
 )
-from repro.hw.topology import Distance
+from repro.hw.topology import CROSS_SOCKET
 
 
 class VCpuHostState(enum.Enum):
@@ -55,6 +59,13 @@ class VCpuHostState(enum.Enum):
 
     ACTIVE = "active"
     INACTIVE = "inactive"
+
+
+# The members as plain module-level names, for the per-event paths: on
+# CPython 3.11 every ``VCpuHostState.ACTIVE`` load goes through
+# ``EnumType.__getattr__`` (INTERNALS §8).
+VCPU_ACTIVE = VCpuHostState.ACTIVE
+VCPU_INACTIVE = VCpuHostState.INACTIVE
 
 
 class GuestKernel:
@@ -81,12 +92,18 @@ class GuestKernel:
         self.last_tid = 0
         self.root_group = TaskGroup("root")
         self.groups: List[TaskGroup] = [self.root_group]
-        #: Tasks queued (not running) on all runqueues, kept by the
-        #: runqueues: the ``rd->overload`` analogue the balancer reads
-        #: before it scans for a busiest CPU.
+        #: Tasks queued (not running) on all runqueues, and the normal-band
+        #: ones among them, kept by the runqueues: the ``rd->overload``
+        #: analogue the balancer reads before it scans for a busiest CPU
+        #: (only a queued normal task can be pulled).
         self.nr_queued = 0
+        self.nr_queued_normal = 0
         #: The default steal-based capacity estimate of every vCPU.
         self.cfs_capacity: List[float] = [1024.0] * len(self.cpus)
+        #: The steal average's decay over one tick period, the wall time
+        #: between most ticks (the config is fixed once the kernel is built).
+        self._tick_decay = 0.5 ** (
+            self.config.tick_ns / self.config.cfs_capacity_halflife_ns)
 
         # --- vSched hook points ------------------------------------------
         self.select_rq_hook: Optional[Callable] = None
@@ -140,7 +157,7 @@ class GuestKernel:
         task.exit_callbacks.append(callback)
 
     def _exit_task(self, task: Task) -> None:
-        task.state = TaskState.EXITED
+        task.state = TASK_EXITED
         task.cpu = None
         if task.group is not None:
             task.group.remove(task)
@@ -154,7 +171,7 @@ class GuestKernel:
     def wake(self, task: Task, waker_cpu: Optional[int] = None,
              count_ipi: bool = True, is_fork: bool = False) -> None:
         """Make ``task`` runnable and place it on a vCPU."""
-        if task.state in (TaskState.RUNNABLE, TaskState.RUNNING, TaskState.EXITED):
+        if task.state in (TASK_RUNNABLE, TASK_RUNNING, TASK_EXITED):
             return
         now = self.engine.now
         task.pelt.update(now, False)  # decay over the sleep
@@ -219,7 +236,7 @@ class GuestKernel:
             if waker_thread is not None and target_thread is not None:
                 distance = self.machine.topology.distance(
                     waker_thread, target_thread)
-                cross = distance == Distance.CROSS_SOCKET
+                cross = distance == CROSS_SOCKET
         polling = (now - target.idle_since) <= self.config.polling_window_ns
         if cross or not polling:
             self.stats.ipis += 1
@@ -282,7 +299,7 @@ class GuestKernel:
                 return True
 
             if isinstance(action, Sleep):
-                task.state = TaskState.SLEEPING
+                task.state = TASK_SLEEPING
                 task.cpu = None
                 self.engine.call_in(action.duration_ns, self._timer_wake, task)
                 return False
@@ -323,7 +340,7 @@ class GuestKernel:
                 dest = action.cpu_index
                 if dest == task.prev_cpu_index:
                     continue
-                task.state = TaskState.RUNNABLE
+                task.state = TASK_RUNNABLE
                 task.stats.migrations += 1
                 self.stats.wake_migrations += 1
                 target = self.cpus[dest]
@@ -360,7 +377,7 @@ class GuestKernel:
                 self.wake(ptask, waker_cpu=task.prev_cpu_index)
             return True
         ch.recv_waiters.append(task)
-        task.state = TaskState.BLOCKED
+        task.state = TASK_BLOCKED
         task.cpu = None
         return False
 
@@ -378,7 +395,7 @@ class GuestKernel:
             return True
         ch.total_sent -= 1  # not actually delivered yet
         ch.send_waiters.append((task, item))
-        task.state = TaskState.BLOCKED
+        task.state = TASK_BLOCKED
         task.cpu = None
         return False
 
@@ -409,7 +426,7 @@ class GuestKernel:
             task.spin_poll_ns = m.spin_check_ns
             return True  # caller runs the spin poll as work
         m.waiters.append(task)
-        task.state = TaskState.BLOCKED
+        task.state = TASK_BLOCKED
         task.cpu = None
         return False
 
@@ -440,7 +457,7 @@ class GuestKernel:
             task.spin_poll_ns = b.spin_check_ns
             return True
         b.waiters.append(task)
-        task.state = TaskState.BLOCKED
+        task.state = TASK_BLOCKED
         task.cpu = None
         return False
 
@@ -459,7 +476,7 @@ class GuestKernel:
     # Timers
     # ------------------------------------------------------------------
     def _timer_wake(self, task: Task) -> None:
-        if task.state != TaskState.SLEEPING:
+        if task.state != TASK_SLEEPING:
             return
         self.stats.timer_wakes += 1
         self.wake(task, waker_cpu=None)
@@ -488,7 +505,7 @@ class GuestKernel:
         task = src.take_current()
         if task is None:
             return
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         self.stats.active_balance_migrations += 1
         task.stats.migrations += 1
         task.last_migration_time = self.engine.now
@@ -497,7 +514,7 @@ class GuestKernel:
                             self._finish_active_balance, task, dst)
 
     def _finish_active_balance(self, task: Task, dst: GuestCpu) -> None:
-        if task.state != TaskState.RUNNABLE or task.cpu is not None:
+        if task.state != TASK_RUNNABLE or task.cpu is not None:
             return  # something else picked it up meanwhile
         task.last_wake_time = self.engine.now
         dst.rq.enqueue(task)
@@ -509,20 +526,20 @@ class GuestKernel:
     def apply_cpuset(self, group: TaskGroup) -> None:
         """Evict the group's tasks from CPUs outside the (new) mask."""
         for task in list(group.tasks):
-            if task.state == TaskState.RUNNABLE and task.cpu is not None:
+            if task.state == TASK_RUNNABLE and task.cpu is not None:
                 if not task.may_run_on(task.cpu.index):
                     src = task.cpu
                     src.rq.dequeue(task)
                     task.cpu = None
-                    task.state = TaskState.SLEEPING  # transient; rewoken below
+                    task.state = TASK_SLEEPING  # transient; rewoken below
                     self.wake(task, waker_cpu=None, count_ipi=False)
-            elif task.state == TaskState.RUNNING and task.cpu is not None:
+            elif task.state == TASK_RUNNING and task.cpu is not None:
                 if not task.may_run_on(task.cpu.index):
                     src = task.cpu
                     moved = src.take_current()
                     if moved is not task:
                         continue
-                    task.state = TaskState.SLEEPING
+                    task.state = TASK_SLEEPING
                     self.wake(task, waker_cpu=None, count_ipi=False)
                     src._dispatch()
 
@@ -559,12 +576,22 @@ class GuestKernel:
         """
         if cpu.current is None:
             return
-        wall = max(1, now - cpu.last_tick_time)
-        frac = min(1.0, max(0.0, steal_jump / wall))
+        wall = now - cpu.last_tick_time
         # PELT-style running average of the steal fraction (the
         # scale_rt_capacity analogue, ~32 ms half-life): one noisy tick
         # depresses the estimate for tens of milliseconds.
-        decay = 0.5 ** (wall / self.config.cfs_capacity_halflife_ns)
+        config = self.config
+        if wall == config.tick_ns:
+            decay = self._tick_decay
+        else:
+            if wall < 1:
+                wall = 1
+            decay = 0.5 ** (wall / config.cfs_capacity_halflife_ns)
+        frac = steal_jump / wall
+        if frac > 1.0:
+            frac = 1.0
+        elif frac < 0.0:
+            frac = 0.0
         cpu.steal_frac_avg = cpu.steal_frac_avg * decay + frac * (1.0 - decay)
         self.cfs_capacity[cpu.index] = (1.0 - cpu.steal_frac_avg) * 1024.0
         cpu._cap_touch = now
@@ -618,5 +645,5 @@ class GuestKernel:
         cpu = self.cpus[cpu_index]
         stale_after = self.config.heartbeat_stale_ticks * self.config.tick_ns
         if now - cpu.last_heartbeat > stale_after:
-            return VCpuHostState.INACTIVE, cpu.last_heartbeat
-        return VCpuHostState.ACTIVE, cpu.active_since_est
+            return VCPU_INACTIVE, cpu.last_heartbeat
+        return VCPU_ACTIVE, cpu.active_since_est

@@ -7,15 +7,16 @@ a band the minimum-vruntime task runs next.
 
 The balancer's inputs are kept where they change, as in Linux: every band
 mutation (``enqueue``, ``dequeue``, ``pick_next``) updates the normal band's
-summed weight (``cfs_rq->load.weight``) and the kernel's count of queued
-tasks (``GuestKernel.nr_queued``).
+summed weight (``cfs_rq->load.weight``) and the kernel's counts of queued
+tasks (``GuestKernel.nr_queued``) and of queued normal tasks
+(``GuestKernel.nr_queued_normal``).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.guest.task import GUEST_NICE0_WEIGHT, Task, TaskState
+from repro.guest.task import GUEST_NICE0_WEIGHT, TASK_RUNNABLE, Task
 
 
 def _pick_key(t: Task):
@@ -83,17 +84,20 @@ class CfsRunqueue:
         else:
             self.normal.append(task)
             self.normal_weight += task.weight
+            kernel.nr_queued_normal += 1
         kernel.nr_queued += 1
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         task.cpu = cpu
 
     def dequeue(self, task: Task) -> None:
+        kernel = self.cpu.kernel
         if task.is_idle_policy:
             self.idle_band.remove(task)
         else:
             self.normal.remove(task)
             self.normal_weight -= task.weight
-        self.cpu.kernel.nr_queued -= 1
+            kernel.nr_queued_normal -= 1
+        kernel.nr_queued -= 1
 
     def pick_next(self) -> Optional[Task]:
         band = self.normal or self.idle_band
@@ -104,9 +108,11 @@ class CfsRunqueue:
         else:
             best = min(band, key=_pick_key)
             band.remove(best)
+        kernel = self.cpu.kernel
         if not best.is_idle_policy:
             self.normal_weight -= best.weight
-        self.cpu.kernel.nr_queued -= 1
+            kernel.nr_queued_normal -= 1
+        kernel.nr_queued -= 1
         if best.vruntime > self.min_vruntime:
             self.min_vruntime = best.vruntime
         return best

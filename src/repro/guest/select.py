@@ -24,7 +24,7 @@ vSched's bvs replaces this policy for small tasks via the kernel's
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.guest.task import Task
 

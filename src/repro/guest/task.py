@@ -49,6 +49,17 @@ class TaskState(enum.Enum):
     EXITED = "exited"
 
 
+# The members as plain module-level names, for the per-event paths: on
+# CPython 3.11 every ``TaskState.RUNNING`` load goes through
+# ``EnumType.__getattr__`` (INTERNALS §8).
+TASK_NEW = TaskState.NEW
+TASK_RUNNABLE = TaskState.RUNNABLE
+TASK_RUNNING = TaskState.RUNNING
+TASK_SLEEPING = TaskState.SLEEPING
+TASK_BLOCKED = TaskState.BLOCKED
+TASK_EXITED = TaskState.EXITED
+
+
 # ----------------------------------------------------------------------
 # Actions
 # ----------------------------------------------------------------------
@@ -248,7 +259,7 @@ class Task:
         #: latency-nice hint (the user-space classification channel the
         #: paper cites alongside PELT, §3.2).
         self.latency_sensitive = latency_sensitive
-        self.state = TaskState.NEW
+        self.state = TASK_NEW
         self.api = TaskApi(kernel, self)
         #: The body factory, kept for snapshot forking (restartable
         #: bodies are recreated from it when a fork is restored).
@@ -305,7 +316,7 @@ class Task:
 
     def util(self, now: int) -> float:
         """Current PELT utilization (peek; no state mutation)."""
-        return self.pelt.peek(now, self.state == TaskState.RUNNING)
+        return self.pelt.peek(now, self.state == TASK_RUNNING)
 
     # ------------------------------------------------------------------
     # Snapshot forking
@@ -332,7 +343,7 @@ class Task:
         """
         state = {name: getattr(self, name) for name in Task.__slots__}
         body = self.body
-        if body is None or self.state == TaskState.EXITED:
+        if body is None or self.state == TASK_EXITED:
             state["body"] = state["factory"] = None
         elif isinstance(body, types.GeneratorType):
             self._check_restartable(body)

@@ -27,6 +27,15 @@ class Distance(enum.IntEnum):
     CROSS_SOCKET = 3
 
 
+# The members as plain module-level names, for the per-event paths: on
+# CPython 3.11 every ``Distance.CROSS_SOCKET`` load goes through
+# ``EnumType.__getattr__`` (INTERNALS §8).
+SAME_THREAD = Distance.SAME_THREAD
+SMT_SIBLING = Distance.SMT_SIBLING
+SAME_SOCKET = Distance.SAME_SOCKET
+CROSS_SOCKET = Distance.CROSS_SOCKET
+
+
 class HwThread:
     """One hardware thread (logical CPU) of the host."""
 
@@ -110,12 +119,12 @@ class HostTopology:
     def distance(self, a: HwThread, b: HwThread) -> Distance:
         """Topological distance between two hardware threads."""
         if a is b:
-            return Distance.SAME_THREAD
+            return SAME_THREAD
         if a.core is b.core:
-            return Distance.SMT_SIBLING
+            return SMT_SIBLING
         if a.socket is b.socket:
-            return Distance.SAME_SOCKET
-        return Distance.CROSS_SOCKET
+            return SAME_SOCKET
+        return CROSS_SOCKET
 
     def __repr__(self) -> str:
         return (

@@ -36,6 +36,15 @@ class EntityState(enum.Enum):
     THROTTLED = "throttled"    # bandwidth quota exhausted, waiting for refresh
 
 
+# The members as plain module-level names, for the per-event paths: on
+# CPython 3.11 every ``EntityState.RUNNING`` load goes through
+# ``EnumType.__getattr__`` (INTERNALS §8).
+ENTITY_BLOCKED = EntityState.BLOCKED
+ENTITY_QUEUED = EntityState.QUEUED
+ENTITY_RUNNING = EntityState.RUNNING
+ENTITY_THROTTLED = EntityState.THROTTLED
+
+
 class HostEntity:
     """Base class for anything the host scheduler can run."""
 
@@ -49,7 +58,7 @@ class HostEntity:
         self.weight = weight
         #: Hardware-thread indices this entity may run on (None = any).
         self.pinned = tuple(pinned) if pinned is not None else None
-        self.state = EntityState.BLOCKED
+        self.state = ENTITY_BLOCKED
         self.vruntime = 0
         #: Runqueue the entity is currently queued on / running from.
         self.rq = None

@@ -24,7 +24,15 @@ from repro.hw.cache import CacheModel
 from repro.hw.speed import SpeedConfig
 from repro.hw.topology import Core, HostTopology, HwThread
 from repro.hypervisor.bandwidth import BandwidthController
-from repro.hypervisor.entity import EntityState, HostEntity, HostTask, NICE0_WEIGHT
+from repro.hypervisor.entity import (
+    ENTITY_BLOCKED,
+    ENTITY_QUEUED,
+    ENTITY_RUNNING,
+    ENTITY_THROTTLED,
+    HostEntity,
+    HostTask,
+    NICE0_WEIGHT,
+)
 from repro.hypervisor.runqueue import HostRunqueue
 from repro.hypervisor.vcpu import VCpuThread, VM
 from repro.sim.engine import Engine, MSEC
@@ -178,20 +186,20 @@ class Machine:
         rq = entity.rq
         on_allowed = (entity.pinned is None
                       or (rq is not None and rq.thread.index in entity.pinned))
-        if entity.state == EntityState.RUNNING and not on_allowed:
+        if entity.state == ENTITY_RUNNING and not on_allowed:
             rq._deschedule_current(requeue=False)
-            entity.state = EntityState.QUEUED
+            entity.state = ENTITY_QUEUED
             rq._dispatch()
             if rq.current is None:
                 self.on_thread_busy_changed(rq.thread)
             target = self._choose_runqueue(entity)
             entity.end_wait(self.engine.now)
             target.enqueue(entity)
-        elif entity.state == EntityState.QUEUED and not on_allowed:
+        elif entity.state == ENTITY_QUEUED and not on_allowed:
             rq.steal_waiting(entity)
             target = self._choose_runqueue(entity)
             target.enqueue(entity)
-        elif entity.state in (EntityState.BLOCKED, EntityState.THROTTLED):
+        elif entity.state in (ENTITY_BLOCKED, ENTITY_THROTTLED):
             if not on_allowed and entity.pinned is not None:
                 entity.rq = self.runqueues[entity.pinned[0]]
 
@@ -199,29 +207,29 @@ class Machine:
     # Wake / block
     # ------------------------------------------------------------------
     def wake_entity(self, entity: HostEntity) -> None:
-        if entity.state in (EntityState.RUNNING, EntityState.QUEUED):
+        if entity.state in (ENTITY_RUNNING, ENTITY_QUEUED):
             entity.wants_cpu = True
             return
         entity.wants_cpu = True
-        if entity.state == EntityState.THROTTLED:
+        if entity.state == ENTITY_THROTTLED:
             return  # refresh will enqueue it
         if entity.bandwidth is not None and entity.bandwidth.exhausted():
             rq = entity.rq or self._choose_runqueue(entity)
             entity.rq = rq
-            entity.state = EntityState.THROTTLED
+            entity.state = ENTITY_THROTTLED
             entity.begin_wait(self.engine.now)
             return
         rq = self._choose_runqueue(entity)
         rq.enqueue(entity)
 
     def block_entity(self, entity: HostEntity) -> None:
-        if entity.state == EntityState.BLOCKED:
+        if entity.state == ENTITY_BLOCKED:
             entity.wants_cpu = False
             return
         rq = entity.rq
         if rq is None:
             entity.wants_cpu = False
-            entity.state = EntityState.BLOCKED
+            entity.state = ENTITY_BLOCKED
             return
         rq.block_entity(entity)
 

@@ -19,7 +19,14 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.hypervisor.entity import EntityState, HostEntity, NICE0_WEIGHT
+from repro.hypervisor.entity import (
+    ENTITY_BLOCKED,
+    ENTITY_QUEUED,
+    ENTITY_RUNNING,
+    ENTITY_THROTTLED,
+    HostEntity,
+    NICE0_WEIGHT,
+)
 from repro.sim.engine import MSEC
 
 
@@ -57,7 +64,7 @@ class HostRunqueue:
         """Make ``entity`` runnable on this hardware thread."""
         now = self.engine.now
         entity.rq = self
-        entity.state = EntityState.QUEUED
+        entity.state = ENTITY_QUEUED
         if self.current is not None:
             self._checkpoint_current()
         # Sleeper fairness: a waking entity gets at most half a slice of
@@ -97,7 +104,7 @@ class HostRunqueue:
                 self.machine.on_thread_busy_changed(self.thread)
             return
         nxt.end_wait(now)
-        nxt.state = EntityState.RUNNING
+        nxt.state = ENTITY_RUNNING
         self.current = nxt
         nxt.begin_run(now)
         if nxt.vruntime > self.min_vruntime:
@@ -141,9 +148,16 @@ class HostRunqueue:
         floor = None
         if self.current is not None:
             floor = self.current.vruntime
-        if self.waiting:
-            w = min(e.vruntime for e in self.waiting)
-            floor = w if floor is None else min(floor, w)
+        waiting = self.waiting
+        if waiting:
+            # A plain loop, not ``min()`` over a generator: this runs on
+            # every host charge.
+            w = waiting[0].vruntime
+            for e in waiting:
+                if e.vruntime < w:
+                    w = e.vruntime
+            if floor is None or w < floor:
+                floor = w
         if floor is not None and floor > self.min_vruntime:
             self.min_vruntime = floor
 
@@ -165,7 +179,7 @@ class HostRunqueue:
         cur.on_stop_running(now)
         self.machine.tracer.record(now, "host.stop", self.thread.index, cur.name)
         if requeue:
-            cur.state = EntityState.QUEUED
+            cur.state = ENTITY_QUEUED
             self.waiting.append(cur)
             cur.begin_wait(now)
         return cur
@@ -192,7 +206,7 @@ class HostRunqueue:
         self._cancel_timers()
         self.current = None
         cur.on_stop_running(now)
-        cur.state = EntityState.THROTTLED
+        cur.state = ENTITY_THROTTLED
         if cur.wants_cpu:
             cur.begin_wait(now)
         self.machine.tracer.record(now, "host.throttle", self.thread.index, cur.name)
@@ -213,12 +227,12 @@ class HostRunqueue:
             self._throttle_event = self.engine.call_in(bw.quota_ns, self._throttle_fired)
             return
         bw.used_ns = 0
-        if entity.state == EntityState.THROTTLED:
+        if entity.state == ENTITY_THROTTLED:
             if entity.wants_cpu:
                 entity.end_wait(self.engine.now)
                 self.enqueue(entity)
             else:
-                entity.state = EntityState.BLOCKED
+                entity.state = ENTITY_BLOCKED
 
     # ------------------------------------------------------------------
     # External control
@@ -229,17 +243,17 @@ class HostRunqueue:
         entity.wants_cpu = False
         if entity is self.current:
             self._deschedule_current(requeue=False)
-            entity.state = EntityState.BLOCKED
+            entity.state = ENTITY_BLOCKED
             self._dispatch()
             if self.current is None:
                 self.machine.on_thread_busy_changed(self.thread)
-        elif entity.state == EntityState.QUEUED:
+        elif entity.state == ENTITY_QUEUED:
             self.waiting.remove(entity)
             entity.end_wait(now)
-            entity.state = EntityState.BLOCKED
-        elif entity.state == EntityState.THROTTLED:
+            entity.state = ENTITY_BLOCKED
+        elif entity.state == ENTITY_THROTTLED:
             entity.end_wait(now)
-            entity.state = EntityState.BLOCKED
+            entity.state = ENTITY_BLOCKED
 
     def steal_waiting(self, entity: HostEntity) -> None:
         """Remove a QUEUED entity for migration to another runqueue."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.hypervisor.entity import EntityState, HostEntity, NICE0_WEIGHT
+from repro.hypervisor.entity import ENTITY_RUNNING, HostEntity, NICE0_WEIGHT
 
 
 class VCpuThread(HostEntity):
@@ -48,7 +48,7 @@ class VCpuThread(HostEntity):
     @property
     def active(self) -> bool:
         """True while the hypervisor is running this vCPU on a core."""
-        return self.state == EntityState.RUNNING
+        return self.state == ENTITY_RUNNING
 
     def on_start_running(self, now: int, rate: float) -> None:
         self.last_transition = now

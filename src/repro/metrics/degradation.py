@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.sim.engine import MSEC
 

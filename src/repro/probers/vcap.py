@@ -25,7 +25,7 @@ tasks' own progress measurements.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.module import VSchedModule
 from repro.guest.cgroup import TaskGroup

@@ -19,7 +19,7 @@ mislabelling non-stacked vCPUs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.abstraction import TopologyView
 from repro.core.module import VSchedModule

@@ -14,7 +14,7 @@ else (or idle).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.tracing import Tracer
 

@@ -11,10 +11,8 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.guest.sync import Channel
-from repro.sim.engine import MSEC, SEC, USEC
+from repro.sim.engine import MSEC, USEC
 from repro.workloads.base import Workload, WorkloadContext
 from repro.workloads.parsec import PipelineWorkload
 

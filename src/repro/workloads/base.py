@@ -14,7 +14,7 @@ to spawn into (so rwc's cpusets apply), and the experiment RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from repro.guest.cgroup import TaskGroup
 from repro.guest.kernel import GuestKernel
 from repro.guest.task import Policy, StatefulBody, Task
-from repro.sim.engine import MSEC, SEC, USEC
+from repro.sim.engine import MSEC, USEC
 
 
 @dataclass

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.guest.sync import Barrier, Channel, Mutex
-from repro.sim.engine import MSEC, SEC, USEC
+from repro.sim.engine import MSEC, USEC
 from repro.workloads.base import Workload, WorkloadContext
 
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
-from repro.sim.engine import MSEC
 from repro.workloads.apps import Fio, Hackbench, Pbzip2
 from repro.workloads.base import Workload
 from repro.workloads.parsec import PARSEC_SPECS, build_parsec
-from repro.workloads.server import NginxServer
 from repro.workloads.synthetic import Matmul, SysbenchCpu
 from repro.workloads.tailbench import TAILBENCH, LatencyWorkload
 

@@ -13,7 +13,7 @@ from functools import partial
 
 from repro.guest.sync import Channel
 from repro.guest.task import StatefulBody
-from repro.sim.engine import MSEC, SEC, USEC
+from repro.sim.engine import SEC, USEC
 from repro.workloads.base import RequestRecord, Workload, WorkloadContext
 
 

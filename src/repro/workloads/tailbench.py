@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sim.engine import MSEC, SEC, USEC
+from repro.sim.engine import MSEC, USEC
 from repro.workloads.base import RequestRecord, Workload, WorkloadContext
 from repro.guest.sync import Channel
 

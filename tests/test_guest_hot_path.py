@@ -3,13 +3,16 @@
 ``Task.may_run_on``, ``CfsRunqueue.charge_vruntime`` and
 ``Task.is_idle_policy`` are written for few Python calls per event; each
 test here states the plain rule the fast form must reproduce exactly.
-The runqueues' maintained load and queued count must equal a recount
+The runqueues' maintained load and queued counts must equal a recount
 after every mutation, and the load balancer's early-outs over that state
-must decide exactly as the rescanning balancer they replaced.
+must decide exactly as the rescanning balancer they replaced.  The
+per-event modules read enum members through module-level names.
 """
 
+import ast
 import copy
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +24,7 @@ from repro.guest.config import GuestConfig
 from repro.guest.domains import SchedDomains
 from repro.guest.eevdf import EevdfRunqueue
 from repro.guest.runqueue import CfsRunqueue
-from repro.guest.task import GUEST_NICE0_WEIGHT, Policy, Task, TaskState
+from repro.guest.task import GUEST_NICE0_WEIGHT, Policy, TASK_RUNNING, Task
 from repro.sim import MSEC
 
 N_CPUS = 8
@@ -113,7 +116,7 @@ class TestIdlePolicyFlag:
 
 
 # ----------------------------------------------------------------------
-# Maintained runqueue state: load() and the kernel's queued count
+# Maintained runqueue state: load() and the kernel's queued counts
 # ----------------------------------------------------------------------
 def _reference_load(rq) -> int:
     """``CfsRunqueue.load`` as it was: re-sums the normal band."""
@@ -139,7 +142,8 @@ class TestMaintainedRunqueueState:
     @given(st.sampled_from([CfsRunqueue, EevdfRunqueue]), rq_ops)
     @settings(max_examples=300, deadline=None)
     def test_load_and_queued_count_equal_a_recount(self, rq_cls, ops):
-        kernel = SimpleNamespace(config=GuestConfig(), nr_queued=0)
+        kernel = SimpleNamespace(config=GuestConfig(), nr_queued=0,
+                                 nr_queued_normal=0)
         rqs = [rq_cls(SimpleNamespace(kernel=kernel, current=None))
                for _ in range(2)]
 
@@ -171,6 +175,7 @@ class TestMaintainedRunqueueState:
                 assert r.load() == _reference_load(r)
             assert kernel.nr_queued == sum(
                 len(r.normal) + len(r.idle_band) for r in rqs)
+            assert kernel.nr_queued_normal == sum(len(r.normal) for r in rqs)
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +349,23 @@ def balance_worlds(draw):
     for c, spec in enumerate(cpus):
         if c not in loaded:
             spec["queued"] = []
+    # Only a queued normal task can be pulled, so the balancer skips its
+    # scan when every queued task elsewhere is SCHED_IDLE (vcap's probers
+    # and best-effort fillers): make that common, with at most one vCPU
+    # left that queues normal work.
+    normal_cpu = draw(st.sampled_from([None, -1, *sorted(loaded)]))
+    if normal_cpu is not None:
+        for c, spec in enumerate(cpus):
+            if c != normal_cpu:
+                spec["queued"] = [(True, *q[1:]) for q in spec["queued"]]
+    if draw(chance(30)):
+        # The loaded vCPUs were kicked but not yet resumed by the host: no
+        # current task, and a default estimate last written long ago, so a
+        # capacity read decays it.  A busy pass under the default estimate
+        # must still scan for them (the observer effect).
+        for c in loaded:
+            cpus[c] = dict(cpus[c], current=None, touched_ago=draw(
+                st.integers(1, 10 ** 9)))
     if draw(st.booleans()):
         # Every vCPU runs a task that every other filter admits, so the
         # capacity tests, and the early-outs in front of them, decide.
@@ -386,7 +408,7 @@ def _decide(balancer_cls, world, me):
             cpu.rq.enqueue(make(f"q{cpu.index}.{k}", q))
         if spec["current"] is not None:
             cur = make(f"cur{cpu.index}", spec["current"])
-            cur.state = TaskState.RUNNING
+            cur.state = TASK_RUNNING
             cur.cpu = cpu
             cpu.current = cur
         cpu._in_sched = spec["in_sched"]
@@ -406,8 +428,11 @@ def _decide(balancer_cls, world, me):
     read = kernel.capacity_of
 
     def capacity_of(i):
+        # Only a read under the default estimate, of a vCPU with no current
+        # task, writes anything (its decayed steal average), so only the
+        # order of those reads is part of the output.
         value = read(i)
-        if kernel.cpus[i].current is None:
+        if kernel.capacity_provider is None and kernel.cpus[i].current is None:
             log.append(("capacity_of", i, value))
         return value
 
@@ -453,10 +478,27 @@ def _tie_world() -> dict:
             "provider": None, "idle": True, "smt": False}
 
 
+def _observer_world() -> dict:
+    """A busy pass under the default estimate, where the only queued task
+    is SCHED_IDLE on vCPU 1, which has no current task and was last
+    touched 100 ms ago: nothing can be pulled, but the scan must still run,
+    because ``_should_pull`` reads vCPU 1's capacity and that read decays
+    its steal average."""
+    busy = {"current": (False, GUEST_NICE0_WEIGHT, None, 512.0, 0),
+            "queued": [], "in_sched": False, "push_in": 0, "failed": 0,
+            "touched_ago": 0}
+    stalled = dict(busy, current=None, touched_ago=100 * MSEC,
+                   queued=[(True, 3, None, 0.0, 2 * MSEC)])
+    return {"n": 3, "now": 10 ** 9, "cpus": [busy, stalled, dict(busy)],
+            "span": frozenset(range(3)), "default": [1024.0, 512.0, 768.0],
+            "provider": None, "idle": False, "smt": False}
+
+
 def _at_the_edges(test):
-    """Run ``test`` on the tie-break world and on every edge ratio,
-    under both estimators, besides the drawn worlds."""
+    """Run ``test`` on the tie-break and observer-effect worlds and on
+    every edge ratio, under both estimators, besides the drawn worlds."""
     test = example(_tie_world())(test)
+    test = example(_observer_world())(test)
     for ratio in _EDGE_RATIOS:
         for probed in (False, True):
             test = example(_edge_world(ratio, probed))(test)
@@ -471,3 +513,47 @@ class TestBalancerEarlyOuts:
         for me in range(world["n"]):
             assert (_decide(LoadBalancer, world, me)
                     == _decide(_RescanningBalancer, world, me))
+
+
+# ----------------------------------------------------------------------
+# Enum members on the per-event paths
+# ----------------------------------------------------------------------
+#: The enums whose members the per-event modules read.
+_ENUMS = {"TaskState", "EntityState", "VCpuHostState", "Distance"}
+#: The modules on the per-event paths, under src/repro.
+_PER_EVENT_MODULES = [
+    "guest/cpu.py", "guest/kernel.py", "guest/runqueue.py", "guest/task.py",
+    "hypervisor/entity.py", "hypervisor/machine.py",
+    "hypervisor/runqueue.py", "hypervisor/vcpu.py",
+    "core/bvs.py", "core/ivh.py", "hw/topology.py",
+]
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _enum_loads_in_functions(path: Path):
+    """``<Enum>.<MEMBER>`` loads inside function bodies, as
+    ``(line, text)``."""
+    tree = ast.parse(path.read_text())
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in _ENUMS):
+                    found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_per_event_modules_read_enum_members_through_plain_names():
+    """On CPython 3.11 a load such as ``TaskState.RUNNING`` goes through
+    ``EnumType.__getattr__`` (about 6x a global load); each enum's module
+    binds its members to plain names once, and functions read those."""
+    offenders = {m: loads for m in _PER_EVENT_MODULES
+                 if (loads := _enum_loads_in_functions(_SRC / m))}
+    assert offenders == {}
