@@ -28,9 +28,9 @@ def _apply_share(env, period: int, share: float) -> None:
 class _CapacityTracker:
     """Samples actual vs probed capacity every 500 ms until ``end``.
 
-    Scheduled as a bound method so the pending callback stays snapshot-safe
-    (guard_world): the tracker travels with the world on a snapshot fork,
-    where a closure would fail the freeze.
+    Scheduled as a bound method, which pickles into a snapshot image: the
+    tracker travels with the world on a snapshot fork, where a closure
+    would fail the freeze.
     """
 
     def __init__(self, env, vs, steps, end: int):

@@ -68,9 +68,9 @@ def _warm_up(scenario: str, config: str):
 class _ResidencySampler:
     """Counts fast-core (index >= 12) residency of running tasks.
 
-    A bound method rather than a closure so the pending callback stays
-    snapshot-safe (guard_world) should this scenario ever be frozen and
-    forked past the measurement start.
+    A bound method rather than a closure: it pickles into a snapshot
+    image, should this scenario ever be frozen and forked past the
+    measurement start.
     """
 
     def __init__(self, env, wl, stop: int, step: int):

@@ -49,7 +49,7 @@ def _active_cores(env, tasks) -> int:
 class _CoreCountSampler:
     """Samples the active physical-core count every 20 ms until ``stop``.
 
-    Bound-method callback: stays snapshot-safe (guard_world) should this
+    Bound-method callback: it pickles into a snapshot image, should this
     scenario gain a warm-start prefix that freezes mid-measurement.
     """
 

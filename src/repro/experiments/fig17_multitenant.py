@@ -69,8 +69,8 @@ class _TenantChurn:
     """The three neighbor-churn phases, scheduled as bound methods.
 
     Bound methods of an ordinary object pickle into a snapshot image, so
-    the pending phase events stay snapshot-safe (guard_world) — closures
-    over ``neighbors``/``results`` would fail a warm-start freeze.
+    the pending phase events survive a warm-start freeze; closures over
+    ``neighbors``/``results`` would fail it.
     """
 
     def __init__(self, machine: Machine):

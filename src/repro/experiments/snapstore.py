@@ -13,15 +13,15 @@ results (``tools/abdiff.py`` proves it) at a fraction of the wall time.
 A prefix goes where two or more units share a warm-up that costs
 several forks (INTERNALS §15): fig13, fig14, fig15, fig18, fig19, fig20,
 fig21, tab4, and tab3, whose bvs units fork fig14's worlds; fig20's
-fast hpvm worlds are fig19's.  fig12 stays cold: it runs as one
-whole-experiment unit (INTERNALS §15).
+fast hpvm worlds are fig19's.  fig12 has no prefix: its time is in its
+underloaded measurements, not in the vtop warm-ups its units share
+(INTERNALS §15).
 
-Keying follows the unit result cache
-(:mod:`repro.experiments.cache`): a prefix snapshot is addressed by
-``SHA-256(code fingerprint | prefix (key, config, seed) | fast)``, so
-any source change invalidates every stored prefix, exactly like unit
-results.  Each process has one store (:func:`process_store`), and a
-snapshot is a pickle image held in memory, never written to disk.  A
+A prefix snapshot is addressed by its key, ``repr(config)``, seed and
+fast/full mode (:func:`prefix_store_key`).  The key holds no code
+fingerprint: each process has one store (:func:`process_store`), a
+snapshot is a pickle image held in that process's memory and never
+written to disk, and a running process's code cannot change.  A
 pooled campaign builds each prefix once, in the worker that runs its
 first unit in dispatch order; that worker returns the image with the
 unit's outcome, and the supervisor
@@ -38,7 +38,6 @@ identity contract.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -76,19 +75,10 @@ def prefix_parts(prefix: PrefixSpec) -> List[str]:
     return [prefix.key, repr(prefix.config), prefix.seed]
 
 
-def prefix_store_key(prefix: PrefixSpec, fast: bool,
-                     fingerprint: Optional[str] = None) -> str:
-    """Content address of one prefix's frozen world: the code
-    fingerprint, the prefix and the fast/full mode."""
-    from repro.experiments.cache import code_fingerprint
-    h = hashlib.sha256()
-    parts = [fingerprint if fingerprint is not None else code_fingerprint()]
-    parts += prefix_parts(prefix)
-    parts.append("fast" if fast else "full")
-    for part in parts:
-        h.update(part.encode())
-        h.update(b"\0")
-    return h.hexdigest()
+def prefix_store_key(prefix: PrefixSpec, fast: bool) -> Tuple[str, ...]:
+    """Store key of one prefix's frozen world: the prefix and the
+    fast/full mode."""
+    return (*prefix_parts(prefix), "fast" if fast else "full")
 
 
 def build_cold(prefix: PrefixSpec) -> Dict[str, Any]:
@@ -115,17 +105,16 @@ class SnapshotStore:
     """
 
     def __init__(self) -> None:
-        self._snaps: Dict[str, WorldSnapshot] = {}
+        self._snaps: Dict[Tuple[str, ...], WorldSnapshot] = {}
         self.hits = 0
         self.misses = 0
         self.forks = 0
         self.cold_builds = 0
         self.build_seconds = 0.0
 
-    def acquire(self, prefix: PrefixSpec, fast: bool,
-                fingerprint: Optional[str] = None) -> WorldSnapshot:
+    def acquire(self, prefix: PrefixSpec, fast: bool) -> WorldSnapshot:
         """Return the frozen world for ``prefix``, building it on miss."""
-        key = prefix_store_key(prefix, fast, fingerprint)
+        key = prefix_store_key(prefix, fast)
         snap = self._snaps.get(key)
         if snap is not None:
             self.hits += 1
@@ -138,10 +127,9 @@ class SnapshotStore:
         self.build_seconds += time.perf_counter() - started
         return snap
 
-    def fork(self, prefix: PrefixSpec, fast: bool,
-             fingerprint: Optional[str] = None) -> Dict[str, Any]:
+    def fork(self, prefix: PrefixSpec, fast: bool) -> Dict[str, Any]:
         """Fork the prefix's world; returns the forked roots dict."""
-        snap = self.acquire(prefix, fast, fingerprint)
+        snap = self.acquire(prefix, fast)
         _engine, roots = snap.fork()
         self.forks += 1
         return roots
@@ -173,7 +161,8 @@ def process_store() -> SnapshotStore:
 
 
 def reset_process_store() -> None:
-    """Drop every frozen world (tests; long-lived REPL sessions)."""
+    """Drop every frozen world: each pool worker does at start, and tests
+    do between cases."""
     global _process_store
     _process_store = None
 

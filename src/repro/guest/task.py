@@ -201,20 +201,6 @@ def _factory_restartable(factory) -> bool:
             or getattr(factory, "__func__", None) in _RESTARTABLE_BODIES)
 
 
-def _factory_pickles_safely(factory) -> bool:
-    """True when ``factory`` restores from a snapshot image unaliased.
-
-    Bound methods rebind to their receiver in the image; plain
-    module-level functions without closure cells pickle by name and are
-    stateless.  A closure's cells point into the frozen world, and
-    pickle cannot name it at all.
-    """
-    if isinstance(factory, types.MethodType):
-        return True
-    return (isinstance(factory, types.FunctionType)
-            and not factory.__closure__)
-
-
 # ----------------------------------------------------------------------
 # Task
 # ----------------------------------------------------------------------
@@ -372,12 +358,6 @@ class Task:
                 f"body ({factory_name!r}); convert it to a StatefulBody or "
                 f"register it with @restartable_body to make the world "
                 f"forkable")
-        if not _factory_pickles_safely(self.factory):
-            raise SnapshotError(
-                f"task {self.name!r}: body factory {factory_name!r} is a "
-                f"closure — it would keep free variables of the original "
-                f"world; use a bound method or module-level function "
-                f"instead")
 
     def __repr__(self) -> str:
         return f"<Task {self.tid} {self.name} {self.state.value}>"

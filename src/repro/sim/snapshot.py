@@ -32,23 +32,11 @@ generator.  Task bodies follow :class:`repro.guest.task.Task`'s
 ``__getstate__``/``__setstate__`` rules (explicit state-machine bodies,
 restartable factories, exited tasks keep neither body nor factory).
 
-The *guard* (:func:`guard_world`) still vets every pending event before
-the image is written, and names all offenders at once where pickle stops
-at the first:
-
-* closures / lambdas — under pickle they fail the freeze anyway; the
-  guard reports every one, with the event's time;
-* bound builtin methods (``some_list.append``) — pickle would rebind the
-  receiver, but the guard keeps rejecting them, as vschedlint's VSL402
-  does;
-* functions with mutable defaults — they pickle by reference, so the
-  defaults stay shared between the original world and every fork.
-
-Bound methods of ordinary objects are safe (pickle rebinds them to the
-receiver in the image), as are module-level functions (stateless by
-convention) and ``functools.partial`` over either; the guard rejects raw
-generators appearing in event arguments.  Its messages keep the
-deep-copy wording of the vschedlint VSL4xx findings they pair with.
+Bound methods, builtin ones included (``some_list.append``), and
+``functools.partial`` objects rebind inside the image, to the fork's own
+receiver.  A module-level function pickles by reference, so a mutable
+default argument stays shared between the original world and every
+fork; vschedlint's VSL403 rejects one in ``src/repro``.
 
 Every periodic timer is a live heap event, so the state frozen between two
 runs is exactly the state a cold run holds at that instant; a fork resumes
@@ -61,86 +49,14 @@ import copyreg
 import io
 import pickle
 import types
-from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.engine import Engine
 
 
 class SnapshotError(RuntimeError):
     """The world cannot be safely frozen or forked."""
-
-
-#: Module-level callables explicitly vetted as snapshot-safe despite not
-#: being recognisable as such structurally (rare; prefer bound methods).
-_SAFE_CALLBACKS: set = set()
-
-
-def snapshot_safe(func: Callable) -> Callable:
-    """Mark a callable as safe to sit in a pending event across a freeze.
-
-    Decorator form.  Registering asserts the callable neither closes over
-    nor defaults to mutable world state — use only when restructuring to
-    a bound method is genuinely impossible.
-    """
-    _SAFE_CALLBACKS.add(func)
-    return func
-
-
-def _why_unsafe(cb: Callable) -> Optional[str]:
-    """Why ``cb`` would not survive a deep copy, or None when it would."""
-    if cb in _SAFE_CALLBACKS:
-        return None
-    if isinstance(cb, types.MethodType):
-        # Bound method of an in-world object: the receiver copies through
-        # the memo and the method rebinds to the copy.
-        return None
-    if isinstance(cb, partial):
-        return _why_unsafe(cb.func)
-    if isinstance(cb, types.FunctionType):
-        if cb.__closure__:
-            return (f"closure {cb.__qualname__!r} (free variables "
-                    f"{cb.__code__.co_freevars} copy by reference and "
-                    f"would alias the original world)")
-        if cb.__defaults__ and any(
-                isinstance(d, (list, dict, set)) for d in cb.__defaults__):
-            return (f"function {cb.__qualname__!r} has mutable defaults "
-                    f"(shared between original and fork)")
-        return None  # plain module-level function
-    if isinstance(cb, (types.BuiltinFunctionType, types.BuiltinMethodType,
-                       types.MethodWrapperType)):
-        self_obj = getattr(cb, "__self__", None)
-        if self_obj is None or isinstance(self_obj, types.ModuleType):
-            return None  # free builtin (heapq.heappush, math.floor, ...)
-        return (f"bound builtin {cb!r} (deep-copies atomically, keeping "
-                f"the original receiver)")
-    return None  # callable object instance: copied through the memo
-
-
-def guard_world(engine: Engine) -> None:
-    """Vet every pending event for deep-copy safety.
-
-    Raises :class:`SnapshotError` listing all offenders at once (so one
-    pass of the guard surfaces every edge that needs converting, not just
-    the first).
-    """
-    problems: List[str] = []
-    for entry in engine._heap:
-        ev = entry[3]
-        if ev.cancelled:
-            continue
-        why = _why_unsafe(ev.callback)
-        if why is not None:
-            problems.append(f"pending event at t={ev.time}: {why}")
-        for arg in ev.args:
-            if isinstance(arg, types.GeneratorType):
-                problems.append(
-                    f"pending event at t={ev.time}: argument is a live "
-                    f"generator {arg!r} (generators cannot be deep-copied)")
-    if problems:
-        raise SnapshotError(
-            "world is not snapshot-safe:\n  " + "\n  ".join(problems))
 
 
 #: ``type.__flags__`` bit of a class made by a ``class`` statement
@@ -223,7 +139,6 @@ class WorldSnapshot:
         if engine._running:
             raise SnapshotError("cannot freeze a running engine "
                                 "(freeze between run()/run_until() calls)")
-        guard_world(engine)
         buf = io.BytesIO()
         try:
             _ImagePickler(buf).dump({"engine": engine, "roots": roots})

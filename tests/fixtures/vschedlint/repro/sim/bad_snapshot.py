@@ -1,37 +1,39 @@
-"""Copy-unsafe callables at registration sites.
+"""Mutable default arguments, none of them registered anywhere.
 
-Expected findings: snapshot-closure x3 (lambda, named nested closure,
-factory-returned closure), snapshot-bound-builtin x1,
-snapshot-mutable-default x1, snapshot-generator x2 (genexp arg, live
-generator arg).  Mirrors every rejection class of guard_world.
+Expected findings: snapshot-mutable-default x6, one per mutable default
+below (list display, dict display, keyword-only ``set()``, container
+constructor in a method, comprehension in a nested def, list display in
+a lambda).  Functions pickle by reference, so each default is shared by
+the world, every fork of it and every later unit in a warm worker,
+whether or not the function is ever a callback.  ``immutable`` stays
+quiet.
 """
 
+from collections import deque
 
-def make_cb(tag):
-    def inner():
-        return tag  # closes over the factory argument
+
+def collect(acc=[]):
+    acc.append(1)
+    return acc
+
+
+def tally(counts={}, *, seen=set()):
+    return counts, seen
+
+
+class Buffer:
+    def push(self, item, backlog=deque()):
+        backlog.append(item)
+
+
+def outer():
+    def inner(cache={k: 0 for k in "ab"}):
+        return cache
     return inner
 
 
-def gen_events():
-    yield 1
-    yield 2
+hits_of = lambda hits=[]: hits
 
 
-def has_mutable_default(acc=[]):
-    acc.append(1)
-
-
-def wire(engine, sink):
-    leak = []
-    engine.call_at(1000, lambda: leak.append(1))        # closure (lambda)
-
-    def nested():
-        return len(leak)                                # closure (nested def)
-    engine.call_at(2000, nested)
-
-    engine.call_at(3000, make_cb("x"))                  # factory closure
-    engine.call_at(4000, sink.append)                   # bound builtin
-    engine.call_in(5000, has_mutable_default)           # mutable default
-    engine.call_at(6000, print, (x for x in leak))      # genexp argument
-    engine.call_at(7000, print, gen_events())           # live generator
+def immutable(limit=None, pair=(1, 2), name="x", frozen=frozenset()):
+    return limit, pair, name, frozen

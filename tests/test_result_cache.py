@@ -234,7 +234,7 @@ class TestDecompose:
         def sharing(exp_id):
             """(units per prefix store key, prefix-less unit count)."""
             units, _assemble = parallel.decompose(exp_id, True)
-            per_key = Counter(prefix_store_key(u.prefix, True, FP)
+            per_key = Counter(prefix_store_key(u.prefix, True)
                               for u in units if u.prefix is not None)
             return per_key, sum(1 for u in units if u.prefix is None)
 

@@ -5,16 +5,17 @@ tested here against its cold-path twin:
 
 * engine layer — an engine refuses to be frozen mid-dispatch;
 * world layer — :class:`WorldSnapshot` pickles engine + roots into one
-  image, the guard rejects unsafe callbacks loudly, the freeze rejects
-  a closure anywhere else in the world, every task-body rule of
-  ``Task.__getstate__`` holds, and every fork resumes byte-identically
+  image, the freeze rejects a closure or a live generator anywhere in
+  the world, naming it, and rebinds a bound builtin to the fork, every
+  task-body rule of ``Task.__getstate__`` holds, and every fork resumes
+  byte-identically
   to a cold run (under vsched and under plain CFS) independent of its
   siblings and of the frozen image, with its kernel reading the fork's
   own vSched capacity list, its events counted in ``Engine.counters()``,
   its hot-path objects keeping their attributes inline and its new
   tasks numbered as a cold run numbers them;
-* store layer — :class:`SnapshotStore` keys on
-  (code fingerprint, prefix, fast), hits after one miss, and
+* store layer — :class:`SnapshotStore` keys on (prefix, fast), hits
+  after one miss, and
   ``execute_unit`` produces identical results with snapshotting on and
   off;
 * campaign layer — ``run_units`` hands its ``snapshot`` argument to pool
@@ -31,6 +32,7 @@ import gc
 import inspect
 import os
 import pickle
+import re
 import signal
 import sys
 import threading
@@ -59,11 +61,8 @@ from repro.hypervisor.runqueue import HostRunqueue
 from repro.hypervisor.vcpu import VCpuThread
 from repro.sim.engine import MSEC, SEC, Engine
 from repro.sim.rng import make_rng, rng_signature
-from repro.sim.snapshot import (SnapshotError, WorldSnapshot, _setattr_state,
-                                guard_world)
+from repro.sim.snapshot import SnapshotError, WorldSnapshot, _setattr_state
 from repro.workloads import SysbenchCpu
-
-FP = "f" * 64  # stand-in code fingerprint (key tests only)
 
 
 # ----------------------------------------------------------------------
@@ -211,52 +210,71 @@ class TestEngineRestore:
         assert seen == ["tried"]
 
 
-class TestGuard:
-    def test_closure_callback_is_named(self):
+def _ticks():
+    yield 1
+
+
+def _pend_lambda(engine):
+    seen = []
+    engine.call_at(1000, lambda: seen.append(1))
+
+
+def _pend_factory_closure(engine):
+    engine.call_at(1000, _closure_factory(5))
+
+
+def _pend_genexp_argument(engine):
+    engine.call_at(1000, list, (n for n in range(3)))
+
+
+def _pend_generator_argument(engine):
+    engine.call_at(1000, list, _ticks())
+
+
+class TestPendingEvents:
+    @pytest.mark.parametrize("pend, name", [
+        pytest.param(_pend_lambda, "'_pend_lambda.<locals>.<lambda>'",
+                     id="lambda"),
+        pytest.param(_pend_factory_closure,
+                     "'_closure_factory.<locals>.body'",
+                     id="factory-closure"),
+        pytest.param(_pend_genexp_argument,
+                     "'_pend_genexp_argument.<locals>.<genexpr>'",
+                     id="genexp-argument"),
+        pytest.param(_pend_generator_argument, "'_ticks'",
+                     id="generator-argument"),
+    ])
+    def test_unpicklable_event_fails_the_freeze(self, pend, name):
         eng = Engine()
-        leak = []
-        eng.call_at(1000, lambda: leak.append(1))
+        pend(eng)
         with pytest.raises(SnapshotError) as exc:
-            guard_world(eng)
-        assert "closure" in str(exc.value)
-        assert "t=1000" in str(exc.value)
+            WorldSnapshot(eng, {"engine": eng})
+        assert name in str(exc.value), str(exc.value)
 
-    def test_all_offenders_reported_at_once(self):
+    def test_bound_builtin_rebinds_to_the_fork(self):
+        """``items.append`` pickles as the method of the image's own
+        list, so the fork appends to the fork's list."""
         eng = Engine()
-        a, b = [], []
-        eng.call_at(1, lambda: a.append(1))
-        eng.call_at(2, lambda: b.append(1))
-        eng.call_at(3, b.append)  # bound builtin: shares the receiver
-        with pytest.raises(SnapshotError) as exc:
-            guard_world(eng)
-        msg = str(exc.value)
-        assert msg.count("closure") == 2
-        assert "bound builtin" in msg
-
-    def test_cancelled_offenders_are_ignored(self):
-        eng = Engine()
-        ev = eng.call_at(1, lambda: None)
-        ev.cancel()
-        guard_world(eng)  # does not raise
-
-    def test_real_world_is_guard_clean(self):
-        roots = _world()
-        roots["engine"].run_until(1 * SEC)
-        guard_world(roots["engine"])  # does not raise
+        items = []
+        eng.call_at(1000, items.append, 1)
+        fork_engine, roots = WorldSnapshot(
+            eng, {"engine": eng, "items": items}).fork()
+        fork_engine.run_until(2000)
+        assert roots["items"] == [1]
+        assert items == []
 
 
 class TestClosureOutsideTheHeap:
     def test_listener_closure_fails_the_freeze(self):
-        """guard_world vets only pending events.  A lambda in a vCPU's
-        activity listeners used to freeze and be shared by every fork,
-        which then called it with the fork's vCPUs against the original
-        world's state; pickle cannot name it, so the freeze fails."""
+        """A lambda in a vCPU's activity listeners used to freeze and be
+        shared by every fork, which then called it with the fork's vCPUs
+        against the original world's state; pickle cannot name it, so
+        the freeze fails."""
         warm = _world()
         warm["engine"].run_until(1 * SEC)
         seen = []
         for vcpu in warm["env"].vm.vcpus:
             vcpu.activity_listeners.append(lambda v, on, now: seen.append(now))
-        guard_world(warm["engine"])  # the heap holds no closure
         with pytest.raises(SnapshotError) as exc:
             WorldSnapshot(warm["engine"], warm)
         msg = str(exc.value)
@@ -379,9 +397,8 @@ class TestTaskBodyRules:
         warm["engine"].run_until(1 * SEC)
         _queue_behind_countdown(warm, _closure_factory(5), "closed")
         with pytest.raises(SnapshotError,
-                           match="task 'closed': body factory "
-                                 "'_closure_factory.<locals>.body' is a "
-                                 "closure"):
+                           match=re.escape(
+                               "'_closure_factory.<locals>.body'")):
             WorldSnapshot(warm["engine"], warm)
 
     def test_exited_vtop_probe_keeps_neither_body_nor_factory(self):
@@ -528,28 +545,27 @@ _SPEC = PrefixSpec(key="ticker", func=_ticker_prefix, config=(100,),
 
 
 class TestStoreKey:
-    def test_chain_fast_and_fingerprint_isolate(self):
-        base = prefix_store_key(_SPEC, True, FP)
-        assert prefix_store_key(_SPEC, True, FP) == base
-        assert prefix_store_key(_SPEC, False, FP) != base
-        assert prefix_store_key(_SPEC, True, "a" * 64) != base
+    def test_prefix_and_fast_isolate(self):
+        base = prefix_store_key(_SPEC, True)
+        assert prefix_store_key(_SPEC, True) == base
+        assert prefix_store_key(_SPEC, False) != base
         other = PrefixSpec(key="ticker", func=_ticker_prefix, config=(200,),
                            seed="t-100")
-        assert prefix_store_key(other, True, FP) != base
+        assert prefix_store_key(other, True) != base
 
 
 class TestSnapshotStore:
     def test_miss_then_hit_accounting(self):
         store = SnapshotStore()
-        store.fork(_SPEC, True, FP)
-        store.fork(_SPEC, True, FP)
+        store.fork(_SPEC, True)
+        store.fork(_SPEC, True)
         assert (store.misses, store.hits, store.forks) == (1, 1, 2)
         assert store.build_seconds > 0
 
     def test_forks_are_independent(self):
         store = SnapshotStore()
-        a = store.fork(_SPEC, True, FP)
-        b = store.fork(_SPEC, True, FP)
+        a = store.fork(_SPEC, True)
+        b = store.fork(_SPEC, True)
         a["engine"].run_until(20_000)
         assert b["ticker"].count == 10  # sibling unmoved by a's divergence
         b["engine"].run_until(20_000)

@@ -15,10 +15,10 @@ see being *almost* violated:
   A single wall-clock read, unseeded RNG draw, object-identity sort key,
   or unordered ``set`` iteration feeding the event heap breaks that
   quietly.
-* **Snapshot safety** — a callable registered into the simulated world
-  (``Engine.call_at``, listener lists) must pickle into a warm-start
-  snapshot image without staying shared with the original world
-  (VSL4xx, the static twin of ``guard_world``).
+* **Snapshot safety** — a warm-start snapshot pickles the world, and
+  the freeze itself fails on a closure or a live generator; a mutable
+  default argument pickles by reference and stays shared by the original
+  world and every fork, so none may exist in ``src/repro`` (VSL403).
 * **Cache-key soundness** — every input to a unit's result must be in its
   cache key: imports inside the code fingerprint, no hidden environment
   or file reads (VSL5xx).
@@ -26,7 +26,7 @@ see being *almost* violated:
   simulation time may leak between units sharing a warm pooled worker
   (VSL6xx).
 
-One pass parses every file and runs the per-file rules; the last three
+One pass parses every file and runs the per-file rules; the last two
 families run over a project index of ``src/repro`` so they can reason
 across modules.  See ``docs/INTERNALS.md`` §12 and §16 for the rule
 catalogue, the suppression syntax (``# vschedlint: disable=<rule> --

@@ -1,8 +1,8 @@
 """Cache-key soundness (VSL5xx): every result input must be in the key.
 
-The content-addressed result cache (INTERNALS §9) and the snapshot store
-(§15) key on ``SHA-256(code fingerprint | exp_id | config | seed | fast
-[| prefix])``.  That key is sound only while two facts hold:
+The content-addressed result cache (INTERNALS §9) keys on
+``SHA-256(code fingerprint | exp_id | config | seed | fast [| prefix])``.
+That key is sound only while two facts hold:
 
 * **the fingerprint covers all the code that can run** — the fingerprint
   hashes every ``*.py`` under the installed ``repro`` package, so any

@@ -1,13 +1,13 @@
 """Module discovery and the one lint pass.
 
-The pass parses every file and runs the per-file AST rules (VSL1xx–2xx,
+The pass parses every file and runs the per-file AST rules (VSL1xx–4xx,
 policy-gated per tree) and the suppression scan.  Each ``src/repro`` file
 is also distilled into a :class:`~vschedlint.index.FileRecord`, and a
 :class:`~vschedlint.index.ProjectIndex` over those records feeds the
-snapshot-safety, cache-key, and leakage families (VSL4xx–6xx).
-Suppressions apply last, so one ``# vschedlint: disable`` comment can
-silence either kind — and an unused suppression is only reported once the
-whole-program rules have had their chance to use it.
+cache-key and leakage families (VSL5xx–6xx).  Suppressions apply last, so
+one ``# vschedlint: disable`` comment can silence either kind — and an
+unused suppression is only reported once the whole-program rules have
+had their chance to use it.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def discover(paths: Iterable[str]) -> List[Tuple[Path, str]]:
 
 
 def _per_file_rules(module: Module) -> List[Finding]:
-    """The policy-gated single-file rules (VSL1xx–2xx)."""
+    """The policy-gated single-file rules (VSL1xx–4xx)."""
     policy = config.TREE_POLICIES[module.tree_kind]
     families = policy["families"]
     findings: List[Finding] = []
@@ -131,6 +131,8 @@ def _per_file_rules(module: Module) -> List[Finding]:
     if "determinism" in families:
         determinism.check_clocks_and_rng(module, findings)
         determinism.check_unordered_iteration(module, findings)
+    if "snapshot" in families:
+        snapshot_safety.check_mutable_defaults(module, findings)
     return findings
 
 
@@ -164,7 +166,6 @@ def lint_paths(paths: Iterable[str]) -> List[Finding]:
     if records:
         project = index.ProjectIndex(records)
         found: List[Finding] = []
-        snapshot_safety.check_snapshot_safety(project, found)
         cachekeys.check_cachekeys(project, found)
         leakage.check_leakage(project, found)
         for f in found:

@@ -163,46 +163,6 @@ TREE_POLICIES = {
 EXCLUDED_DIR_COMPONENTS = frozenset({"__pycache__", "fixtures"})
 
 # ---------------------------------------------------------------------------
-# Snapshot safety (VSL4xx)
-# ---------------------------------------------------------------------------
-#: Method names whose call registers a callable into the simulated world,
-#: mapped to the positional index of the callable argument.  Everything
-#: scheduled through these can sit in a pending event when a scenario
-#: prefix freezes (INTERNALS §15), so it must pickle into the snapshot
-#: image without staying shared with the original world.
-REGISTRATION_CALLS = {
-    "call_at": 1,        # Engine.call_at(time, callback, *args)
-    "call_in": 1,        # Engine.call_in(delay, callback, *args)
-}
-
-#: Attributes that hold listener lists on world objects;
-#: ``<attr>.append(cb)`` is a registration site too.
-LISTENER_ATTRS = frozenset({"activity_listeners"})
-
-#: Builtin-container method names: ``x.append`` passed as a callback is
-#: (almost certainly) a bound builtin, which the runtime guard rejects in
-#: a pending event (pickle would rebind its receiver; the snapshot layer's
-#: first, deepcopy version shared it with the fork).  A user class
-#: happening to define one of these names is a suppressible false
-#: positive; none exist in this tree.
-BOUND_BUILTIN_METHODS = frozenset({
-    "append", "appendleft", "add", "extend", "update", "insert", "remove",
-    "discard", "pop", "popleft", "clear", "setdefault", "sort", "reverse",
-})
-
-#: Decorators that vouch for a callable's snapshot safety at runtime
-#: (``repro.sim.snapshot.snapshot_safe``) or route it through the task
-#: layer's own ``__getstate__``/``__setstate__`` body rules
-#: (``repro.guest.task.restartable_body``).  The static rules trust them.
-SNAPSHOT_SAFE_DECORATORS = frozenset({"snapshot_safe", "restartable_body"})
-
-#: Mutation method names used to detect writes to module-level mutables.
-MUTATOR_METHODS = frozenset({
-    "append", "appendleft", "add", "extend", "update", "insert", "remove",
-    "discard", "pop", "popleft", "popitem", "clear", "setdefault", "sort",
-})
-
-# ---------------------------------------------------------------------------
 # Cache-key soundness (VSL5xx)
 # ---------------------------------------------------------------------------
 #: Third-party packages whose code is *not* covered by the result cache's
@@ -243,6 +203,12 @@ HIDDEN_INPUT_BLESSED = {
 # ---------------------------------------------------------------------------
 # Cross-unit leakage (VSL6xx)
 # ---------------------------------------------------------------------------
+#: Mutation method names used to detect writes to module-level mutables.
+MUTATOR_METHODS = frozenset({
+    "append", "appendleft", "add", "extend", "update", "insert", "remove",
+    "discard", "pop", "popleft", "popitem", "clear", "setdefault", "sort",
+})
+
 #: Process-level state blessings: ``modname -> {state name -> reason}``.
 #: A blessed module-level (or ``Class.attr``) name may be written at
 #: simulation time.  Every entry must say why persistence across units in
@@ -251,9 +217,9 @@ HIDDEN_INPUT_BLESSED = {
 PROCESS_STATE_BLESSED = {
     "repro.experiments.snapstore": {
         "_process_store": "the intentional per-process snapshot store; "
-                          "entries are content-addressed by code "
-                          "fingerprint + prefix + mode, and "
-                          "tools/abdiff.py proves fork==cold",
+                          "entries are keyed by prefix + mode, a "
+                          "process's code cannot change while it runs, "
+                          "and tools/abdiff.py proves fork==cold",
     },
     "repro.experiments.cache": {
         "_fingerprint_memo": "memo of a pure function of the source tree; "
@@ -268,11 +234,6 @@ PROCESS_STATE_BLESSED = {
         "_DECAY_CACHE": "memo table of y^p decay powers — a pure "
                         "function of its key, so warm entries are "
                         "byte-identical to cold recomputation",
-    },
-    "repro.sim.snapshot": {
-        "_SAFE_CALLBACKS": "decorator registry, appended at function "
-                           "definition time (import), deterministic per "
-                           "code version",
     },
     "repro.guest.task": {
         "_RESTARTABLE_BODIES": "decorator registry, appended at function "

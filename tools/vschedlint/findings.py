@@ -27,20 +27,10 @@ RULES: Dict[str, tuple] = {
     "unordered-iter": ("VSL204", "determinism",
                        "iteration over an unordered collection without an "
                        "explicit ordering"),
-    # snapshot safety (whole-program)
-    "snapshot-closure": ("VSL401", "snapshot",
-                         "closure registered where a world freeze would "
-                         "alias it"),
-    "snapshot-bound-builtin": ("VSL402", "snapshot",
-                               "bound builtin method registered as a "
-                               "callback (deepcopy keeps the original "
-                               "receiver)"),
+    # snapshot safety
     "snapshot-mutable-default": ("VSL403", "snapshot",
-                                 "registered callable has mutable default "
-                                 "arguments (shared across forks)"),
-    "snapshot-generator": ("VSL404", "snapshot",
-                           "generator in a pending event (cannot be "
-                           "deep-copied)"),
+                                 "mutable default argument (shared by a "
+                                 "world, its forks and later units)"),
     # cache-key soundness (whole-program)
     "fingerprint-gap": ("VSL501", "cachekeys",
                         "import outside the result cache's code "
